@@ -412,9 +412,6 @@ pub struct AdmissionEngine {
     bounds: BTreeMap<FlowId, MultiHopMessageBound>,
     next_id: u64,
     stats: EngineStats,
-    /// Global min-plus op counters at construction, so
-    /// [`AdmissionEngine::minplus_ops`] can report this engine's share.
-    ops_at_start: netcalc::cache::OpCounters,
     /// The active fault set, when the engine is running degraded.
     degraded: Option<DegradedState>,
 }
@@ -454,13 +451,6 @@ impl AdmissionEngine {
                 deadline: m.deadline,
             })
             .collect();
-        // The engine's incremental re-analysis rebuilds the same per-port
-        // aggregates across queries, so the thread-local curve cache pays
-        // off for the whole engine lifetime.  An engine later moved to a
-        // thread without a cache silently computes uncached — same results,
-        // no hits — because the cached operators fall through when the
-        // thread-local is unset.
-        netcalc::cache::enable_thread_cache();
         let mut engine = AdmissionEngine {
             config: *config,
             approach,
@@ -476,7 +466,6 @@ impl AdmissionEngine {
             bounds: BTreeMap::new(),
             next_id: specs.len() as u64,
             stats: EngineStats::default(),
-            ops_at_start: netcalc::cache::OpCounters::snapshot(),
             degraded: None,
         };
         let paths: Vec<Vec<FabricPort>> = specs
@@ -548,13 +537,6 @@ impl AdmissionEngine {
     /// Lifetime counters.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// Min-plus operator invocations and curve-cache traffic since this
-    /// engine was built (delta of the process-global counters; engines
-    /// sharing a process fold together).
-    pub fn minplus_ops(&self) -> netcalc::cache::OpCounters {
-        netcalc::cache::OpCounters::snapshot().delta_since(&self.ops_at_start)
     }
 
     /// Evaluates and (on success) commits an admit query.

@@ -1,42 +1,8 @@
 //! E15 — the sharded streaming campaign at scale: streaming vs buffered
-//! throughput and memory, the byte-identity cross-check, and the
-//! arena-vs-allocating min-plus hot-path microbenchmark.
-//!
-//! This binary installs a counting global allocator so the microbenchmark
-//! can report real allocations per operation; the library code stays
-//! allocator-agnostic and just reads the counter through a closure.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! throughput and memory, and the byte-identity cross-check.
 
 use bench::{campaign_scale, render_campaign_scale};
 use rtswitch_core::report::to_json;
-
-/// The system allocator with a relaxed allocation counter bolted on.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is a
-// side effect that never touches the returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -59,9 +25,7 @@ fn main() {
         .map(|s| s.parse().expect("--seed expects a u64"))
         .unwrap_or(42);
 
-    let report = campaign_scale(scenarios, shards, threads, seed, || {
-        ALLOCATIONS.load(Ordering::Relaxed)
-    });
+    let report = campaign_scale(scenarios, shards, threads, seed);
     print!("{}", render_campaign_scale(&report));
 
     if let Some(path) = flag("--json") {

@@ -1,8 +1,7 @@
 //! E17 — the sorted-merge min-plus kernels: ns/op old-vs-new per operator
 //! at campaign-typical breakpoint counts, breakpoint growth along a
-//! multi-hop chain with and without horizon truncation, the curve-cache
-//! hit rate, and the end-to-end sharded campaign throughput with the cache
-//! live.
+//! multi-hop chain with and without horizon truncation, and the end-to-end
+//! sharded campaign throughput.
 //!
 //! `--baseline BENCH_campaign.json` arms the perf gate: the measured
 //! campaign scenarios/sec must stay within 20% of the recorded figure

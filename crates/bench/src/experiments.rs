@@ -1591,8 +1591,7 @@ pub fn render_fault_inflation(rows: &[FaultInflationRow]) -> String {
 
 /// Result of experiment E15 — the sharded streaming campaign at scale:
 /// throughput of the streaming executor vs the buffered baseline, peak
-/// RSS, the soundness verdict, and an arena-vs-allocating min-plus
-/// microbenchmark of the per-port leftover hot path.
+/// RSS and the soundness verdict.
 #[derive(Debug, Clone, Serialize)]
 pub struct CampaignScaleReport {
     /// Scenarios executed per campaign.
@@ -1629,17 +1628,6 @@ pub struct CampaignScaleReport {
     /// Bound violations across both runs — the soundness gate greps for
     /// zero.
     pub soundness_violations: usize,
-    /// Nanoseconds per leftover-service chain on the arena path.
-    pub arena_ns_per_op: f64,
-    /// Nanoseconds per identical chain on the allocating path.
-    pub allocating_ns_per_op: f64,
-    /// `allocating_ns_per_op / arena_ns_per_op`.
-    pub arena_speedup: f64,
-    /// Heap allocations per chain on the arena path (0 when the binary
-    /// has no counting allocator installed).
-    pub arena_allocs_per_op: f64,
-    /// Heap allocations per chain on the allocating path.
-    pub allocating_allocs_per_op: f64,
 }
 
 /// Peak resident set size of this process in MiB (`VmHWM`), 0.0 where
@@ -1658,69 +1646,15 @@ pub fn peak_rss_mb() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// One iteration of the min-plus chain the per-port analysis runs per
-/// flow: aggregate two arrival curves, subtract the flow's own envelope,
-/// take the blind-multiplexing leftover, deconvolve the output envelope
-/// and bound the delay.  `arena` selects the scratch-buffer mirrors.
-fn leftover_chain(arena: bool) -> f64 {
-    use netcalc::{ArrivalBound, PeriodicEnvelope, RateLatency, ServiceBound, TokenBucket};
-    let own = TokenBucket::new(DataSize::from_bytes(1_500), DataRate::from_mbps(10)).curve();
-    let stair = PeriodicEnvelope::new(
-        DataSize::from_bytes(1_000),
-        Duration::from_micros(500),
-        16,
-        DataRate::from_mbps(100),
-    );
-    let cross = stair.curve().add(&own);
-    let beta = RateLatency::new(DataRate::from_mbps(100), Duration::from_micros(120)).curve();
-    let (leftover, output, delay) = if arena {
-        let leftover = netcalc::arena::leftover(&beta, &cross).expect("stable");
-        let output = netcalc::arena::deconvolve(&own, &leftover).expect("stable");
-        let delay = netcalc::arena::horizontal_deviation(&own, &leftover).expect("stable");
-        (leftover, output, delay)
-    } else {
-        let leftover = netcalc::minplus::leftover(&beta, &cross).expect("stable");
-        let output = netcalc::minplus::deconvolve(&own, &leftover).expect("stable");
-        let delay = netcalc::minplus::horizontal_deviation(&own, &leftover).expect("stable");
-        (leftover, output, delay)
-    };
-    // Fold everything into a scalar so the optimizer cannot discard the
-    // chain.
-    delay + leftover.eval(1e-3) + output.eval(1e-3)
-}
-
-/// Times `reps` leftover chains and samples the allocation counter around
-/// them; returns `(ns_per_op, allocs_per_op)`.
-fn time_leftover_chain(arena: bool, reps: usize, alloc_count: &dyn Fn() -> u64) -> (f64, f64) {
-    // Warm the thread-local scratch so the arena column measures the
-    // steady state the campaign hot loop sees, not the first-call growth.
-    let mut sink = leftover_chain(arena);
-    let allocs_before = alloc_count();
-    let started = std::time::Instant::now();
-    for _ in 0..reps {
-        sink += leftover_chain(arena);
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let allocs = alloc_count().saturating_sub(allocs_before);
-    assert!(sink.is_finite());
-    (
-        elapsed * 1e9 / reps.max(1) as f64,
-        allocs as f64 / reps.max(1) as f64,
-    )
-}
-
 /// E15 — the sharded streaming campaign at scale.  Runs the sharded
 /// streaming executor first (so the RSS high-water mark after it is the
 /// streaming profile), then the buffered baseline on the same scenarios,
-/// cross-checks the summaries and the fingerprint, and appends the
-/// arena-vs-allocating microbenchmark.  `alloc_count` reads the calling
-/// binary's allocation counter (`|| 0` when none is installed).
+/// and cross-checks the summaries and the fingerprint.
 pub fn campaign_scale(
     scenarios: usize,
     shards: usize,
     threads: usize,
     seed: u64,
-    alloc_count: impl Fn() -> u64,
 ) -> CampaignScaleReport {
     let base = campaign::CampaignConfig {
         scenarios,
@@ -1748,11 +1682,6 @@ pub fn campaign_scale(
     let soundness_violations =
         sharded.outcome.summary.violations.len() + buffered.outcome.summary.violations.len();
 
-    let reps = 2_000;
-    let (arena_ns_per_op, arena_allocs_per_op) = time_leftover_chain(true, reps, &alloc_count);
-    let (allocating_ns_per_op, allocating_allocs_per_op) =
-        time_leftover_chain(false, reps, &alloc_count);
-
     CampaignScaleReport {
         scenarios,
         shards,
@@ -1772,15 +1701,6 @@ pub fn campaign_scale(
         fingerprint: format!("{:#018x}", sharded.outcome.fingerprint),
         summary_matches_buffered,
         soundness_violations,
-        arena_ns_per_op,
-        allocating_ns_per_op,
-        arena_speedup: if arena_ns_per_op > 0.0 {
-            allocating_ns_per_op / arena_ns_per_op
-        } else {
-            0.0
-        },
-        arena_allocs_per_op,
-        allocating_allocs_per_op,
     }
 }
 
@@ -1819,15 +1739,6 @@ pub fn render_campaign_scale(report: &CampaignScaleReport) -> String {
             "NO"
         },
         report.soundness_violations,
-    ));
-    out.push_str(&format!(
-        "leftover hot path: arena {:.0} ns/op ({:.1} allocs) vs allocating {:.0} ns/op \
-         ({:.1} allocs) — {:.2}x\n",
-        report.arena_ns_per_op,
-        report.arena_allocs_per_op,
-        report.allocating_ns_per_op,
-        report.allocating_allocs_per_op,
-        report.arena_speedup,
     ));
     out
 }
@@ -2240,8 +2151,8 @@ pub struct KernelBench {
 /// Result of experiment E17 — the sorted-merge min-plus kernels: ns/op old
 /// vs new per operator at campaign-typical breakpoint counts, breakpoint
 /// growth along a multi-hop chain with and without horizon truncation, and
-/// the end-to-end sharded campaign with the curve cache live (hit rate and
-/// op counters from the run's own [`campaign::RuntimeStats`]).
+/// the end-to-end sharded campaign (op counters from the run's own
+/// [`campaign::RuntimeStats`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct MinplusKernelsReport {
     /// Timing iterations per operator pair.
@@ -2276,10 +2187,8 @@ pub struct MinplusKernelsReport {
     pub campaign_fingerprint: String,
     /// Bound violations across the campaign (zero expected).
     pub soundness_violations: usize,
-    /// Min-plus operator and curve-cache counters of the campaign run.
-    pub campaign_ops: netcalc::cache::OpCounters,
-    /// Curve-cache hit rate of the campaign run in `[0, 1]`.
-    pub cache_hit_rate: f64,
+    /// Min-plus operator counters of the campaign run.
+    pub campaign_ops: netcalc::counters::OpCounters,
 }
 
 /// A deterministic family of staircase arrival envelopes shaped like the
@@ -2307,7 +2216,7 @@ fn time_ns_per_op(iterations: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// E17: old-vs-new min-plus kernel throughput, truncation behaviour and
-/// the cache-enabled end-to-end campaign.
+/// the end-to-end campaign.
 pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
     use netcalc::{minplus, minplus::reference, ArrivalBound, Curve};
     let MinplusKernelsConfig {
@@ -2386,15 +2295,15 @@ pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
         "deconvolve (general)",
         (&own, &hull),
         &mut || reference::deconvolve(&own, &hull).expect("stable"),
-        &mut || netcalc::arena::deconvolve(&own, &hull).expect("stable"),
+        &mut || minplus::deconvolve(&own, &hull).expect("stable"),
         false,
     );
-    // The blind-multiplexing left-over hull build (arena path, as shipped).
+    // The blind-multiplexing left-over hull build.
     row(
         "leftover (general)",
         (&beta, &cross),
         &mut || reference::leftover(&beta, &cross).expect("stable"),
-        &mut || netcalc::arena::leftover(&beta, &cross).expect("stable"),
+        &mut || minplus::leftover(&beta, &cross).expect("stable"),
         true,
     );
     // The pointwise envelope intersection (aggregate ∧ token bucket).
@@ -2407,20 +2316,6 @@ pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
         &mut || reference::min(&aggregate, &tb_summary),
         &mut || aggregate.min(&tb_summary),
         true,
-    );
-    // The staircase ⊗ rate-latency closed form vs the general fold (the
-    // fast path is a separate entry point, pinned approximately — its
-    // breakpoints are the closed form's, not the fold's).
-    let st = envelopes[0]
-        .extra()
-        .cloned()
-        .unwrap_or_else(|| envelopes[0].curve());
-    row(
-        "convolve (staircase ⊗ rate-latency)",
-        (&st, &beta),
-        &mut || reference::convolve(&st, &beta),
-        &mut || minplus::convolve_staircase_rate_latency(&st, &beta).expect("rate-latency operand"),
-        false,
     );
     // Both deviation kernels: O(n·m) rescans vs sorted candidates with
     // monotone cursors.  Wrapped as degenerate one-point curves so the
@@ -2471,9 +2366,8 @@ pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
         chain_breakpoints_truncated.push(acc_truncated.points().len());
     }
 
-    // End-to-end: the sharded streaming campaign with the curve cache
-    // enabled on every shard worker (same configuration as E16, so the
-    // scenarios/sec figures compare directly).
+    // End-to-end: the sharded streaming campaign (same configuration as
+    // E16, so the scenarios/sec figures compare directly).
     let sharded = campaign::run_sharded_campaign(&campaign::ShardedCampaignConfig {
         base: campaign::CampaignConfig {
             scenarios,
@@ -2489,7 +2383,6 @@ pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
         resume: false,
     })
     .expect("in-memory sharded run cannot fail");
-    let ops = sharded.runtime.ops;
 
     MinplusKernelsReport {
         iterations,
@@ -2506,8 +2399,7 @@ pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
         campaign_scenarios_per_sec: sharded.runtime.scenarios_per_sec,
         campaign_fingerprint: format!("{:#018x}", sharded.outcome.fingerprint),
         soundness_violations: sharded.outcome.summary.violations.len(),
-        campaign_ops: ops,
-        cache_hit_rate: ops.cache_hit_rate(),
+        campaign_ops: sharded.runtime.ops,
     }
 }
 
@@ -2551,16 +2443,8 @@ pub fn render_minplus_kernels(report: &MinplusKernelsReport) -> String {
         report.soundness_violations,
     ));
     out.push_str(&format!(
-        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope | \
-         cache {:.1}% hit ({} / {})\n",
-        ops.convolve,
-        ops.deconvolve,
-        ops.leftover,
-        ops.add,
-        ops.sub_envelope,
-        report.cache_hit_rate * 100.0,
-        ops.cache_hits,
-        ops.cache_hits + ops.cache_misses,
+        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope\n",
+        ops.convolve, ops.deconvolve, ops.leftover, ops.add, ops.sub_envelope,
     ));
     if report.kernel_mismatches > 0 {
         out.push_str(&format!(

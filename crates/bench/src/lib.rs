@@ -22,9 +22,9 @@
 //! | E12 | policy ablation — FCFS vs strict priority vs WRR, per-class tightness and deadline margins | [`experiments::policy_ablation`] |
 //! | E13 | admission throughput — incremental per-port-cached admission vs from-scratch re-analysis, batched 1/64/1024 | [`experiments::admission_throughput`] |
 //! | E14 | fault injection — degraded-mode bound inflation ladder | [`experiments::fault_inflation`] |
-//! | E15 | campaign scale — sharded streaming throughput, peak RSS, arena min-plus microbenchmark | [`experiments::campaign_scale`] |
+//! | E15 | campaign scale — sharded streaming throughput, peak RSS | [`experiments::campaign_scale`] |
 //! | E16 | DES substrate — radix-queue vs binary-heap hot loop, allocs/event, campaign throughput | [`experiments::sim_hot_loop`] |
-//! | E17 | min-plus kernels — sorted-merge vs candidate-enumeration ns/op, horizon truncation, curve-cache hit rate | [`experiments::minplus_kernels`] |
+//! | E17 | min-plus kernels — sorted-merge vs candidate-enumeration ns/op, horizon truncation, campaign throughput | [`experiments::minplus_kernels`] |
 
 pub mod experiments;
 

@@ -187,16 +187,13 @@ fn print_runtime(executed: usize, runtime: &RuntimeStats) {
     );
     let ops = &runtime.ops;
     say!(
-        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope | {} deviations | curve cache {:.1}% hit ({} hits / {} lookups)",
+        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope | {} deviations",
         ops.convolve,
         ops.deconvolve,
         ops.leftover,
         ops.add,
         ops.sub_envelope,
         ops.horizontal_deviation + ops.vertical_deviation,
-        ops.cache_hit_rate() * 100.0,
-        ops.cache_hits,
-        ops.cache_hits + ops.cache_misses,
     );
 }
 

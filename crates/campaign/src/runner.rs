@@ -166,10 +166,12 @@ pub struct RuntimeStats {
     pub elapsed_secs: f64,
     /// Scenarios per wall-clock second.
     pub scenarios_per_sec: f64,
-    /// Min-plus operator invocations and curve-cache traffic during this
-    /// run (delta of the process-global counters, so concurrent campaigns
-    /// in one process would fold together — the CLI runs one at a time).
-    pub ops: netcalc::cache::OpCounters,
+    /// Min-plus operator invocations during this run, one count per
+    /// operator: convolve, deconvolve, leftover, add, sub_envelope,
+    /// min/max combine and both deviations.  A delta of the process-global
+    /// counters, so concurrent campaigns in one process fold together — the
+    /// CLI runs one at a time.
+    pub ops: netcalc::counters::OpCounters,
 }
 
 impl RuntimeStats {
@@ -397,7 +399,7 @@ pub fn run_campaign(config: CampaignConfig) -> CampaignReport {
         .min(scenarios.len().max(1));
 
     let started = Instant::now();
-    let ops_before = netcalc::cache::OpCounters::snapshot();
+    let ops_before = netcalc::counters::OpCounters::snapshot();
     let next = AtomicUsize::new(0);
     let (sender, receiver) = mpsc::channel::<(usize, ScenarioResult)>();
     let mut per_thread = vec![0usize; threads];
@@ -407,21 +409,15 @@ pub fn run_campaign(config: CampaignConfig) -> CampaignReport {
             let sender = sender.clone();
             let next = &next;
             let scenarios = &scenarios;
-            scope.spawn(move || {
-                // Scenarios from one ScenarioSpace rebuild identical
-                // per-port aggregates; the content-addressed curve cache
-                // memoizes them for the lifetime of this worker.
-                netcalc::cache::enable_thread_cache();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = scenarios.get(index).copied() else {
-                        break;
-                    };
-                    let result =
-                        execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                    if sender.send((worker, result)).is_err() {
-                        break;
-                    }
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(scenario) = scenarios.get(index).copied() else {
+                    break;
+                };
+                let result =
+                    execute_scenario_with(scenario, config.with_1553, config.envelope_override);
+                if sender.send((worker, result)).is_err() {
+                    break;
                 }
             });
         }
@@ -452,7 +448,7 @@ pub fn run_campaign(config: CampaignConfig) -> CampaignReport {
                 } else {
                     0.0
                 },
-                ops: netcalc::cache::OpCounters::snapshot().delta_since(&ops_before),
+                ops: netcalc::counters::OpCounters::snapshot().delta_since(&ops_before),
             },
         }
     })

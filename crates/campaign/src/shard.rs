@@ -795,21 +795,15 @@ fn execute_shard(
         for worker in 0..workers {
             let sender = sender.clone();
             let next = &next;
-            scope.spawn(move || {
-                // Shard-scoped curve cache: the worker thread dies when the
-                // shard completes, taking the memo table with it, so cache
-                // lifetime equals shard lifetime by construction.
-                netcalc::cache::enable_thread_cache();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = slice.get(index).copied() else {
-                        break;
-                    };
-                    let result =
-                        execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                    if sender.send((worker, result)).is_err() {
-                        break;
-                    }
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(scenario) = slice.get(index).copied() else {
+                    break;
+                };
+                let result =
+                    execute_scenario_with(scenario, config.with_1553, config.envelope_override);
+                if sender.send((worker, result)).is_err() {
+                    break;
                 }
             });
         }
@@ -941,7 +935,7 @@ pub fn run_sharded_campaign(config: &ShardedCampaignConfig) -> Result<ShardedRep
     let threads = base.effective_threads().max(1);
     let mut per_thread = vec![0usize; threads];
     let started = Instant::now();
-    let ops_before = netcalc::cache::OpCounters::snapshot();
+    let ops_before = netcalc::counters::OpCounters::snapshot();
     let mut executed_shards = 0usize;
 
     // Shards run sequentially — parallelism lives inside each shard's
@@ -999,7 +993,7 @@ pub fn run_sharded_campaign(config: &ShardedCampaignConfig) -> Result<ShardedRep
             } else {
                 0.0
             },
-            ops: netcalc::cache::OpCounters::snapshot().delta_since(&ops_before),
+            ops: netcalc::counters::OpCounters::snapshot().delta_since(&ops_before),
         },
         executed_shards,
         restored_shards,

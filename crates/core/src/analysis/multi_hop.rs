@@ -528,17 +528,13 @@ pub fn compose_end_to_end(
         // the reported bound is their minimum (which also absorbs
         // float noise in the curve route on degenerate-staircase
         // flows).
-        // Context word for the curve cache: arm byte 0xff marks path
-        // composition (no single multiplexer policy), model byte 1 because
-        // only the staircase model reaches this branch.
-        const COMPOSE_CTX: u64 = 0xff | (1 << 8);
         let network_curve = leftover_curves[1..]
             .iter()
             .fold(leftover_curves[0].convex_minorant(), |acc, c| {
-                netcalc::cache::convolve(COMPOSE_CTX, &acc, &c.convex_minorant())
+                netcalc::minplus::convolve(&acc, &c.convex_minorant())
             });
         let source_curve = spec.arrival_envelope(model, config.link_rate).curve();
-        let h = netcalc::arena::horizontal_deviation(&source_curve, &network_curve).map_err(
+        let h = netcalc::minplus::horizontal_deviation(&source_curve, &network_curve).map_err(
             |source| AnalysisError::Stage {
                 stage: format!("convolved path of {}", spec.name),
                 source,

@@ -1,5 +1,5 @@
-//! Cache-aware per-port analysis: everything the multi-hop walk derives at
-//! one output port, behind one entry point.
+//! Per-port analysis: everything the multi-hop walk derives at one output
+//! port, behind one entry point.
 //!
 //! [`analyze_multi_hop_with`](crate::analyze_multi_hop_with) visits every
 //! port of the fabric exactly once, in topological order, and derives the
@@ -20,7 +20,7 @@ use crate::analysis::stage::{analyze_stage, mux_for_policy, StageFlow};
 use crate::config::NetworkConfig;
 use ethernet::SchedulingPolicy;
 use netcalc::{
-    arena, cache, delay_bound, ArrivalBound, Curve, Envelope, EnvelopeModel, NcError, RateLatency,
+    delay_bound, minplus, ArrivalBound, Curve, Envelope, EnvelopeModel, NcError, RateLatency,
     TokenBucket,
 };
 use units::Duration;
@@ -91,7 +91,7 @@ pub fn analyze_port(
     let port_curves = match model {
         EnvelopeModel::TokenBucket => None,
         EnvelopeModel::Staircase => {
-            Some(leftover_curves_for_port(flows, policy, config, ttechno, model).map_err(&stage)?)
+            Some(leftover_curves_for_port(flows, policy, config, ttechno).map_err(&stage)?)
         }
     };
 
@@ -144,7 +144,7 @@ pub fn analyze_port(
                         .saturating_sub_const(frame.as_f64_bits())
                         .expect("frame sizes are finite and non-negative");
                 }
-                let h = arena::horizontal_deviation(&flow.envelope.effective_curve(), &lo_curve)
+                let h = minplus::horizontal_deviation(&flow.envelope.effective_curve(), &lo_curve)
                     .map_err(&stage)?;
                 (Duration::from_secs_f64_ceil(h), Some(lo_curve))
             }
@@ -248,27 +248,6 @@ pub fn leftover_service(
     base.leftover(&cross)
 }
 
-/// The curve-cache context word for a port analysed under `policy` and
-/// `model`: low byte the scheduling-policy arm (0 FCFS, 1 strict priority,
-/// 2 WRR), second byte the envelope model (0 token bucket, 1 staircase).
-///
-/// The cache key already contains the operator tag and both operands' full
-/// bit patterns — which determine the result — so the context word is pure
-/// disambiguation: curves that coincide across analysis regimes never share
-/// an entry, keeping every regime's hit path trivially auditable.
-pub(crate) fn cache_ctx(policy: &SchedulingPolicy, model: EnvelopeModel) -> u64 {
-    let arm: u64 = match policy {
-        SchedulingPolicy::Fcfs => 0,
-        SchedulingPolicy::StrictPriority { .. } => 1,
-        SchedulingPolicy::Wrr { .. } => 2,
-    };
-    let model: u64 = match model {
-        EnvelopeModel::TokenBucket => 0,
-        EnvelopeModel::Staircase => 1,
-    };
-    arm | (model << 8)
-}
-
 /// The general left-over service **curves** of every flow at a port
 /// ([`netcalc::minplus::leftover`]): the same blind-multiplexing construction as
 /// [`leftover_service`], but against the cross traffic's full
@@ -285,10 +264,8 @@ pub fn leftover_curves_for_port(
     policy: &SchedulingPolicy,
     config: &NetworkConfig,
     ttechno: Duration,
-    model: EnvelopeModel,
 ) -> Result<Vec<Curve>, NcError> {
     use netcalc::ServiceBound;
-    let ctx = cache_ctx(policy, model);
     let levels = policy.queue_count();
     let clamp = |p: usize| p.min(levels.saturating_sub(1));
     match policy {
@@ -298,8 +275,8 @@ pub fn leftover_curves_for_port(
             flows
                 .iter()
                 .map(|f| {
-                    let cross = cache::sub_envelope(ctx, &full, &f.envelope.effective_curve());
-                    cache::leftover(ctx, &base, &cross)
+                    let cross = full.sub_envelope(&f.envelope.effective_curve());
+                    minplus::leftover(&base, &cross)
                 })
                 .collect()
         }
@@ -309,7 +286,7 @@ pub fn leftover_curves_for_port(
             let mut acc = netcalc::Curve::zero();
             for p in 0..levels {
                 for f in flows.iter().filter(|f| clamp(f.priority) == p) {
-                    acc = cache::add(ctx, &acc, &f.envelope.effective_curve());
+                    acc = acc.add(&f.envelope.effective_curve());
                 }
                 prefixes.push(acc.clone());
             }
@@ -336,9 +313,8 @@ pub fn leftover_curves_for_port(
                 .iter()
                 .map(|f| {
                     let own = clamp(f.priority);
-                    let cross =
-                        cache::sub_envelope(ctx, &prefixes[own], &f.envelope.effective_curve());
-                    cache::leftover(ctx, &bases[own], &cross)
+                    let cross = prefixes[own].sub_envelope(&f.envelope.effective_curve());
+                    minplus::leftover(&bases[own], &cross)
                 })
                 .collect()
         }
@@ -355,7 +331,7 @@ pub fn leftover_curves_for_port(
             let mut aggregates: Vec<Curve> = vec![netcalc::Curve::zero(); levels];
             for f in flows {
                 let own = clamp(f.priority);
-                aggregates[own] = cache::add(ctx, &aggregates[own], &f.envelope.effective_curve());
+                aggregates[own] = aggregates[own].add(&f.envelope.effective_curve());
             }
             let mut bases: Vec<Option<Curve>> = vec![None; levels];
             flows
@@ -365,9 +341,8 @@ pub fn leftover_curves_for_port(
                     if bases[own].is_none() {
                         bases[own] = Some(mux.residual_service(own)?.curve());
                     }
-                    let cross =
-                        cache::sub_envelope(ctx, &aggregates[own], &f.envelope.effective_curve());
-                    cache::leftover(ctx, bases[own].as_ref().expect("just filled"), &cross)
+                    let cross = aggregates[own].sub_envelope(&f.envelope.effective_curve());
+                    minplus::leftover(bases[own].as_ref().expect("just filled"), &cross)
                 })
                 .collect()
         }

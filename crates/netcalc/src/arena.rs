@@ -1,351 +1,53 @@
-//! Scratch-buffer ("arena") variants of the hot min-plus operations.
+//! The thread-local scratch buffers behind the public min-plus entry points.
 //!
 //! The campaign analyses ~10⁵ scenarios per run, and every scenario pays
-//! thousands of calls into [`crate::minplus`] — each of which allocates a
-//! fresh breakpoint `Vec` (often several) that is dropped microseconds
-//! later.  This module provides a [`Scratch`] arena of reusable breakpoint
-//! buffers plus *arithmetically identical* mirrors of
-//! [`convolve`](crate::minplus::convolve),
-//! [`deconvolve`](crate::minplus::deconvolve),
-//! [`leftover`](crate::minplus::leftover), [`Curve::add`],
-//! [`Curve::sub_envelope`] and the deviation routines.  The mirrors reuse
-//! the *same* slice-level kernels as the allocating implementations
-//! (`eval_points`, `slope_after`, in-place simplify) so both paths
-//! perform bit-for-bit identical float arithmetic; the module-level
-//! property tests pin breakpoint-identical equality on random curve
-//! families, and the campaign fingerprints pin it end-to-end.
-//! (Deconvolution, which the per-scenario analyses never call, simply
-//! delegates to the allocating balanced-reduction kernel.)
+//! thousands of min-plus operations, each of which would otherwise allocate
+//! fresh breakpoint `Vec`s that are dropped microseconds later.  Every public
+//! entry point ([`crate::minplus`]'s operators and the [`Curve`](crate::Curve)
+//! combinators) instead runs its slice-level `*_into` kernel on the calling
+//! thread's [`Scratch`] through [`with_scratch`] and copies only the result
+//! out.
 //!
-//! The free functions at the bottom ([`convolve`], [`deconvolve`],
-//! [`leftover`], [`add`], [`sub_envelope`], [`horizontal_deviation`],
-//! [`vertical_deviation`]) route through a thread-local [`Scratch`], which
-//! is what the per-port analysis hot paths call.
+//! The scratch lives in a `RefCell`, so an entry point must not call another
+//! entry point while it holds the borrow (a nested borrow panics).
 
-use crate::cache::{record_op, OpKind};
-use crate::curve::{
-    add_points_into, combine_points_into, simplify_points_in_place, sub_envelope_points_into, Curve,
-};
-use crate::minplus::{
-    horizontal_deviation_into, leftover_into, merge_convolve_convex_into, vertical_deviation_into,
-};
-use crate::NcError;
 use std::cell::RefCell;
 
-/// Reusable breakpoint buffers for the arena operations.
+/// Reusable breakpoint buffers for the min-plus kernels.
 ///
-/// One `Scratch` serves any number of sequential operations; buffers grow to
-/// the high-water mark of the curves seen and are then reused without
-/// further allocation.  Each public operation leaves the arena ready for the
-/// next call (buffers are cleared on entry, never on exit).
+/// Buffers grow to the high-water mark of the curves seen and are then
+/// reused without further allocation.  Every kernel clears the buffers it
+/// writes on entry, never on exit.
 #[derive(Debug, Default)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     /// Merged breakpoint grid of the sweep combine (before crossings).
-    grid: Vec<f64>,
-    /// Final evaluation grid (breakpoints + crossings).
-    xs: Vec<f64>,
+    pub(crate) grid: Vec<f64>,
+    /// Final evaluation grid (breakpoints + crossings), or the merged grid
+    /// of the two-pointer kernels.
+    pub(crate) xs: Vec<f64>,
     /// Interior-crossing abscissas of the min/max combine.
-    crossings: Vec<f64>,
-    /// Fold accumulator breakpoints (convolve / deconvolve).
-    acc: Vec<(f64, f64)>,
-    /// Current family-member breakpoints.
-    member: Vec<(f64, f64)>,
-    /// General output buffer (combine result, clamp result).
-    work: Vec<(f64, f64)>,
-    /// Raw difference grid (leftover) / raw pre-clamp breakpoints.
-    diff: Vec<(f64, f64)>,
+    pub(crate) crossings: Vec<f64>,
+    /// Fold accumulator breakpoints (general convolution).
+    pub(crate) acc: Vec<(f64, f64)>,
+    /// Current family-member breakpoints (convolution) or hull (leftover).
+    pub(crate) member: Vec<(f64, f64)>,
+    /// General output buffer.
+    pub(crate) work: Vec<(f64, f64)>,
+    /// Raw difference grid (leftover).
+    pub(crate) diff: Vec<(f64, f64)>,
     /// Candidate abscissas for the deviation routines.
-    candidates: Vec<f64>,
-}
-
-/// Mirror of `minplus::shifted_raised`: writes the member curve
-/// `t ↦ h((t − d)⁺) + c` into `member` and returns its final slope.
-fn shifted_raised_into(member: &mut Vec<(f64, f64)>, h: &Curve, d: f64, c: f64) -> f64 {
-    member.clear();
-    let h0 = h.points()[0].1;
-    member.push((0.0, h0 + c));
-    if d > 0.0 {
-        member.push((d, h0 + c));
-    }
-    for &(x, y) in h.points() {
-        if x > 0.0 {
-            member.push((x + d, y + c));
-        }
-    }
-    simplify_points_in_place(member, h.final_slope());
-    h.final_slope()
-}
-
-impl Scratch {
-    /// A fresh arena with empty buffers.
-    pub fn new() -> Self {
-        Scratch::default()
-    }
-
-    /// Folds the current `member` buffer into the `acc` buffer with
-    /// min (`take_min`) or max, returning the accumulator's new final
-    /// slope.  The first fold just adopts the member.
-    fn fold_member(
-        &mut self,
-        first: bool,
-        acc_slope: f64,
-        member_slope: f64,
-        take_min: bool,
-    ) -> f64 {
-        if first {
-            std::mem::swap(&mut self.acc, &mut self.member);
-            member_slope
-        } else {
-            let slope = combine_points_into(
-                (&self.acc, acc_slope),
-                (&self.member, member_slope),
-                take_min,
-                &mut self.grid,
-                &mut self.crossings,
-                &mut self.xs,
-                &mut self.work,
-            );
-            std::mem::swap(&mut self.acc, &mut self.work);
-            slope
-        }
-    }
-
-    /// Arena mirror of [`crate::minplus::convolve`], including the convex
-    /// slope-merge fast path.
-    pub fn convolve(&mut self, f: &Curve, g: &Curve) -> Curve {
-        if f.is_convex() && g.is_convex() {
-            let slope = merge_convolve_convex_into(f, g, &mut self.work);
-            return Curve::from_simplified_parts(self.work.clone(), slope);
-        }
-        let mut acc_slope = 0.0_f64;
-        let mut first = true;
-        for &(x, y) in f.points() {
-            let ms = shifted_raised_into(&mut self.member, g, x, y);
-            acc_slope = self.fold_member(first, acc_slope, ms, true);
-            first = false;
-        }
-        for &(x, y) in g.points() {
-            let ms = shifted_raised_into(&mut self.member, f, x, y);
-            acc_slope = self.fold_member(first, acc_slope, ms, true);
-            first = false;
-        }
-        Curve::from_simplified_parts(self.acc.clone(), acc_slope)
-    }
-
-    /// Arena [`Curve::min`] (sweep combine on scratch buffers).
-    pub fn min(&mut self, a: &Curve, b: &Curve) -> Curve {
-        self.combine(a, b, true)
-    }
-
-    /// Arena [`Curve::max`] (sweep combine on scratch buffers).
-    pub fn max(&mut self, a: &Curve, b: &Curve) -> Curve {
-        self.combine(a, b, false)
-    }
-
-    /// Shared sweep combine for [`Scratch::min`] / [`Scratch::max`].
-    fn combine(&mut self, a: &Curve, b: &Curve, take_min: bool) -> Curve {
-        let slope = combine_points_into(
-            (a.points(), a.final_slope()),
-            (b.points(), b.final_slope()),
-            take_min,
-            &mut self.grid,
-            &mut self.crossings,
-            &mut self.xs,
-            &mut self.work,
-        );
-        Curve::from_simplified_parts(self.work.clone(), slope)
-    }
-
-    /// Arena entry for [`crate::minplus::deconvolve`].  Deconvolution sits
-    /// off the per-scenario hot path (the campaign records zero deconvolve
-    /// ops), so rather than a buffer-reusing mirror this delegates to the
-    /// allocating balanced-reduction kernel — one code path, trivially
-    /// breakpoint-identical to it.
-    pub fn deconvolve(&mut self, alpha: &Curve, beta: &Curve) -> Result<Curve, NcError> {
-        crate::minplus::deconvolve(alpha, beta)
-    }
-
-    /// Arena mirror of [`crate::minplus::leftover`].
-    pub fn leftover(&mut self, beta: &Curve, cross: &Curve) -> Result<Curve, NcError> {
-        let slope = leftover_into(
-            beta,
-            cross,
-            &mut self.xs,
-            &mut self.diff,
-            &mut self.member,
-            &mut self.work,
-        )?;
-        Ok(Curve::from_simplified_parts(self.work.clone(), slope))
-    }
-
-    /// Arena mirror of [`Curve::add`] (two-pointer grid + cursor walk).
-    pub fn add(&mut self, a: &Curve, b: &Curve) -> Curve {
-        let final_slope = add_points_into(
-            (a.points(), a.final_slope()),
-            (b.points(), b.final_slope()),
-            &mut self.xs,
-            &mut self.work,
-        );
-        Curve::from_simplified_parts(self.work.clone(), final_slope)
-    }
-
-    /// Arena mirror of [`Curve::sub_envelope`] (two-pointer grid + cursor
-    /// walk — the aggregate-minus-own split in a single merge).
-    pub fn sub_envelope(&mut self, a: &Curve, b: &Curve) -> Curve {
-        let final_slope = sub_envelope_points_into(
-            (a.points(), a.final_slope()),
-            (b.points(), b.final_slope()),
-            &mut self.xs,
-            &mut self.work,
-        );
-        Curve::from_simplified_parts(self.work.clone(), final_slope)
-    }
-
-    /// Arena mirror of [`crate::minplus::horizontal_deviation`].
-    pub fn horizontal_deviation(&mut self, alpha: &Curve, beta: &Curve) -> Result<f64, NcError> {
-        horizontal_deviation_into(alpha, beta, &mut self.candidates)
-    }
-
-    /// Arena mirror of [`crate::minplus::vertical_deviation`].
-    pub fn vertical_deviation(&mut self, alpha: &Curve, beta: &Curve) -> Result<f64, NcError> {
-        vertical_deviation_into(alpha, beta, &mut self.candidates)
-    }
+    pub(crate) candidates: Vec<f64>,
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// Thread-local-arena [`crate::minplus::convolve`].
-pub fn convolve(f: &Curve, g: &Curve) -> Curve {
-    record_op(OpKind::Convolve);
-    SCRATCH.with(|s| s.borrow_mut().convolve(f, g))
-}
-
-/// Thread-local-arena [`crate::minplus::deconvolve`].
-pub fn deconvolve(alpha: &Curve, beta: &Curve) -> Result<Curve, NcError> {
-    record_op(OpKind::Deconvolve);
-    SCRATCH.with(|s| s.borrow_mut().deconvolve(alpha, beta))
-}
-
-/// Thread-local-arena [`crate::minplus::leftover`].
-pub fn leftover(beta: &Curve, cross: &Curve) -> Result<Curve, NcError> {
-    record_op(OpKind::Leftover);
-    SCRATCH.with(|s| s.borrow_mut().leftover(beta, cross))
-}
-
-/// Thread-local-arena [`Curve::add`].
-pub fn add(a: &Curve, b: &Curve) -> Curve {
-    record_op(OpKind::Add);
-    SCRATCH.with(|s| s.borrow_mut().add(a, b))
-}
-
-/// Thread-local-arena [`Curve::sub_envelope`].
-pub fn sub_envelope(a: &Curve, b: &Curve) -> Curve {
-    record_op(OpKind::SubEnvelope);
-    SCRATCH.with(|s| s.borrow_mut().sub_envelope(a, b))
-}
-
-/// Thread-local-arena [`Curve::min`].
-pub fn min(a: &Curve, b: &Curve) -> Curve {
-    record_op(OpKind::Combine);
-    SCRATCH.with(|s| s.borrow_mut().min(a, b))
-}
-
-/// Thread-local-arena [`Curve::max`].
-pub fn max(a: &Curve, b: &Curve) -> Curve {
-    record_op(OpKind::Combine);
-    SCRATCH.with(|s| s.borrow_mut().max(a, b))
-}
-
-/// Thread-local-arena [`crate::minplus::horizontal_deviation`].
-pub fn horizontal_deviation(alpha: &Curve, beta: &Curve) -> Result<f64, NcError> {
-    record_op(OpKind::HorizontalDeviation);
-    SCRATCH.with(|s| s.borrow_mut().horizontal_deviation(alpha, beta))
-}
-
-/// Thread-local-arena [`crate::minplus::vertical_deviation`].
-pub fn vertical_deviation(alpha: &Curve, beta: &Curve) -> Result<f64, NcError> {
-    record_op(OpKind::VerticalDeviation);
-    SCRATCH.with(|s| s.borrow_mut().vertical_deviation(alpha, beta))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::minplus;
-
-    fn exact_eq(a: &Curve, b: &Curve) -> bool {
-        a.points() == b.points() && a.final_slope() == b.final_slope()
-    }
-
-    #[test]
-    fn arena_ops_match_allocating_ops_on_representative_curves() {
-        let beta = Curve::rate_latency(10e6, 16e-6).unwrap();
-        let tb = Curve::affine(8_000.0, 4e6).unwrap();
-        let st = Curve::staircase(8_000.0, 0.02, 16, 10e6).unwrap();
-        let mut s = Scratch::new();
-        for cross in [&tb, &st] {
-            assert!(exact_eq(
-                &s.leftover(&beta, cross).unwrap(),
-                &minplus::leftover(&beta, cross).unwrap()
-            ));
-            assert!(exact_eq(
-                &s.deconvolve(cross, &beta).unwrap(),
-                &minplus::deconvolve(cross, &beta).unwrap()
-            ));
-            assert!(exact_eq(&s.add(cross, &tb), &cross.add(&tb)));
-            let sum = cross.add(&tb);
-            assert!(exact_eq(&s.sub_envelope(&sum, &tb), &sum.sub_envelope(&tb)));
-            assert_eq!(
-                s.horizontal_deviation(cross, &beta).unwrap(),
-                minplus::horizontal_deviation(cross, &beta).unwrap()
-            );
-            assert_eq!(
-                s.vertical_deviation(cross, &beta).unwrap(),
-                minplus::vertical_deviation(cross, &beta).unwrap()
-            );
-        }
-        let beta2 = Curve::rate_latency(100e6, 5e-6).unwrap();
-        assert!(exact_eq(
-            &s.convolve(&beta, &beta2),
-            &minplus::convolve(&beta, &beta2)
-        ));
-        assert!(exact_eq(
-            &s.convolve(&st, &beta),
-            &minplus::convolve(&st, &beta)
-        ));
-    }
-
-    #[test]
-    fn simplify_in_place_matches_allocating_simplify() {
-        let redundant = vec![(0.0, 0.0), (1.0, 10.0), (2.0, 20.0), (3.0, 25.0)];
-        let allocating = crate::curve::simplify_points(redundant.clone(), 5.0);
-        let mut in_place = redundant;
-        simplify_points_in_place(&mut in_place, 5.0);
-        assert_eq!(allocating, in_place);
-    }
-
-    #[test]
-    fn arena_errors_mirror_allocating_errors() {
-        let beta = Curve::rate_latency(1e6, 0.0).unwrap();
-        let flood = Curve::affine(0.0, 2e6).unwrap();
-        let mut s = Scratch::new();
-        assert!(matches!(
-            s.leftover(&beta, &Curve::affine(0.0, 1e6).unwrap()),
-            Err(NcError::Unstable { .. })
-        ));
-        assert!(matches!(
-            s.deconvolve(&flood, &beta),
-            Err(NcError::Unstable { .. })
-        ));
-        assert!(matches!(
-            s.horizontal_deviation(&flood, &beta),
-            Err(NcError::Unstable { .. })
-        ));
-        assert!(matches!(
-            s.vertical_deviation(&flood, &beta),
-            Err(NcError::Unstable { .. })
-        ));
-    }
+/// Runs `f` on the calling thread's scratch buffers.
+///
+/// # Panics
+/// Panics if called from inside another `with_scratch` closure on the same
+/// thread.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }

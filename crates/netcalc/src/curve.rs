@@ -7,6 +7,8 @@
 //! the x-axis and `f64` bits on the y-axis; all conversions back to exact
 //! integer quantities round pessimistically at the caller.
 
+use crate::arena::with_scratch;
+use crate::counters::{record_op, OpKind};
 use crate::NcError;
 use serde::{Deserialize, Serialize};
 
@@ -128,18 +130,8 @@ impl Curve {
         }
     }
 
-    /// In-place variant of [`Curve::simplify`]: removes redundant
-    /// breakpoints without allocating a new breakpoint list.  Produces a
-    /// breakpoint list identical to the allocating path (the equivalence is
-    /// property-tested in [`crate::arena`]).
-    pub fn simplify_in_place(&mut self) {
-        simplify_points_in_place(&mut self.points, self.final_slope);
-    }
-
-    /// Constructs a curve from an already-simplified breakpoint list (the
-    /// arena operations end every synthesis with
-    /// [`simplify_points_in_place`], exactly like the allocating operations
-    /// end with [`simplify_points`]).
+    /// Constructs a curve from an already-simplified breakpoint list (every
+    /// min-plus kernel ends its synthesis with [`simplify_points_in_place`]).
     pub(crate) fn from_simplified_parts(points: Vec<(f64, f64)>, final_slope: f64) -> Curve {
         debug_assert!(is_simplified(&points, final_slope));
         Curve {
@@ -311,18 +303,20 @@ impl Curve {
         Some(last_x + (y - last_y).max(0.0) / self.final_slope)
     }
 
-    /// Pointwise sum of two curves (the arrival curve of an aggregate flow).
+    /// Pointwise sum of two curves (the arrival curve of an aggregate flow):
+    /// a two-pointer merge of both breakpoint grids on the thread-local
+    /// scratch.
     pub fn add(&self, other: &Curve) -> Curve {
-        let xs = merged_abscissas(self, other);
-        let points = xs
-            .iter()
-            .map(|&x| (x, self.eval(x) + other.eval(x)))
-            .collect();
-        let final_slope = self.final_slope + other.final_slope;
-        Curve {
-            points: simplify_points(points, final_slope),
-            final_slope,
-        }
+        record_op(OpKind::Add);
+        with_scratch(|s| {
+            let final_slope = add_points_into(
+                (&self.points, self.final_slope),
+                (&other.points, other.final_slope),
+                &mut s.xs,
+                &mut s.work,
+            );
+            Curve::from_simplified_parts(s.work.clone(), final_slope)
+        })
     }
 
     /// Pointwise difference `self − other` of two curves, for splitting an
@@ -331,21 +325,19 @@ impl Curve {
     /// The caller must guarantee `other ≤ self` pointwise with the
     /// difference non-decreasing (true whenever `other` is one of the
     /// summands of `self`); float noise is clamped to keep the result a
-    /// valid curve.
+    /// valid curve.  Runs a two-pointer merge of both breakpoint grids on
+    /// the thread-local scratch.
     pub fn sub_envelope(&self, other: &Curve) -> Curve {
-        let xs = merged_abscissas(self, other);
-        let mut points: Vec<(f64, f64)> = Vec::with_capacity(xs.len());
-        let mut prev = 0.0_f64;
-        for &x in &xs {
-            let y = (self.eval(x) - other.eval(x)).max(prev).max(0.0);
-            points.push((x, y));
-            prev = y;
-        }
-        let final_slope = (self.final_slope - other.final_slope).max(0.0);
-        Curve {
-            points: simplify_points(points, final_slope),
-            final_slope,
-        }
+        record_op(OpKind::SubEnvelope);
+        with_scratch(|s| {
+            let final_slope = sub_envelope_points_into(
+                (&self.points, self.final_slope),
+                (&other.points, other.final_slope),
+                &mut s.xs,
+                &mut s.work,
+            );
+            Curve::from_simplified_parts(s.work.clone(), final_slope)
+        })
     }
 
     /// Pointwise minimum of two curves (combining two envelopes of the same
@@ -361,29 +353,30 @@ impl Curve {
     }
 
     /// Shared implementation of [`Curve::min`] / [`Curve::max`]: the
-    /// sweep-line [`combine_points_into`] kernel on fresh buffers.
+    /// sweep-line [`combine_points_into`] kernel on the thread-local
+    /// scratch.
     fn combine(&self, other: &Curve, take_min: bool) -> Curve {
-        let (mut grid, mut crossings, mut xs, mut out) = (vec![], vec![], vec![], vec![]);
-        let final_slope = combine_points_into(
-            (&self.points, self.final_slope),
-            (&other.points, other.final_slope),
-            take_min,
-            &mut grid,
-            &mut crossings,
-            &mut xs,
-            &mut out,
-        );
-        Curve {
-            points: out,
-            final_slope,
-        }
+        record_op(OpKind::Combine);
+        with_scratch(|s| {
+            let final_slope = combine_points_into(
+                (&self.points, self.final_slope),
+                (&other.points, other.final_slope),
+                take_min,
+                &mut s.grid,
+                &mut s.crossings,
+                &mut s.xs,
+                &mut s.work,
+            );
+            Curve::from_simplified_parts(s.work.clone(), final_slope)
+        })
     }
 
-    /// The pre-sweep [`Curve::combine`]: candidate grid by concat + sort +
-    /// dedup, every candidate evaluated through the binary-search
-    /// [`Curve::eval`].  Retained verbatim as the differential-test oracle
-    /// (the sweep kernel is pinned breakpoint-identical against it) and the
-    /// "old" side of the E17 microbenchmarks.
+    /// The pre-sweep [`Curve::min`] / [`Curve::max`]: candidate grid by
+    /// concat + sort + dedup, every candidate evaluated through the
+    /// binary-search [`Curve::eval`].  Retained verbatim as the
+    /// differential-test oracle (the sweep kernel is pinned
+    /// breakpoint-identical against it) and the "old" side of the E17
+    /// microbenchmarks.
     pub(crate) fn combine_candidates(&self, other: &Curve, take_min: bool) -> Curve {
         let (mut xs, mut crossings, mut out) = (vec![], vec![], vec![]);
         let final_slope = combine_points_into_candidates(
@@ -520,7 +513,7 @@ impl Curve {
             return Ok(self.clone());
         }
         let raw: Vec<(f64, f64)> = self.points.iter().map(|&(x, y)| (x, y - c)).collect();
-        Ok(clamp_nonneg(raw, self.final_slope))
+        Ok(clamp_nonneg(&raw, self.final_slope))
     }
 
     /// Horizontal shift to the right by `delta` seconds:
@@ -626,29 +619,11 @@ fn collinear_tail(prev: (f64, f64), last: (f64, f64), slope: f64) -> bool {
     (last.1 - (prev.1 + slope * (last.0 - prev.0))).abs() <= EPS
 }
 
-/// Removes redundant breakpoints: near-duplicate abscissas, interior points
-/// collinear with their neighbours, and trailing points collinear with the
-/// final slope.
-pub(crate) fn simplify_points(points: Vec<(f64, f64)>, final_slope: f64) -> Vec<(f64, f64)> {
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(points.len());
-    for p in points {
-        if let Some(&last) = out.last() {
-            if p.0 - last.0 < 1e-15 {
-                // Near-duplicate abscissa: keep the later ordinate.
-                out.pop();
-                out.push((last.0, p.1));
-                continue;
-            }
-        }
-        while out.len() >= 2 && collinear_mid(out[out.len() - 2], out[out.len() - 1], p) {
-            out.pop();
-        }
-        out.push(p);
-    }
-    while out.len() >= 2 && collinear_tail(out[out.len() - 2], out[out.len() - 1], final_slope) {
-        out.pop();
-    }
-    out
+/// Owning [`simplify_points_in_place`]: removes redundant breakpoints and
+/// returns the list.
+pub(crate) fn simplify_points(mut points: Vec<(f64, f64)>, final_slope: f64) -> Vec<(f64, f64)> {
+    simplify_points_in_place(&mut points, final_slope);
+    points
 }
 
 /// The invariant [`Curve::new`] asserts in debug builds: no breakpoint is
@@ -671,47 +646,27 @@ fn is_simplified(points: &[(f64, f64)], final_slope: f64) -> bool {
     true
 }
 
-/// Builds a curve from a non-decreasing raw breakpoint list whose leading
-/// ordinates may be negative, clamping at zero with the level crossing
-/// inserted as an exact breakpoint (in the linear tail too, when the whole
-/// list is negative but the final slope eventually reaches zero).
-pub(crate) fn clamp_nonneg(points: Vec<(f64, f64)>, final_slope: f64) -> Curve {
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(points.len() + 1);
-    let mut prev: Option<(f64, f64)> = None;
-    for &(x, y) in &points {
-        if let Some((px, py)) = prev {
-            if py < 0.0 && y > 0.0 {
-                out.push((px + (0.0 - py) * (x - px) / (y - py), 0.0));
-            }
-        }
-        out.push((x, y.max(0.0)));
-        prev = Some((x, y));
-    }
-    let (last_x, last_y) = *points.last().expect("non-empty raw breakpoints");
-    if last_y < 0.0 && final_slope > 0.0 {
-        out.push((last_x - last_y / final_slope, 0.0));
-    }
-    Curve::new(simplify_points(out, final_slope), final_slope)
-        .expect("clamped non-decreasing breakpoints form a valid curve")
+/// Owning, validating [`clamp_nonneg_into`]: builds a curve from a
+/// non-decreasing raw breakpoint list whose leading ordinates may be
+/// negative.
+pub(crate) fn clamp_nonneg(raw: &[(f64, f64)], final_slope: f64) -> Curve {
+    let mut out = Vec::with_capacity(raw.len() + 1);
+    clamp_nonneg_into(raw, final_slope, &mut out);
+    Curve::new(out, final_slope).expect("clamped non-decreasing breakpoints form a valid curve")
 }
 
-/// The sorted, deduplicated union of the breakpoint abscissas of two curves.
+/// Owning [`merged_xs_concat_sort_into`]: the sorted, deduplicated union of
+/// the breakpoint abscissas of two curves.
 pub(crate) fn merged_abscissas(a: &Curve, b: &Curve) -> Vec<f64> {
-    let mut xs: Vec<f64> = a
-        .points
-        .iter()
-        .chain(b.points.iter())
-        .map(|&(x, _)| x)
-        .collect();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    xs.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+    let mut xs = Vec::with_capacity(a.points.len() + b.points.len());
+    merged_xs_concat_sort_into(&a.points, &b.points, &mut xs);
     xs
 }
 
 /// Slice-level [`Curve::eval`]: evaluates the piecewise-linear function
 /// given by `points` + `final_slope` at `t` (`t < 0` clamped to 0).  Shared
-/// verbatim by the owning method and the arena operations so both paths
-/// perform the identical arithmetic.
+/// verbatim by the owning method and the kernels so both perform the
+/// identical arithmetic.
 pub(crate) fn eval_points(points: &[(f64, f64)], final_slope: f64, t: f64) -> f64 {
     let t = t.max(0.0);
     let (last_x, last_y) = *points.last().expect("curve has at least one point");
@@ -745,10 +700,12 @@ pub(crate) fn slope_after(points: &[(f64, f64)], final_slope: f64, x: f64) -> f6
     final_slope
 }
 
-/// In-place [`simplify_points`]: identical dedup / collinearity elimination
-/// performed with a read/write cursor pair instead of a fresh `Vec`.  The
-/// write cursor never overtakes the read cursor (each input element yields
-/// at most one output element), so compaction is safe within one buffer.
+/// Removes redundant breakpoints in place: near-duplicate abscissas
+/// (keeping the later ordinate), interior points collinear with their
+/// neighbours, and trailing points collinear with the final slope.  A
+/// read/write cursor pair compacts the buffer; the write cursor never
+/// overtakes the read cursor (each input element yields at most one output
+/// element).
 pub(crate) fn simplify_points_in_place(points: &mut Vec<(f64, f64)>, final_slope: f64) {
     let mut w = 0usize;
     for r in 0..points.len() {
@@ -773,8 +730,11 @@ pub(crate) fn simplify_points_in_place(points: &mut Vec<(f64, f64)>, final_slope
     points.truncate(w);
 }
 
-/// Scratch-buffer [`clamp_nonneg`]: writes the clamped breakpoints of `raw`
-/// into `out` (cleared first) and simplifies them in place.  The caller owns
+/// Clamps a non-decreasing raw breakpoint list whose leading ordinates may
+/// be negative at zero, with the level crossing inserted as an exact
+/// breakpoint (in the linear tail too, when the whole list is negative but
+/// the final slope eventually reaches zero).  Writes the clamped breakpoints
+/// into `out` (cleared first) and simplifies them in place; the caller owns
 /// turning `out` into a [`Curve`].
 pub(crate) fn clamp_nonneg_into(raw: &[(f64, f64)], final_slope: f64, out: &mut Vec<(f64, f64)>) {
     out.clear();
@@ -958,8 +918,9 @@ impl<'a> InverseUpperCursor<'a> {
 }
 
 /// The historical merged-abscissa construction: concat both breakpoint
-/// lists, sort, dedup within an absolute `1e-12`.  Retained for the
-/// candidates combine kernel so the oracle path stays verbatim.
+/// lists, sort, dedup within an absolute `1e-12`.  Retained for the oracle
+/// paths (the candidates combine kernel and [`merged_abscissas`]) so they
+/// stay verbatim.
 pub(crate) fn merged_xs_concat_sort_into(a: &[(f64, f64)], b: &[(f64, f64)], xs: &mut Vec<f64>) {
     xs.clear();
     xs.extend(a.iter().chain(b.iter()).map(|&(x, _)| x));

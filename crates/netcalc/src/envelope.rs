@@ -85,10 +85,7 @@ impl Envelope {
     /// curve is intersected with the token bucket so the stored constraint
     /// never exceeds the affine summary.
     pub fn with_extra(tb: TokenBucket, extra: Curve) -> Self {
-        // Arena-backed min: this runs once per flow per hop on the
-        // staircase path, so the combine scratch is reused instead of
-        // allocated fresh.
-        let extra = crate::arena::min(&extra, &tb.curve());
+        let extra = extra.min(&tb.curve());
         Envelope {
             tb,
             extra: Some(extra),
@@ -186,9 +183,8 @@ impl Envelope {
             Some(curve) => {
                 let shifted = curve.shift_left(delay.as_secs_f64())?;
                 // Re-intersect with the inflated token bucket so float
-                // noise in the shift can never exceed the affine summary
-                // (arena-backed: this runs per flow per hop).
-                Some(crate::arena::min(&shifted, &tb.curve()))
+                // noise in the shift can never exceed the affine summary.
+                Some(shifted.min(&tb.curve()))
             }
             None => None,
         };
@@ -207,9 +203,6 @@ impl Envelope {
         let iter = flows.into_iter();
         let tb = TokenBucket::aggregate_all(iter.clone().map(|e| &e.tb));
         let any_extra = iter.clone().any(|e| e.has_extra());
-        // Arena-backed left fold, arithmetically identical to
-        // `reduce(|acc, c| acc.add(&c))` over the effective curves but
-        // without a fresh breakpoint Vec per member.
         let extra = any_extra.then(|| {
             let mut iter = iter;
             match iter.next() {
@@ -217,7 +210,7 @@ impl Envelope {
                 Some(first) => {
                     let mut acc = first.curve();
                     for e in iter {
-                        acc = crate::arena::add(&acc, &e.effective_curve());
+                        acc = acc.add(&e.effective_curve());
                     }
                     acc
                 }

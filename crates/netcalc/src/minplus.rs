@@ -7,10 +7,21 @@
 //! with a dead time).  The deviation routines are written for *any*
 //! non-decreasing piecewise-linear curves, evaluating candidates on the
 //! union of breakpoints and handling the linear tails analytically.
+//!
+//! Each operator has exactly one public entry point: [`convolve`],
+//! [`deconvolve`], [`leftover`], [`horizontal_deviation`] and
+//! [`vertical_deviation`] here, and [`Curve::add`], [`Curve::sub_envelope`],
+//! [`Curve::min`] and [`Curve::max`] on the curve type.  Each records its
+//! operator in [`crate::counters`] and runs its slice-level kernel on the
+//! calling thread's scratch buffers.  [`mod@reference`] keeps the
+//! candidate-enumeration oracles the kernels are pinned against.
 
+use crate::arena::with_scratch;
+use crate::counters::{record_op, OpKind};
 use crate::curve::{
-    candidate_eps, clamp_nonneg_into, merged_xs_two_pointer_into, Curve, CurveCursor,
-    InverseCursor, InverseUpperCursor, EPS,
+    candidate_eps, clamp_nonneg, clamp_nonneg_into, combine_points_into,
+    merged_xs_two_pointer_into, simplify_points_in_place, Curve, CurveCursor, InverseCursor,
+    InverseUpperCursor, EPS,
 };
 use crate::NcError;
 
@@ -37,11 +48,12 @@ use crate::NcError;
 /// assert!(horizontal_deviation(&flood, &beta).is_err());
 /// ```
 pub fn horizontal_deviation(alpha: &Curve, beta: &Curve) -> Result<f64, NcError> {
-    horizontal_deviation_into(alpha, beta, &mut Vec::new())
+    record_op(OpKind::HorizontalDeviation);
+    with_scratch(|s| horizontal_deviation_into(alpha, beta, &mut s.candidates))
 }
 
 /// Kernel of [`horizontal_deviation`] on a caller-provided candidate
-/// buffer, shared with the arena mirror.
+/// buffer.
 ///
 /// Candidate abscissas: α's breakpoints, plus the abscissas where α reaches
 /// the ordinate of one of β's breakpoints (the pseudo-inverse of a
@@ -57,7 +69,7 @@ pub fn horizontal_deviation(alpha: &Curve, beta: &Curve) -> Result<f64, NcError>
 /// [`InverseUpperCursor`]) that perform the identical per-query arithmetic;
 /// the supremum over the candidate set is evaluation-order independent, so
 /// the result is bitwise identical (pinned by the differential proptests).
-pub(crate) fn horizontal_deviation_into(
+fn horizontal_deviation_into(
     alpha: &Curve,
     beta: &Curve,
     candidates: &mut Vec<f64>,
@@ -118,15 +130,16 @@ pub(crate) fn horizontal_deviation_into(
 /// the worst-case backlog of a flow with arrival curve `α` served with
 /// service curve `β`.
 pub fn vertical_deviation(alpha: &Curve, beta: &Curve) -> Result<f64, NcError> {
-    vertical_deviation_into(alpha, beta, &mut Vec::new())
+    record_op(OpKind::VerticalDeviation);
+    with_scratch(|s| vertical_deviation_into(alpha, beta, &mut s.candidates))
 }
 
-/// Kernel of [`vertical_deviation`] on a caller-provided candidate buffer,
-/// shared with the arena mirror: a single two-pointer candidate merge with
-/// the scale-aware [`candidate_eps`] dedup tolerance (the historical
-/// absolute `1e-12` merged nanosecond-scale abscissas three decades above
-/// their resolution), then one cursor walk over the sorted candidates.
-pub(crate) fn vertical_deviation_into(
+/// Kernel of [`vertical_deviation`] on a caller-provided candidate buffer:
+/// a single two-pointer candidate merge with the scale-aware
+/// [`candidate_eps`] dedup tolerance (the historical absolute `1e-12`
+/// merged nanosecond-scale abscissas three decades above their
+/// resolution), then one cursor walk over the sorted candidates.
+fn vertical_deviation_into(
     alpha: &Curve,
     beta: &Curve,
     candidates: &mut Vec<f64>,
@@ -257,25 +270,39 @@ fn as_rate_latency(c: &Curve) -> Result<(f64, f64), NcError> {
 /// assert!(convolve(&a, &b).approx_eq(&convolve_rate_latency(&a, &b).unwrap()));
 /// ```
 pub fn convolve(f: &Curve, g: &Curve) -> Curve {
-    if f.is_convex() && g.is_convex() {
-        let mut out = Vec::new();
-        let slope = merge_convolve_convex_into(f, g, &mut out);
-        return Curve::from_simplified_parts(out, slope);
-    }
-    let mut result: Option<Curve> = None;
-    let mut fold = |member: Curve| {
-        result = Some(match result.take() {
-            Some(acc) => acc.min(&member),
-            None => member,
-        });
-    };
-    for &(x, y) in f.points() {
-        fold(shifted_raised(g, x, y));
-    }
-    for &(x, y) in g.points() {
-        fold(shifted_raised(f, x, y));
-    }
-    result.expect("curves have at least one breakpoint each")
+    record_op(OpKind::Convolve);
+    with_scratch(|s| {
+        if f.is_convex() && g.is_convex() {
+            let slope = merge_convolve_convex_into(f, g, &mut s.work);
+            return Curve::from_simplified_parts(s.work.clone(), slope);
+        }
+        // Left fold of the member family by pointwise minimum: the first
+        // member is adopted, every later one is combined into `acc`.
+        let mut acc_slope = 0.0_f64;
+        let mut first = true;
+        for (outer, inner) in [(f, g), (g, f)] {
+            for &(x, y) in outer.points() {
+                let member_slope = shifted_raised_into(&mut s.member, inner, x, y);
+                if first {
+                    std::mem::swap(&mut s.acc, &mut s.member);
+                    acc_slope = member_slope;
+                    first = false;
+                } else {
+                    acc_slope = combine_points_into(
+                        (&s.acc, acc_slope),
+                        (&s.member, member_slope),
+                        true,
+                        &mut s.grid,
+                        &mut s.crossings,
+                        &mut s.xs,
+                        &mut s.work,
+                    );
+                    std::mem::swap(&mut s.acc, &mut s.work);
+                }
+            }
+        }
+        Curve::from_simplified_parts(s.acc.clone(), acc_slope)
+    })
 }
 
 /// O(n+m) slope-merge convolution of two **convex** operands, written into
@@ -292,7 +319,7 @@ pub fn convolve(f: &Curve, g: &Curve) -> Curve {
 /// `min(f_slope, g_slope)` never materialize: the linear tail dominates
 /// them, which also caps the output length.  Ties take `f`'s segment
 /// first; either order yields the same polyline.
-pub(crate) fn merge_convolve_convex_into(f: &Curve, g: &Curve, out: &mut Vec<(f64, f64)>) -> f64 {
+fn merge_convolve_convex_into(f: &Curve, g: &Curve, out: &mut Vec<(f64, f64)>) -> f64 {
     let fp = f.points();
     let gp = g.points();
     let final_slope = f.final_slope().min(g.final_slope());
@@ -321,75 +348,27 @@ pub(crate) fn merge_convolve_convex_into(f: &Curve, g: &Curve, out: &mut Vec<(f6
         }
         out.push((fp[fi].0 + gp[gi].0, fp[fi].1 + gp[gi].1));
     }
-    crate::curve::simplify_points_in_place(out, final_slope);
+    simplify_points_in_place(out, final_slope);
     final_slope
 }
 
-/// Closed-form convolution of an arbitrary (e.g. staircase) arrival
-/// envelope with a **rate-latency** service curve `β_{R,T}`, in one forward
-/// pass over the envelope's breakpoints instead of the quadratic member
-/// fold.
-///
-/// The member family of the general convolution specializes: β's
-/// breakpoints contribute the delayed envelope `t ↦ st((t − T)⁺)` and each
-/// envelope breakpoint `(x_i, y_i)` contributes the held ray
-/// `t ↦ y_i + R·(t − x_i − T)⁺`.  Because the knees `x_i + T` are sorted
-/// and the plateaus `y_i` non-decreasing, the lower envelope of all rays is
-/// a single sweep tracking the cheapest intercept seen so far; the result
-/// is its pointwise min with the delayed envelope.  Exactness against the
-/// general [`convolve`] is property-tested on staircase ⊗ rate-latency
-/// pairs.
-pub fn convolve_staircase_rate_latency(st: &Curve, beta: &Curve) -> Result<Curve, NcError> {
-    let (r, t_lat) = as_rate_latency(beta)?;
-    let pts = st.points();
-    if r <= 0.0 {
-        // A zero-rate server: the infimum parks all time in the server and
-        // collapses to the constant st(0).
-        return Curve::new(vec![(0.0, pts[0].1)], 0.0);
-    }
-    let mut env: Vec<(f64, f64)> = Vec::with_capacity(2 * pts.len() + 1);
-    env.push((0.0, pts[0].1));
-    // Cheapest ray intercept y_i − R·(x_i + T) over the knees passed so far.
-    let mut best = f64::INFINITY;
-    for i in 1..pts.len() {
-        let (k_prev, y_prev) = (pts[i - 1].0 + t_lat, pts[i - 1].1);
-        let (k_i, y_i) = (pts[i].0 + t_lat, pts[i].1);
-        best = best.min(y_prev - r * k_prev);
-        // On [k_prev, k_i) the ray envelope is min(y_i, best + R·t): flat
-        // at the next plateau until the cheapest ray crosses it.
-        let ray_at_prev = best + r * k_prev;
-        env.push((k_prev, ray_at_prev.min(y_i)));
-        let tstar = (y_i - best) / r;
-        if tstar < k_i {
-            env.push((tstar.max(k_prev), y_i));
-        }
-    }
-    let (k_last, y_last) = (pts[pts.len() - 1].0 + t_lat, pts[pts.len() - 1].1);
-    best = best.min(y_last - r * k_last);
-    env.push((k_last, best + r * k_last));
-    let env = Curve::new(crate::curve::simplify_points(env, r), r)?;
-    let delayed = shifted_raised(st, t_lat, 0.0);
-    Ok(delayed.min(&env))
-}
-
-/// The member curve `t ↦ h((t − d)⁺) + c` of the convolution family: `h`
-/// shifted right by `d`, raised by `c`, and held at `h(0) + c` below `d`.
-fn shifted_raised(h: &Curve, d: f64, c: f64) -> Curve {
+/// Writes the member curve `t ↦ h((t − d)⁺) + c` of the convolution family
+/// into `member`: `h` shifted right by `d`, raised by `c`, and held at
+/// `h(0) + c` below `d`.  Returns the member's final slope.
+fn shifted_raised_into(member: &mut Vec<(f64, f64)>, h: &Curve, d: f64, c: f64) -> f64 {
+    member.clear();
     let h0 = h.points()[0].1;
-    let mut points = vec![(0.0, h0 + c)];
+    member.push((0.0, h0 + c));
     if d > 0.0 {
-        points.push((d, h0 + c));
+        member.push((d, h0 + c));
     }
     for &(x, y) in h.points() {
         if x > 0.0 {
-            points.push((x + d, y + c));
+            member.push((x + d, y + c));
         }
     }
-    Curve::new(
-        crate::curve::simplify_points(points, h.final_slope()),
-        h.final_slope(),
-    )
-    .expect("shifting and raising a valid curve preserves validity")
+    simplify_points_in_place(member, h.final_slope());
+    h.final_slope()
 }
 
 /// The exact min-plus deconvolution
@@ -430,6 +409,9 @@ fn shifted_raised(h: &Curve, d: f64, c: f64) -> Curve {
 /// assert!(out.approx_eq(&Curve::affine(10_016.0, 1_000_000.0).unwrap()));
 /// ```
 pub fn deconvolve(alpha: &Curve, beta: &Curve) -> Result<Curve, NcError> {
+    // No scratch borrow here: the reduction below calls `Curve::max`, which
+    // borrows the scratch itself.
+    record_op(OpKind::Deconvolve);
     if alpha.long_term_rate() > beta.long_term_rate() + EPS {
         return Err(NcError::Unstable {
             context: "deconvolution".into(),
@@ -451,7 +433,7 @@ pub fn deconvolve(alpha: &Curve, beta: &Curve) -> Result<Curve, NcError> {
                 raw.push((x - u, y - v));
             }
         }
-        members.push(crate::curve::clamp_nonneg(raw, 0.0));
+        members.push(clamp_nonneg(&raw, 0.0));
     }
     // Balanced pairwise reduction: adjacent members combine first, so the
     // large envelopes only appear near the root of the reduction tree.
@@ -505,17 +487,26 @@ pub fn deconvolve(alpha: &Curve, beta: &Curve) -> Result<Curve, NcError> {
 /// assert!(leftover(&beta, &Curve::affine(0.0, 10e6).unwrap()).is_err());
 /// ```
 pub fn leftover(beta: &Curve, cross: &Curve) -> Result<Curve, NcError> {
-    let (mut xs, mut diff, mut hull, mut out) = (vec![], vec![], vec![], vec![]);
-    let slope = leftover_into(beta, cross, &mut xs, &mut diff, &mut hull, &mut out)?;
-    Ok(Curve::from_simplified_parts(out, slope))
+    record_op(OpKind::Leftover);
+    with_scratch(|s| {
+        let slope = leftover_into(
+            beta,
+            cross,
+            &mut s.xs,
+            &mut s.diff,
+            &mut s.member,
+            &mut s.work,
+        )?;
+        Ok(Curve::from_simplified_parts(s.work.clone(), slope))
+    })
 }
 
-/// Kernel of [`leftover`] on caller-provided buffers, shared with the arena
-/// mirror: a single two-pointer grid merge with cursor evaluations (the
-/// historical path sorted the concatenated abscissas and binary-searched
-/// per evaluation), then the identical right-to-left hull walk.  Writes the
-/// simplified result into `out` and returns its final slope.
-pub(crate) fn leftover_into(
+/// Kernel of [`leftover`] on caller-provided buffers: a single two-pointer
+/// grid merge with cursor evaluations (the historical path sorted the
+/// concatenated abscissas and binary-searched per evaluation), then the
+/// identical right-to-left hull walk.  Writes the simplified result into
+/// `out` and returns its final slope.
+fn leftover_into(
     beta: &Curve,
     cross: &Curve,
     xs: &mut Vec<f64>,
@@ -579,9 +570,10 @@ pub mod reference {
     //! These are the oracles the differential property tests pin the sorted-
     //! merge kernels against (breakpoint-for-breakpoint, bit-for-bit) and
     //! the "old" side of the E17 kernel microbenchmarks.  They are *not*
-    //! called by any analysis path.
+    //! called by any analysis path, and they neither borrow the scratch
+    //! buffers nor bump the op counters.
 
-    use crate::curve::{clamp_nonneg, merged_abscissas, Curve, EPS};
+    use crate::curve::{clamp_nonneg, merged_abscissas, simplify_points, Curve, EPS};
     use crate::NcError;
 
     /// Pre-sweep pointwise minimum (candidate enumeration).
@@ -605,12 +597,30 @@ pub mod reference {
             });
         };
         for &(x, y) in f.points() {
-            fold(super::shifted_raised(g, x, y));
+            fold(shifted_raised(g, x, y));
         }
         for &(x, y) in g.points() {
-            fold(super::shifted_raised(f, x, y));
+            fold(shifted_raised(f, x, y));
         }
         result.expect("curves have at least one breakpoint each")
+    }
+
+    /// The member curve `t ↦ h((t − d)⁺) + c` of the convolution family:
+    /// `h` shifted right by `d`, raised by `c`, and held at `h(0) + c`
+    /// below `d`.
+    fn shifted_raised(h: &Curve, d: f64, c: f64) -> Curve {
+        let h0 = h.points()[0].1;
+        let mut points = vec![(0.0, h0 + c)];
+        if d > 0.0 {
+            points.push((d, h0 + c));
+        }
+        for &(x, y) in h.points() {
+            if x > 0.0 {
+                points.push((x + d, y + c));
+            }
+        }
+        Curve::new(simplify_points(points, h.final_slope()), h.final_slope())
+            .expect("shifting and raising a valid curve preserves validity")
     }
 
     /// Pre-sweep [`crate::minplus::deconvolve`]: the member fold with the
@@ -640,7 +650,7 @@ pub mod reference {
                     raw.push((x - u, y - v));
                 }
             }
-            fold(clamp_nonneg(raw, 0.0));
+            fold(clamp_nonneg(&raw, 0.0));
         }
         Ok(result.expect("curves have at least one breakpoint each"))
     }
@@ -679,19 +689,33 @@ pub mod reference {
             }
         }
         hull.reverse();
-        Ok(clamp_nonneg(hull, slope))
+        Ok(clamp_nonneg(&hull, slope))
     }
 
-    /// Pre-sweep pointwise sum: [`Curve::add`] is itself still the
-    /// sorted-grid implementation, so the oracle just delegates (the
-    /// two-pointer kernel lives behind the arena mirror).
+    /// Pre-sweep [`Curve::add`]: sorted-grid sum with binary-search
+    /// evaluations.
     pub fn add(a: &Curve, b: &Curve) -> Curve {
-        a.add(b)
+        let points = merged_abscissas(a, b)
+            .iter()
+            .map(|&x| (x, a.eval(x) + b.eval(x)))
+            .collect();
+        let final_slope = a.final_slope() + b.final_slope();
+        Curve::from_simplified_parts(simplify_points(points, final_slope), final_slope)
     }
 
-    /// Pre-sweep envelope difference, delegating like [`add`].
+    /// Pre-sweep [`Curve::sub_envelope`]: sorted-grid difference with
+    /// binary-search evaluations, clamped non-decreasing and non-negative.
     pub fn sub_envelope(a: &Curve, b: &Curve) -> Curve {
-        a.sub_envelope(b)
+        let mut prev = 0.0_f64;
+        let points = merged_abscissas(a, b)
+            .iter()
+            .map(|&x| {
+                prev = (a.eval(x) - b.eval(x)).max(prev).max(0.0);
+                (x, prev)
+            })
+            .collect();
+        let final_slope = (a.final_slope() - b.final_slope()).max(0.0);
+        Curve::from_simplified_parts(simplify_points(points, final_slope), final_slope)
     }
 
     /// Pre-sweep [`crate::minplus::horizontal_deviation`]: rescans α per β
@@ -817,7 +841,10 @@ mod tests {
     fn vertical_deviation_detects_instability() {
         let alpha = Curve::affine(0.0, 2.0).unwrap();
         let beta = Curve::affine(0.0, 1.0).unwrap();
-        assert!(vertical_deviation(&alpha, &beta).is_err());
+        assert!(matches!(
+            vertical_deviation(&alpha, &beta),
+            Err(NcError::Unstable { .. })
+        ));
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl FcfsMux {
             return Ok(closed);
         }
         let aggregate = Envelope::aggregate_all(self.flows.iter());
-        let h = crate::arena::horizontal_deviation(
+        let h = crate::minplus::horizontal_deviation(
             &aggregate.effective_curve(),
             &self.service_curve().curve(),
         )?;
@@ -164,7 +164,7 @@ impl FcfsMux {
             return Ok(closed);
         }
         let curves = Envelope::aggregate_all(self.flows.iter());
-        let v = crate::arena::vertical_deviation(
+        let v = crate::minplus::vertical_deviation(
             &curves.effective_curve(),
             &self.service_curve().curve(),
         )?;
@@ -399,7 +399,7 @@ impl StaticPriorityMux {
         let aggregate =
             Envelope::aggregate_all(self.levels[..=priority].iter().flat_map(|l| l.iter()));
         let service = self.residual_service(priority)?;
-        match crate::arena::horizontal_deviation(&aggregate.effective_curve(), &service.curve()) {
+        match crate::minplus::horizontal_deviation(&aggregate.effective_curve(), &service.curve()) {
             Ok(h) => Ok(closed.min(Duration::from_secs_f64_ceil(h))),
             Err(NcError::Unstable { .. }) => Ok(closed),
             Err(e) => Err(e),
@@ -455,7 +455,7 @@ impl StaticPriorityMux {
         // Same stronger-than-stability precondition as in `delay_bound`:
         // skip the refinement (not the bound) when the cumulative rate
         // exceeds the residual.
-        match crate::arena::vertical_deviation(&curves.effective_curve(), &service.curve()) {
+        match crate::minplus::vertical_deviation(&curves.effective_curve(), &service.curve()) {
             Ok(v) => Ok(closed.min(DataSize::from_bits(v.ceil() as u64))),
             Err(NcError::Unstable { .. }) => Ok(closed),
             Err(e) => Err(e),
@@ -807,7 +807,7 @@ impl WrrMux {
             return Ok(closed);
         }
         let curves = Envelope::aggregate_all(self.classes[class].iter().map(|f| &f.envelope));
-        let h = crate::arena::horizontal_deviation(&curves.effective_curve(), &service.curve())?;
+        let h = crate::minplus::horizontal_deviation(&curves.effective_curve(), &service.curve())?;
         Ok(closed.min(Duration::from_secs_f64_ceil(h)))
     }
 
@@ -839,7 +839,7 @@ impl WrrMux {
             return Ok(closed);
         }
         let curves = Envelope::aggregate_all(self.classes[class].iter().map(|f| &f.envelope));
-        let v = crate::arena::vertical_deviation(&curves.effective_curve(), &service.curve())?;
+        let v = crate::minplus::vertical_deviation(&curves.effective_curve(), &service.curve())?;
         Ok(closed.min(DataSize::from_bits(v.ceil() as u64)))
     }
 
