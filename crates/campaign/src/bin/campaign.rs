@@ -53,10 +53,11 @@ OPTIONS:
                       a seeded fault set — babblers, link bursts, trunk
                       failover — and validates degraded-mode bounds against
                       the faulty simulation)
-    --shards <N>      run as N contiguous seed-range shards with streaming
-                      aggregation (memory stays O(shards), outcome summary
-                      and fingerprint byte-identical to the buffered run);
-                      0 (default) buffers every result as before
+    --shards <N>      run as N contiguous seed-range shards, dropping each
+                      result once it is folded into the summary (memory is
+                      O(messages): one tightness sample per message is
+                      kept); summary and fingerprint byte-identical to the
+                      buffered run; 0 (default) keeps every result
     --state-dir <DIR> persist per-shard checkpoints and a manifest under
                       DIR (implies the sharded path)
     --resume          restore completed shards from --state-dir and run
@@ -175,11 +176,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Prints the wall-clock line of one execution.
-fn print_runtime(executed: usize, runtime: &RuntimeStats) {
+/// Prints the wall-clock line of one execution; restored shards do not
+/// count as executed.
+fn print_runtime(runtime: &RuntimeStats) {
     say!(
         "executed {} scenarios in {:.2}s ({:.1} scenarios/sec) on {} busy threads {:?}",
-        executed,
+        runtime.per_thread.iter().sum::<usize>(),
         runtime.elapsed_secs,
         runtime.scenarios_per_sec,
         runtime.busy_threads(),
@@ -364,21 +366,33 @@ fn report_soundness(summary: &CampaignSummary, fault_summary: Option<&FaultSumma
     summary.all_sound() && bus_sound && faults_sound
 }
 
-/// Writes a serialized outcome to `path`; `false` on failure.
-fn write_json_outcome<T: serde::Serialize>(path: &str, outcome: &T) -> bool {
-    match serde_json::to_string_pretty(outcome) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(path, json + "\n") {
-                eprintln!("error: writing {path}: {e}");
-                return false;
-            }
-            say!("wrote {path}");
-            true
+/// The tail both paths share: dumps violations, writes `--json`, prints
+/// the verdict and returns the exit code.
+fn conclude<T: serde::Serialize>(
+    args: &Args,
+    summary: &CampaignSummary,
+    fault_summary: Option<&FaultSummary>,
+    outcome: &T,
+) -> ExitCode {
+    let sound = report_soundness(summary, fault_summary);
+    if let Some(path) = &args.json {
+        let written = serde_json::to_string_pretty(outcome)
+            .map_err(|e| format!("serializing outcome: {e}"))
+            .and_then(|json| {
+                std::fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))
+            });
+        if let Err(e) = written {
+            eprintln!("error: {e}");
+            return ExitCode::from(1);
         }
-        Err(e) => {
-            eprintln!("error: serializing outcome: {e}");
-            false
-        }
+        say!("wrote {path}");
+    }
+    if sound {
+        say!("RESULT: 100% soundness — every simulated delay within its analytic bound");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("RESULT: soundness violated");
+        ExitCode::from(1)
     }
 }
 
@@ -388,7 +402,7 @@ fn run_buffered(args: &Args, config: CampaignConfig) -> ExitCode {
     let summary = &report.outcome.summary;
     let fault_summary = report.outcome.fault_summary.as_ref();
 
-    print_runtime(summary.scenarios, &report.runtime);
+    print_runtime(&report.runtime);
     print_summary(summary, fault_summary);
     if !args.quiet {
         print_policy_table(summary);
@@ -415,20 +429,7 @@ fn run_buffered(args: &Args, config: CampaignConfig) -> ExitCode {
             }
         }
     }
-
-    let sound = report_soundness(summary, fault_summary);
-    if let Some(path) = &args.json {
-        if !write_json_outcome(path, &report.outcome) {
-            return ExitCode::from(1);
-        }
-    }
-    if sound {
-        say!("RESULT: 100% soundness — every simulated delay within its analytic bound");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("RESULT: soundness violated");
-        ExitCode::from(1)
-    }
+    conclude(args, summary, fault_summary, &report.outcome)
 }
 
 /// The sharded streaming path: no per-result retention (or listings) —
@@ -456,25 +457,12 @@ fn run_sharded(args: &Args, config: ShardedCampaignConfig) -> ExitCode {
         report.restored_shards,
         report.outcome.fingerprint,
     );
-    print_runtime(summary.scenarios, &report.runtime);
+    print_runtime(&report.runtime);
     print_summary(summary, fault_summary);
     if !args.quiet {
         print_policy_table(summary);
     }
-
-    let sound = report_soundness(summary, fault_summary);
-    if let Some(path) = &args.json {
-        if !write_json_outcome(path, &report.outcome) {
-            return ExitCode::from(1);
-        }
-    }
-    if sound {
-        say!("RESULT: 100% soundness — every simulated delay within its analytic bound");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("RESULT: soundness violated");
-        ExitCode::from(1)
-    }
+    conclude(args, summary, fault_summary, &report.outcome)
 }
 
 fn main() -> ExitCode {

@@ -147,7 +147,8 @@ pub fn compare_scenario(
 }
 
 /// Campaign-level aggregation of the cross-technology comparison, present
-/// in the summary when the campaign ran with the 1553B stage enabled.
+/// in the summary when the campaign ran with the 1553B stage enabled
+/// (folded by [`crate::StreamAggregate`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComparisonSummary {
     /// Scenarios the 1553B pipeline ran on.
@@ -186,89 +187,6 @@ pub struct ComparisonSummary {
 }
 
 impl ComparisonSummary {
-    /// Aggregates the per-scenario comparison sections (supplied in
-    /// scenario-id order by the runner, keeping float accumulation
-    /// deterministic).  Returns `None` when no scenario carried one.
-    pub fn from_sections<'a>(
-        sections: impl IntoIterator<Item = (usize, u64, &'a ComparisonReport)>,
-    ) -> Option<Self> {
-        let mut attempted = 0usize;
-        let mut feasible = 0usize;
-        let mut infeasible = 0usize;
-        let mut sound_scenarios = 0usize;
-        let mut violations = Vec::new();
-        let mut tightness_values = Vec::new();
-        let mut ethernet_only_wins = 0usize;
-        let mut bus_only_wins = 0usize;
-        let mut both_meet = 0usize;
-        let mut neither_meets = 0usize;
-        let mut bound_ratio_values = Vec::new();
-        let mut max_feasible_utilization = 0.0f64;
-        let mut min_infeasible_utilization = f64::INFINITY;
-
-        for (scenario_id, seed, section) in sections {
-            attempted += 1;
-            match section {
-                ComparisonReport::Infeasible1553(verdict) => {
-                    infeasible += 1;
-                    if verdict.offered_utilization > 0.0 {
-                        min_infeasible_utilization =
-                            min_infeasible_utilization.min(verdict.offered_utilization);
-                    }
-                }
-                ComparisonReport::Compared(cmp) => {
-                    feasible += 1;
-                    if cmp.sound {
-                        sound_scenarios += 1;
-                    }
-                    for violation in &cmp.violations {
-                        violations.push(CampaignViolation {
-                            scenario_id,
-                            seed,
-                            violation: violation.clone(),
-                        });
-                    }
-                    tightness_values.extend_from_slice(&cmp.tightness_values);
-                    ethernet_only_wins += cmp.ethernet_only_wins;
-                    bus_only_wins += cmp.bus_only_wins;
-                    both_meet += cmp.both_meet;
-                    neither_meets += cmp.neither_meets;
-                    bound_ratio_values.extend_from_slice(&cmp.bound_ratio_values);
-                    max_feasible_utilization =
-                        max_feasible_utilization.max(cmp.offered_utilization);
-                }
-            }
-        }
-
-        if attempted == 0 {
-            return None;
-        }
-        Some(ComparisonSummary {
-            attempted,
-            feasible,
-            infeasible,
-            sound_scenarios,
-            soundness_rate: if feasible > 0 {
-                sound_scenarios as f64 / feasible as f64
-            } else {
-                1.0
-            },
-            violations,
-            tightness: TightnessDistribution::from_values(tightness_values),
-            ethernet_only_wins,
-            bus_only_wins,
-            both_meet,
-            neither_meets,
-            bound_ratio: TightnessDistribution::from_values(bound_ratio_values),
-            max_feasible_utilization,
-            min_infeasible_utilization: if min_infeasible_utilization.is_finite() {
-                min_infeasible_utilization
-            } else {
-                0.0
-            },
-        })
-    }
-
     /// `true` when every feasible scenario's bus bounds were sound.
     pub fn all_sound(&self) -> bool {
         self.violations.is_empty() && self.sound_scenarios == self.feasible
@@ -278,6 +196,7 @@ impl ComparisonSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ScenarioOutcome, ScenarioResult, ScenarioSpace, StreamAggregate};
     use workload::case_study::{case_study, case_study_with, CaseStudyConfig};
 
     fn small_workload() -> Workload {
@@ -357,12 +276,19 @@ mod tests {
             Duration::from_millis(320),
             3,
         );
-        let summary = ComparisonSummary::from_sections([
-            (0, 10, &feasible),
-            (1, 11, &infeasible),
-            (2, 12, &feasible),
-        ])
-        .unwrap();
+        let space = ScenarioSpace::new(42);
+        let mut aggregate = StreamAggregate::new();
+        for (id, section) in [(0, &feasible), (1, &infeasible), (2, &feasible)] {
+            aggregate.fold(&ScenarioResult {
+                scenario: space.scenario(id),
+                outcome: ScenarioOutcome::AnalysisInfeasible {
+                    stage: "not analysed".to_string(),
+                },
+                comparison: Some(section.clone()),
+                fault: None,
+            });
+        }
+        let summary = aggregate.finish().0.comparison.unwrap();
         assert_eq!(summary.attempted, 3);
         assert_eq!(summary.feasible, 2);
         assert_eq!(summary.infeasible, 1);
@@ -373,7 +299,7 @@ mod tests {
         assert!(summary.bound_ratio.p50 > 1.0);
         assert!(summary.max_feasible_utilization > 0.0);
         assert!(summary.min_infeasible_utilization > 1.0);
-        assert!(ComparisonSummary::from_sections([]).is_none());
+        assert!(StreamAggregate::new().finish().0.comparison.is_none());
     }
 
     #[test]

@@ -14,17 +14,19 @@
 //!    lines, star-of-stars — [`FabricSpec`]), link rate (10/100/1000
 //!    Mbps), switch relaying latency, multiplexing policy (FCFS vs 4-level
 //!    strict priority), sporadic activation models, phasing and horizon.
-//! 2. **[`run_campaign`]** executes every scenario's full pipeline —
-//!    multi-hop analytic bounds ([`rtswitch_core::analyze_multi_hop`],
-//!    which also yields the pay-bursts-only-once convolved bound) plus a
-//!    matching cascaded simulation ([`netsim::Simulator::with_fabric`]) —
-//!    on a pool of worker threads, one deterministic engine per run,
-//!    parallelism across runs.
-//! 3. **[`CampaignSummary`]** aggregates the stream of results into
-//!    campaign-level statistics: soundness rate, per-message tightness
-//!    distribution (min/mean/p50/p99/max), bound-violation reports,
-//!    pay-bursts-only-once consistency over the cascaded scenarios and
-//!    per-policy breakdowns.
+//! 2. **[`run_sharded_campaign`]** executes every scenario's full
+//!    pipeline ([`execute_scenario_with`]: multi-hop analytic bounds via
+//!    [`rtswitch_core::analyze_multi_hop`], which also yields the
+//!    pay-bursts-only-once convolved bound, plus a matching cascaded
+//!    simulation via [`netsim::Simulator::with_fabric`]) on one pool of
+//!    worker threads, one deterministic engine per run, parallelism
+//!    across runs, shard by shard.  **[`run_campaign`]** is its one-shard
+//!    run that also keeps every result.
+//! 3. **[`StreamAggregate`]** folds each result, in scenario-id order,
+//!    into the campaign-level statistics ([`CampaignSummary`]): soundness
+//!    rate, per-message tightness distribution (min/mean/p50/p99/max),
+//!    bound-violation reports, pay-bursts-only-once consistency over the
+//!    cascaded scenarios and per-policy breakdowns.
 //! 4. With [`CampaignConfig::with_1553`] (the `--with-1553` flag) every
 //!    scenario additionally runs the **cross-technology stage**: the same
 //!    workload is projected onto a MIL-STD-1553B bus (synthesized
@@ -94,8 +96,8 @@ pub use report::{
     TightnessDistribution, TightnessStats, ViolationReport,
 };
 pub use runner::{
-    execute_scenario, execute_scenario_with, run_campaign, CampaignConfig, CampaignOutcome,
-    CampaignReport, FaultMode, RuntimeStats,
+    execute_scenario_with, run_campaign, CampaignConfig, CampaignOutcome, CampaignReport,
+    FaultMode, RuntimeStats,
 };
 pub use shard::{
     plan_shards, result_fingerprint, results_fingerprint, run_sharded_campaign, ShardError,

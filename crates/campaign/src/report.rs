@@ -441,64 +441,14 @@ pub struct FaultSummary {
 }
 
 impl FaultSummary {
-    /// Aggregates the degraded-stage sections; `None` when no scenario
-    /// carried one (the fault dimension was off).
-    pub fn from_results(results: &[ScenarioResult]) -> Option<Self> {
-        let mut summary = FaultSummary {
-            scenarios: 0,
-            validated: 0,
-            infeasible: 0,
-            sound_scenarios: 0,
-            soundness_rate: 1.0,
-            bounds_hold_scenarios: 0,
-            failover_scenarios: 0,
-            max_inflation: 0.0,
-            babble_frames: 0,
-            violations: Vec::new(),
-        };
-        for result in results {
-            let Some(fault) = &result.fault else {
-                continue;
-            };
-            summary.scenarios += 1;
-            match fault {
-                FaultOutcome::Validated(v) => {
-                    summary.validated += 1;
-                    if v.sound {
-                        summary.sound_scenarios += 1;
-                    }
-                    if v.bounds_hold {
-                        summary.bounds_hold_scenarios += 1;
-                    }
-                    if v.failover {
-                        summary.failover_scenarios += 1;
-                    }
-                    summary.max_inflation = summary.max_inflation.max(v.max_inflation);
-                    summary.babble_frames += v.babble_emitted;
-                    for violation in &v.violations {
-                        summary.violations.push(CampaignViolation {
-                            scenario_id: result.scenario.id,
-                            seed: result.scenario.seed,
-                            violation: violation.clone(),
-                        });
-                    }
-                }
-                FaultOutcome::AnalysisInfeasible { .. } => summary.infeasible += 1,
-            }
-        }
-        if summary.validated > 0 {
-            summary.soundness_rate = summary.sound_scenarios as f64 / summary.validated as f64;
-        }
-        (summary.scenarios > 0).then_some(summary)
-    }
-
     /// `true` when every validated degraded stage was sound.
     pub fn all_sound(&self) -> bool {
         self.violations.is_empty() && self.sound_scenarios == self.validated
     }
 }
 
-/// Campaign-level statistics computed from every scenario result.
+/// Campaign-level statistics over every scenario result, folded by
+/// [`crate::StreamAggregate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSummary {
     /// Scenarios executed.
@@ -549,146 +499,6 @@ pub struct CampaignSummary {
 }
 
 impl CampaignSummary {
-    /// Aggregates the results (which the runner supplies sorted by
-    /// scenario id, making every float accumulation order-deterministic).
-    pub fn from_results(results: &[ScenarioResult]) -> Self {
-        let mut validated = 0usize;
-        let mut infeasible = 0usize;
-        let mut sound_scenarios = 0usize;
-        let mut messages_checked = 0usize;
-        let mut frames_simulated = 0u64;
-        let mut cascaded_validated = 0usize;
-        let mut pboo_violations = 0usize;
-        let mut max_pboo_gain = Duration::ZERO;
-        let mut staircase_validated = 0usize;
-        let mut zero_gain_scenarios = 0usize;
-        let mut gain_medians = Vec::new();
-        let mut violations = Vec::new();
-        let mut tightness_values = Vec::new();
-        let mut arms: Vec<(PolicyArm, Vec<&ScenarioResult>)> = vec![
-            (PolicyArm::Fcfs, Vec::new()),
-            (PolicyArm::StrictPriority, Vec::new()),
-        ];
-        // The WRR row joins the breakdown only when the sweep drew (or was
-        // forced onto) the WRR arm, keeping pre-WRR campaign JSON
-        // byte-stable under the fcfs/priority policy overrides.
-        if results
-            .iter()
-            .any(|r| r.scenario.approach.arm() == PolicyArm::Wrr)
-        {
-            arms.push((PolicyArm::Wrr, Vec::new()));
-        }
-
-        for result in results {
-            for (arm, bucket) in &mut arms {
-                if result.scenario.approach.arm() == *arm {
-                    bucket.push(result);
-                }
-            }
-            match &result.outcome {
-                ScenarioOutcome::Validated(v) => {
-                    validated += 1;
-                    messages_checked += v.messages;
-                    frames_simulated += v.generated;
-                    if v.pboo.cascaded {
-                        cascaded_validated += 1;
-                    }
-                    if !v.pboo.consistent {
-                        pboo_violations += 1;
-                    }
-                    max_pboo_gain = max_pboo_gain.max(v.pboo.max_gain);
-                    if v.envelope == EnvelopeModel::Staircase {
-                        staircase_validated += 1;
-                    }
-                    if let Some(gain) = &v.envelope_gain {
-                        gain_medians.push(gain.median);
-                        if gain.max <= 0.0 {
-                            zero_gain_scenarios += 1;
-                        }
-                    }
-                    if v.sound {
-                        sound_scenarios += 1;
-                    }
-                    for violation in &v.violations {
-                        violations.push(CampaignViolation {
-                            scenario_id: result.scenario.id,
-                            seed: result.scenario.seed,
-                            violation: violation.clone(),
-                        });
-                    }
-                    tightness_values.extend_from_slice(&v.tightness_values);
-                }
-                ScenarioOutcome::AnalysisInfeasible { .. } => infeasible += 1,
-            }
-        }
-
-        let by_approach = arms
-            .into_iter()
-            .map(|(approach, bucket)| {
-                let mut arm_validated = 0usize;
-                let mut arm_infeasible = 0usize;
-                let mut arm_sound = 0usize;
-                let mut arm_deadline_miss = 0usize;
-                let mut mean_sum = 0.0;
-                for result in &bucket {
-                    match &result.outcome {
-                        ScenarioOutcome::Validated(v) => {
-                            arm_validated += 1;
-                            if v.sound {
-                                arm_sound += 1;
-                            }
-                            if v.deadline_misses > 0 {
-                                arm_deadline_miss += 1;
-                            }
-                            mean_sum += v.tightness.mean;
-                        }
-                        ScenarioOutcome::AnalysisInfeasible { .. } => arm_infeasible += 1,
-                    }
-                }
-                ApproachBreakdown {
-                    approach,
-                    validated: arm_validated,
-                    infeasible: arm_infeasible,
-                    sound: arm_sound,
-                    deadline_miss_scenarios: arm_deadline_miss,
-                    mean_tightness: if arm_validated > 0 {
-                        mean_sum / arm_validated as f64
-                    } else {
-                        0.0
-                    },
-                }
-            })
-            .collect();
-
-        CampaignSummary {
-            scenarios: results.len(),
-            validated,
-            infeasible,
-            sound_scenarios,
-            soundness_rate: if validated > 0 {
-                sound_scenarios as f64 / validated as f64
-            } else {
-                1.0
-            },
-            messages_checked,
-            cascaded_validated,
-            pboo_violations,
-            max_pboo_gain,
-            staircase_validated,
-            zero_gain_scenarios,
-            envelope_gain: TightnessDistribution::from_values(gain_medians),
-            violations,
-            tightness: TightnessDistribution::from_values(tightness_values),
-            by_approach,
-            frames_simulated,
-            comparison: ComparisonSummary::from_sections(results.iter().filter_map(|r| {
-                r.comparison
-                    .as_ref()
-                    .map(|section| (r.scenario.id, r.scenario.seed, section))
-            })),
-        }
-    }
-
     /// `true` when every validated scenario was sound.
     pub fn all_sound(&self) -> bool {
         self.violations.is_empty() && self.sound_scenarios == self.validated
@@ -732,7 +542,8 @@ mod tests {
 
     #[test]
     fn empty_summary_is_vacuously_sound() {
-        let summary = CampaignSummary::from_results(&[]);
+        let (summary, fault_summary) = crate::StreamAggregate::new().finish();
+        assert!(fault_summary.is_none());
         assert_eq!(summary.scenarios, 0);
         assert_eq!(summary.soundness_rate, 1.0);
         assert!(summary.all_sound());

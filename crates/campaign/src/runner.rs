@@ -1,12 +1,13 @@
-//! The parallel campaign executor.
+//! Campaign configuration, the per-scenario pipeline and the buffered
+//! entry point.
 //!
-//! One deterministic engine, parallelism across *runs*: a pool of worker
-//! threads pulls scenario indices from a shared atomic counter, executes
-//! each scenario's full analytic-plus-simulation pipeline independently,
-//! and streams the results back over a channel.  Because every scenario is
-//! a pure function of `(master seed, scenario id)` and results are sorted
-//! by id before aggregation, the campaign outcome is byte-identical across
-//! runs regardless of thread count or scheduling order — only the runtime
+//! One deterministic engine, parallelism across *runs*: every scenario is
+//! a pure function of `(master seed, scenario id)`, and
+//! [`execute_scenario_with`] runs its full analytic-plus-simulation
+//! pipeline.  The worker pool that runs scenarios in parallel lives in
+//! [`crate::shard`]; [`run_campaign`] is its one-shard run that also keeps
+//! every result.  The campaign outcome is byte-identical across runs
+//! regardless of thread count or scheduling order — only the runtime
 //! statistics (wall time, throughput, per-thread load) vary.
 
 use crate::comparison::compare_scenario;
@@ -14,18 +15,18 @@ use crate::report::{
     CampaignSummary, EnvelopeGain, FaultOutcome, FaultSummary, FaultValidation, PbooCheck,
     ScenarioOutcome, ScenarioResult, ViolationReport,
 };
+use crate::shard::{run_shards, ShardedCampaignConfig};
 use crate::space::{FaultDraw, Scenario, ScenarioSpace};
+use ethernet::fabric::Fabric;
 use netcalc::EnvelopeModel;
 use netsim::Simulator;
 use rtswitch_core::{
     analyze_degraded_with, analyze_multi_hop_with, validation_from_bound_lookup, AnalysisError,
-    Approach, PolicyArm,
+    Approach, NetworkConfig, PolicyArm,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::thread;
-use std::time::Instant;
+use workload::Workload;
 
 /// The fault dimension of a campaign (`--faults` CLI flag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -92,16 +93,18 @@ impl CampaignConfig {
     /// two workers: scenario execution alternates CPU-bound simulation
     /// with aggregation hand-off, so even a single-core host overlaps
     /// usefully — and the campaign's determinism contract makes the
-    /// worker count observable only in [`RuntimeStats`].
+    /// worker count observable only in [`RuntimeStats`].  Either way the
+    /// count is capped at the scenario count, so every worker can run.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
+        let threads = if self.threads > 0 {
             self.threads
         } else {
             thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .max(2)
-        }
+        };
+        threads.min(self.scenarios.max(1))
     }
 }
 
@@ -191,13 +194,6 @@ pub struct CampaignReport {
     pub runtime: RuntimeStats,
 }
 
-/// Executes one scenario's full pipeline with the default stages (no
-/// 1553B comparison, envelope dimension live) — see
-/// [`execute_scenario_with`].
-pub fn execute_scenario(scenario: Scenario) -> ScenarioResult {
-    execute_scenario_with(scenario, false, None)
-}
-
 /// Executes one scenario's full pipeline: build the workload and fabric,
 /// run the multi-hop analytic bounds (per-hop sum and pay-bursts-only-once
 /// alike), execute the matching cascaded simulation, and compare.
@@ -229,7 +225,7 @@ pub fn execute_scenario_with(
     // an infeasible fault set is a certification answer in its own right.
     let fault = scenario
         .faults
-        .map(|draw| execute_fault_stage(&scenario, draw, model));
+        .map(|draw| execute_fault_stage(&scenario, draw, model, &workload, &fabric, &config));
     match analyze_multi_hop_with(
         &workload,
         &config,
@@ -312,31 +308,30 @@ pub fn execute_scenario_with(
     }
 }
 
-/// Runs the degraded stage of one scenario: expand the drawn fault set,
-/// compute the degraded-mode analytic bounds (babblers as extra
+/// Runs the degraded stage of one scenario on the workload, fabric and
+/// network configuration the healthy pipeline built: expand the drawn
+/// fault set, compute the degraded-mode analytic bounds (babblers as extra
 /// cross-traffic envelopes, failover re-routed through the backup trunk),
 /// run the faulty simulation with the *same* fault set, and validate every
 /// surviving frame's delay against its degraded bound.
-fn execute_fault_stage(scenario: &Scenario, draw: FaultDraw, model: EnvelopeModel) -> FaultOutcome {
-    let workload = scenario.build_workload();
-    let fabric = scenario.build_fabric(&workload);
-    let config = scenario.network_config();
-    let faults = draw.expand(workload.stations.len(), &fabric, scenario.horizon);
-    match analyze_degraded_with(
-        &workload,
-        &config,
-        scenario.approach,
-        &fabric,
-        model,
-        &faults,
-    ) {
+fn execute_fault_stage(
+    scenario: &Scenario,
+    draw: FaultDraw,
+    model: EnvelopeModel,
+    workload: &Workload,
+    fabric: &Fabric,
+    config: &NetworkConfig,
+) -> FaultOutcome {
+    let faults = draw.expand(workload.stations.len(), fabric, scenario.horizon);
+    match analyze_degraded_with(workload, config, scenario.approach, fabric, model, &faults) {
         Err(AnalysisError::Stage { stage, .. }) => FaultOutcome::AnalysisInfeasible { stage },
         Ok(degraded) => {
-            let simulator = Simulator::with_fabric(workload.clone(), scenario.sim_config(), fabric)
-                .with_faults(faults.clone());
+            let simulator =
+                Simulator::with_fabric(workload.clone(), scenario.sim_config(), fabric.clone())
+                    .with_faults(faults.clone());
             let simulation = simulator.run();
             let validation =
-                validation_from_bound_lookup(&workload, |id| degraded.bound_for(id), simulation);
+                validation_from_bound_lookup(workload, |id| degraded.bound_for(id), simulation);
             let violations: Vec<ViolationReport> = validation
                 .violations()
                 .into_iter()
@@ -369,10 +364,8 @@ fn execute_fault_stage(scenario: &Scenario, draw: FaultDraw, model: EnvelopeMode
 /// each scenario's drawn arm before execution (and therefore before
 /// serialization) — forcing FCFS or strict priority reproduces the
 /// pre-WRR campaign byte for byte, and forcing WRR puts every scenario on
-/// its own seeded weight set.  Shared by the buffered ([`run_campaign`])
-/// and sharded ([`crate::shard::run_sharded_campaign`]) executors, so a
-/// shard over `[start, end)` sees exactly the scenarios the buffered run
-/// would execute at those indices.
+/// its own seeded weight set.  A shard over `[start, end)` executes the
+/// entries at those indices, whose ids are those indices.
 pub(crate) fn prepared_scenarios(config: &CampaignConfig) -> Vec<Scenario> {
     let space =
         ScenarioSpace::new(config.master_seed).with_faults(config.faults == FaultMode::Sweep);
@@ -389,69 +382,28 @@ pub(crate) fn prepared_scenarios(config: &CampaignConfig) -> Vec<Scenario> {
     scenarios
 }
 
-/// Runs a campaign: generates `config.scenarios` scenarios from the master
-/// seed and executes them on `config.effective_threads()` workers.
+/// Runs a campaign and keeps every result.  This is the one-shard case of
+/// [`crate::shard::run_sharded_campaign`]: the same worker pool and the
+/// same streamed summaries, plus every result in scenario-id order.
 pub fn run_campaign(config: CampaignConfig) -> CampaignReport {
-    let scenarios = prepared_scenarios(&config);
-    let threads = config
-        .effective_threads()
-        .max(1)
-        .min(scenarios.len().max(1));
-
-    let started = Instant::now();
-    let ops_before = netcalc::counters::OpCounters::snapshot();
-    let next = AtomicUsize::new(0);
-    let (sender, receiver) = mpsc::channel::<(usize, ScenarioResult)>();
-    let mut per_thread = vec![0usize; threads];
-
-    thread::scope(|scope| {
-        for worker in 0..threads {
-            let sender = sender.clone();
-            let next = &next;
-            let scenarios = &scenarios;
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(scenario) = scenarios.get(index).copied() else {
-                    break;
-                };
-                let result =
-                    execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                if sender.send((worker, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(sender);
-        // Drain on the coordinating thread while workers run.
-        let mut collected: Vec<ScenarioResult> = Vec::with_capacity(scenarios.len());
-        for (worker, result) in receiver {
-            per_thread[worker] += 1;
-            collected.push(result);
-        }
-        collected.sort_by_key(|r| r.scenario.id);
-        let elapsed = started.elapsed().as_secs_f64();
-        let summary = CampaignSummary::from_results(&collected);
-        let fault_summary = FaultSummary::from_results(&collected);
-        CampaignReport {
-            outcome: CampaignOutcome {
-                master_seed: config.master_seed,
-                results: collected,
-                summary,
-                fault_summary,
-            },
-            runtime: RuntimeStats {
-                threads,
-                per_thread: per_thread.clone(),
-                elapsed_secs: elapsed,
-                scenarios_per_sec: if elapsed > 0.0 {
-                    scenarios.len() as f64 / elapsed
-                } else {
-                    0.0
-                },
-                ops: netcalc::counters::OpCounters::snapshot().delta_since(&ops_before),
-            },
-        }
-    })
+    let mut results = Vec::with_capacity(config.scenarios);
+    let one_shard = ShardedCampaignConfig {
+        base: config,
+        shards: 1,
+        state_dir: None,
+        resume: false,
+    };
+    let report = run_shards(&one_shard, |result| results.push(result))
+        .expect("a run without a state directory touches no shard state");
+    CampaignReport {
+        outcome: CampaignOutcome {
+            master_seed: config.master_seed,
+            results,
+            summary: report.outcome.summary,
+            fault_summary: report.outcome.fault_summary,
+        },
+        runtime: report.runtime,
+    }
 }
 
 #[cfg(test)]
@@ -520,7 +472,7 @@ mod tests {
         let mut validated = 0;
         let mut saw_gain = false;
         for scenario in cascaded {
-            let result = execute_scenario(scenario);
+            let result = execute_scenario_with(scenario, false, None);
             if let crate::report::ScenarioOutcome::Validated(v) = &result.outcome {
                 validated += 1;
                 assert!(
@@ -623,7 +575,7 @@ mod tests {
 
     #[test]
     fn thread_count_is_clamped_to_scenarios() {
-        let report = run_campaign(CampaignConfig {
+        let config = CampaignConfig {
             scenarios: 2,
             master_seed: 1,
             threads: 16,
@@ -631,9 +583,21 @@ mod tests {
             envelope_override: None,
             policy_override: None,
             faults: FaultMode::Off,
-        });
-        assert_eq!(report.runtime.threads, 2);
-        assert_eq!(report.outcome.results.len(), 2);
+        };
+        let buffered = run_campaign(config);
+        assert_eq!(buffered.outcome.results.len(), 2);
+        let sharded = crate::shard::run_sharded_campaign(&ShardedCampaignConfig {
+            base: config,
+            shards: 1,
+            state_dir: None,
+            resume: false,
+        })
+        .expect("in-memory sharded run cannot fail");
+        for runtime in [buffered.runtime, sharded.runtime] {
+            assert_eq!(runtime.threads, 2);
+            assert_eq!(runtime.per_thread.len(), 2);
+            assert_eq!(runtime.per_thread.iter().sum::<usize>(), 2);
+        }
     }
 
     #[test]

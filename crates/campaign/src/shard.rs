@@ -1,23 +1,27 @@
-//! The sharded streaming campaign executor.
+//! The campaign executor: one worker pool, one streaming aggregation.
 //!
-//! [`run_campaign`](crate::run_campaign) buffers every
-//! [`ScenarioResult`] before aggregating, which is fine at hundreds of
-//! scenarios and hopeless at 10⁵: a full result carries per-message
-//! tightness vectors, violation reports and comparison sections, so the
-//! buffered vector dominates memory long before the CPUs are the
-//! bottleneck.  This module splits the campaign into contiguous
-//! **seed-range shards** and folds each shard's results into a running
-//! [`StreamAggregate`] the moment they arrive, keeping memory proportional
-//! to the number of shards rather than the number of scenarios.
+//! A run is split into contiguous **seed-range shards**.  Each shard's
+//! scenarios run on a pool of worker threads, and every result is folded
+//! into a running [`StreamAggregate`] (and the campaign fingerprint) the
+//! moment it arrives, then dropped.  [`run_campaign`](crate::run_campaign)
+//! is the one-shard run that also keeps each result, so its summaries are
+//! the streamed ones by construction.
+//!
+//! Memory is O(messages), not O(shards).  A sharded run drops each result
+//! once it is folded, but the aggregate keeps every per-message tightness
+//! sample (plus the bus tightness and bound-ratio samples when the 1553
+//! stage runs) and each validated scenario's mean tightness and
+//! envelope-gain median, so the percentiles and per-arm means it reports
+//! are exact; a shard checkpoint grows the same way.
 //!
 //! Three invariants make the sharded outcome trustworthy:
 //!
-//! 1. **Order-exact folding.**  Every float accumulation in
-//!    [`CampaignSummary::from_results`] happens in scenario-id order, so
-//!    each shard drains its worker channel through a small reorder buffer
-//!    and folds strictly in id order; shard aggregates are merged in
+//! 1. **Order-exact folding.**  The per-arm mean tightness is a float sum
+//!    whose bits depend on the addition order, so the pool hands results
+//!    over strictly in scenario-id order and shard aggregates merge in
 //!    shard-index (= id) order.  The merged summary is therefore *equal*
-//!    to the buffered one — same bits, not just approximately.
+//!    for every shard and thread count — same bits, not just
+//!    approximately.
 //! 2. **Commutative fingerprints.**  Each result hashes to
 //!    `c = FNV(id ‖ FNV(result JSON))` and a shard's fingerprint is the
 //!    wrapping sum of its results' hashes — addition commutes, so the
@@ -104,10 +108,10 @@ pub fn results_fingerprint(results: &[ScenarioResult]) -> u64 {
         .fold(0u64, |acc, r| acc.wrapping_add(result_fingerprint(r)))
 }
 
-/// Per-policy-arm streaming accumulator — the buffered breakdown sums
-/// `v.tightness.mean` sequentially in id order, and cross-shard float
-/// sums do not re-associate, so the stream keeps the raw per-scenario
-/// means and re-folds them in id order at [`StreamAggregate::finish`].
+/// Per-policy-arm streaming accumulator.  Float sums do not re-associate
+/// across shard boundaries, so it keeps the raw per-scenario mean
+/// tightness values and sums them in id order at
+/// [`StreamAggregate::finish`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 struct ArmAccumulator {
     validated: usize,
@@ -143,8 +147,7 @@ impl ArmAccumulator {
     }
 }
 
-/// Streaming accumulator for the degraded stage, mirroring
-/// [`FaultSummary::from_results`].
+/// Streaming accumulator for the degraded stage ([`FaultSummary`]).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 struct FaultAccumulator {
     scenarios: usize,
@@ -222,11 +225,11 @@ impl FaultAccumulator {
     }
 }
 
-/// Streaming accumulator for the cross-technology stage, mirroring
-/// [`ComparisonSummary::from_sections`].  The buffered fold starts its
-/// minimum at `f64::INFINITY`, which JSON cannot represent — the stream
-/// keeps an `Option` instead and finalizes `None` to the same `0.0` the
-/// buffered code produces.
+/// Streaming accumulator for the cross-technology stage
+/// ([`ComparisonSummary`]).  The smallest rejected utilization is an
+/// `Option` because a checkpoint cannot hold the `f64::INFINITY` a plain
+/// min-fold would start from; it finalizes to `0.0` when the bus rejected
+/// nothing.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 struct ComparisonAccumulator {
     attempted: usize,
@@ -338,17 +341,16 @@ impl ComparisonAccumulator {
     }
 }
 
-/// A running campaign aggregation: every counter, max-fold and sample
-/// vector that [`CampaignSummary::from_results`],
-/// [`FaultSummary::from_results`] and
-/// [`ComparisonSummary::from_sections`] compute, maintained incrementally
-/// so results can be dropped the moment they are folded.
+/// The campaign aggregation: every counter, max-fold and sample vector
+/// behind [`CampaignSummary`], [`FaultSummary`] and [`ComparisonSummary`],
+/// maintained incrementally so results can be dropped the moment they are
+/// folded.
 ///
 /// Fold results in scenario-id order and merge aggregates in shard-index
-/// order: every sequential float accumulation then replays the buffered
-/// code's exact addition order, making [`StreamAggregate::finish`] equal
-/// (bit for bit) to the buffered summaries.  The accumulator serializes,
-/// so a completed shard can persist it for `--resume`.
+/// order: every sequential float accumulation then runs in one addition
+/// order, making [`StreamAggregate::finish`] equal (bit for bit) for any
+/// sharding of the same results.  The accumulator serializes, so a
+/// completed shard can persist it for `--resume`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamAggregate {
     scenarios: usize,
@@ -412,8 +414,8 @@ impl StreamAggregate {
     }
 
     /// Folds one result into the aggregation.  Callers must fold in
-    /// scenario-id order (within a shard the reorder buffer guarantees
-    /// it) to keep float accumulation identical to the buffered path.
+    /// scenario-id order (the worker pool hands results over in that
+    /// order) to keep the float accumulation independent of sharding.
     pub fn fold(&mut self, result: &ScenarioResult) {
         self.scenarios += 1;
         let arm = result.scenario.approach.arm();
@@ -479,7 +481,7 @@ impl StreamAggregate {
     /// Merges another aggregation into this one.  Merge in shard-index
     /// order: integer counters and max-folds commute, but the sample
     /// vectors must concatenate in id order so the final sequential folds
-    /// replay the buffered addition order.
+    /// run in the unsharded addition order.
     pub fn merge(&mut self, other: &StreamAggregate) {
         self.scenarios += other.scenarios;
         self.validated += other.validated;
@@ -504,18 +506,16 @@ impl StreamAggregate {
         self.comparison.merge(&other.comparison);
     }
 
-    /// Finalizes the aggregation into the campaign summaries — equal to
-    /// what [`CampaignSummary::from_results`] and
-    /// [`FaultSummary::from_results`] would compute over the buffered
-    /// result vector.
+    /// Finalizes the aggregation into the campaign summary and, when any
+    /// folded result carried a degraded stage, the fault summary.
     pub fn finish(&self) -> (CampaignSummary, Option<FaultSummary>) {
         let mut by_approach = vec![
             self.fcfs.finish(PolicyArm::Fcfs),
             self.priority.finish(PolicyArm::StrictPriority),
         ];
         // The WRR row joins the breakdown only when the sweep drew (or
-        // was forced onto) the WRR arm — same rule as the buffered path,
-        // keeping pre-WRR campaign JSON byte-stable.
+        // was forced onto) the WRR arm, keeping pre-WRR campaign JSON
+        // byte-stable under the fcfs/priority policy overrides.
         if self.wrr_seen {
             by_approach.push(self.wrr.finish(PolicyArm::Wrr));
         }
@@ -770,63 +770,54 @@ fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<(), ShardError> {
     })
 }
 
-/// Executes the scenarios of one shard on its own worker pool and streams
-/// them into a fresh aggregate.
+/// The campaign's worker pool: executes `scenarios` and hands each result
+/// to `sink` in slice order, which is scenario-id order.
 ///
-/// The pool gets `min(effective_threads, shard length)` workers — the
-/// explicit allocation rule: a shard never spawns more workers than it
-/// has scenarios, and `per_thread` is indexed by the campaign-global
-/// worker slot so the load report sums to the scenario count across all
-/// shards instead of double-counting re-used slots.
-fn execute_shard(
+/// Workers pull indices from a shared atomic counter and send results
+/// back over a channel in completion order; the calling thread parks early
+/// arrivals in a reorder buffer until every predecessor has been handed
+/// over.  The pool gets `min(per_thread.len(), scenarios.len())` workers
+/// and worker `w` counts its scenarios in `per_thread[w]`, so a caller
+/// running several slices through one `per_thread` gets a load report
+/// that sums to the scenarios executed.
+fn execute_in_id_order(
     config: &CampaignConfig,
     scenarios: &[Scenario],
-    range: (usize, usize),
     per_thread: &mut [usize],
-) -> (StreamAggregate, u64) {
-    let (start, end) = range;
-    let slice = &scenarios[start..end];
-    let workers = per_thread.len().max(1).min(slice.len().max(1));
-    let mut aggregate = StreamAggregate::new();
-    let mut fingerprint = 0u64;
+    mut sink: impl FnMut(ScenarioResult),
+) {
+    let workers = per_thread.len().min(scenarios.len());
     let next = AtomicUsize::new(0);
-    let (sender, receiver) = mpsc::channel::<(usize, ScenarioResult)>();
+    let (sender, receiver) = mpsc::channel::<(usize, usize, ScenarioResult)>();
     thread::scope(|scope| {
         for worker in 0..workers {
             let sender = sender.clone();
             let next = &next;
             scope.spawn(move || loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(scenario) = slice.get(index).copied() else {
+                let Some(&scenario) = scenarios.get(index) else {
                     break;
                 };
                 let result =
                     execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                if sender.send((worker, result)).is_err() {
+                if sender.send((worker, index, result)).is_err() {
                     break;
                 }
             });
         }
         drop(sender);
-        // Streaming drain with a reorder buffer: results arrive in
-        // completion order, but the float folds must run in id order, so
-        // early arrivals wait in the map (bounded by the worker count)
-        // until their predecessors are folded and dropped.
-        let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
-        let mut next_id = start;
-        for (worker, result) in receiver {
+        let mut pending = BTreeMap::new();
+        let mut next_index = 0;
+        for (worker, index, result) in receiver {
             per_thread[worker] += 1;
-            pending.insert(result.scenario.id, result);
-            while let Some(result) = pending.remove(&next_id) {
-                fingerprint = fingerprint.wrapping_add(result_fingerprint(&result));
-                aggregate.fold(&result);
-                next_id += 1;
+            pending.insert(index, result);
+            while let Some(result) = pending.remove(&next_index) {
+                sink(result);
+                next_index += 1;
             }
         }
-        debug_assert!(pending.is_empty(), "results outside the shard range");
-        debug_assert_eq!(next_id, end, "shard folded a gap");
+        debug_assert_eq!(next_index, scenarios.len(), "a result was lost");
     });
-    (aggregate, fingerprint)
 }
 
 fn read_manifest(path: &Path) -> Result<Manifest, ShardError> {
@@ -877,11 +868,20 @@ fn restore_shard(
 }
 
 /// Runs a campaign as contiguous seed-range shards with streaming
-/// aggregation: memory stays proportional to the shard count, the merged
+/// aggregation: each result is dropped once folded, the merged
 /// [`ShardedOutcome`] is byte-identical across shard and thread counts,
 /// and with a state directory an interrupted run resumes from its
 /// completed shards.
 pub fn run_sharded_campaign(config: &ShardedCampaignConfig) -> Result<ShardedReport, ShardError> {
+    run_shards(config, drop)
+}
+
+/// [`run_sharded_campaign`], handing every executed result to `keep`, in
+/// scenario-id order, once it is folded.
+pub(crate) fn run_shards(
+    config: &ShardedCampaignConfig,
+    mut keep: impl FnMut(ScenarioResult),
+) -> Result<ShardedReport, ShardError> {
     let base = config.base;
     let ranges = plan_shards(base.scenarios, config.shards);
     if config.resume && config.state_dir.is_none() {
@@ -932,7 +932,7 @@ pub fn run_sharded_campaign(config: &ShardedCampaignConfig) -> Result<ShardedRep
     }
 
     let restored_shards = states.iter().filter(|s| s.is_some()).count();
-    let threads = base.effective_threads().max(1);
+    let threads = base.effective_threads();
     let mut per_thread = vec![0usize; threads];
     let started = Instant::now();
     let ops_before = netcalc::counters::OpCounters::snapshot();
@@ -942,15 +942,21 @@ pub fn run_sharded_campaign(config: &ShardedCampaignConfig) -> Result<ShardedRep
     // worker pool — so checkpoints land in index order and a kill at any
     // point leaves a resumable prefix-plus-holes manifest.
     let scenarios = prepared_scenarios(&base);
-    for (index, &range) in ranges.iter().enumerate() {
+    for (index, &(start, end)) in ranges.iter().enumerate() {
         if states[index].is_some() {
             continue;
         }
-        let (aggregate, fingerprint) = execute_shard(&base, &scenarios, range, &mut per_thread);
+        let mut aggregate = StreamAggregate::new();
+        let mut fingerprint = 0u64;
+        execute_in_id_order(&base, &scenarios[start..end], &mut per_thread, |result| {
+            fingerprint = fingerprint.wrapping_add(result_fingerprint(&result));
+            aggregate.fold(&result);
+            keep(result);
+        });
         let state = ShardState {
             index,
-            start: range.0,
-            end: range.1,
+            start,
+            end,
             fingerprint,
             aggregate,
         };
@@ -965,7 +971,7 @@ pub fn run_sharded_campaign(config: &ShardedCampaignConfig) -> Result<ShardedRep
 
     // Merge in shard-index (= scenario-id) order: the fingerprint sum
     // commutes, but the aggregate's sample vectors must concatenate in id
-    // order for the final float folds to replay the buffered order.
+    // order for the final float folds to run in one order.
     let mut merged = StreamAggregate::new();
     let mut fingerprint = 0u64;
     for state in states.iter().flatten() {
@@ -1049,9 +1055,9 @@ mod tests {
     #[test]
     fn streaming_aggregate_equals_buffered_summaries() {
         // The crux of the streaming design: folding one result at a time
-        // (and merging across shard boundaries) must reproduce the
-        // buffered `from_results` summaries bit for bit, comparison and
-        // fault sections included.
+        // and merging across shard boundaries must reproduce the
+        // unsharded summaries bit for bit, comparison and fault sections
+        // included.
         let buffered = run_campaign(small_config(2));
         for shards in [1, 2, 7] {
             let plan = plan_shards(buffered.outcome.results.len(), shards);

@@ -94,6 +94,8 @@ fn sharded_run_succeeds_and_resume_reproduces_the_fingerprint() {
     assert_eq!(resumed.status.code(), Some(0), "{resumed:?}");
     let stdout = String::from_utf8_lossy(&resumed.stdout);
     assert!(stdout.contains("1 executed, 2 restored"), "{stdout}");
+    // Only the forgotten shard's 4 scenarios ran; restored ones do not count.
+    assert!(stdout.contains("executed 4 scenarios"), "{stdout}");
     let resumed_line = stdout
         .lines()
         .find(|l| l.contains("fingerprint"))
