@@ -1,7 +1,6 @@
 //! The experiment implementations.
 
 use admission::{resolve, trace_ops, AdmissionEngine, AdmissionQuery};
-use des::{BinaryHeapQueue, EventQueue, Pool, RadixQueue};
 use ethernet::Fabric;
 use milstd1553::schedule::Scheduler;
 use milstd1553::sim::BusSimulation;
@@ -14,7 +13,7 @@ use rtswitch_core::{
 };
 use serde::Serialize;
 use shaping::TrafficClass;
-use units::{DataRate, DataSize, Duration, Instant};
+use units::{DataRate, DataSize, Duration};
 use workload::case_study::{case_study, case_study_with, CaseStudyConfig};
 use workload::map1553::{map_workload, MappingConfig};
 use workload::{Arrival, StationId, Workload};
@@ -1390,7 +1389,8 @@ fn admission_throughput_row(
     }
 }
 
-/// Renders E13 as the table `EXPERIMENTS.md` records.
+/// Renders E13 as the table its bin prints (see the README's "Experiments"
+/// section).
 pub fn render_admission_throughput(rows: &[AdmissionThroughputRow]) -> String {
     let mut out = String::new();
     out.push_str("E13 — admission throughput: incremental per-port cache vs from-scratch\n\n");
@@ -1582,874 +1582,6 @@ pub fn render_fault_inflation(rows: &[FaultInflationRow]) -> String {
             row.worst_degraded_bound_ms,
             if row.bounds_hold { "yes" } else { "NO" },
             if row.sound { "yes" } else { "NO" },
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------- E15
-
-/// Result of experiment E15 — the sharded streaming campaign at scale:
-/// throughput of the streaming executor vs the buffered baseline, peak
-/// RSS and the soundness verdict.
-#[derive(Debug, Clone, Serialize)]
-pub struct CampaignScaleReport {
-    /// Scenarios executed per campaign.
-    pub scenarios: usize,
-    /// Seed-range shards of the streaming run.
-    pub shards: usize,
-    /// Worker threads (0 = all cores at run time).
-    pub threads: usize,
-    /// Master seed of the scenario space.
-    pub master_seed: u64,
-    /// Wall-clock seconds of the sharded streaming run.
-    pub sharded_elapsed_secs: f64,
-    /// Streaming throughput — the figure the CI perf gate greps for.
-    pub scenarios_per_sec: f64,
-    /// Wall-clock seconds of the un-sharded buffered baseline run.
-    pub buffered_elapsed_secs: f64,
-    /// Buffered throughput.
-    pub buffered_scenarios_per_sec: f64,
-    /// `scenarios_per_sec / buffered_scenarios_per_sec`.  On a single
-    /// core the two paths are compute-bound on the same per-scenario
-    /// pipeline, so this hovers near 1; the streaming win is the O(shards)
-    /// memory profile visible in the RSS columns.
-    pub speedup_vs_buffered: f64,
-    /// Process peak RSS (VmHWM) right after the sharded run, in MiB.
-    pub sharded_peak_rss_mb: f64,
-    /// Process peak RSS after the buffered baseline also ran, in MiB —
-    /// the high-water mark is monotone, so the delta over the previous
-    /// column is memory only the buffered path needed.
-    pub final_peak_rss_mb: f64,
-    /// The campaign fingerprint of the sharded run (hex).
-    pub fingerprint: String,
-    /// Whether the streamed summary equals the buffered one bit for bit.
-    pub summary_matches_buffered: bool,
-    /// Bound violations across both runs — the soundness gate greps for
-    /// zero.
-    pub soundness_violations: usize,
-}
-
-/// Peak resident set size of this process in MiB (`VmHWM`), 0.0 where
-/// `/proc` is unavailable.
-pub fn peak_rss_mb() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|line| line.starts_with("VmHWM:"))
-                .and_then(|line| line.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<f64>().ok())
-        })
-        .map(|kb| kb / 1024.0)
-        .unwrap_or(0.0)
-}
-
-/// E15 — the sharded streaming campaign at scale.  Runs the sharded
-/// streaming executor first (so the RSS high-water mark after it is the
-/// streaming profile), then the buffered baseline on the same scenarios,
-/// and cross-checks the summaries and the fingerprint.
-pub fn campaign_scale(
-    scenarios: usize,
-    shards: usize,
-    threads: usize,
-    seed: u64,
-) -> CampaignScaleReport {
-    let base = campaign::CampaignConfig {
-        scenarios,
-        master_seed: seed,
-        threads,
-        with_1553: false,
-        envelope_override: None,
-        policy_override: None,
-        faults: campaign::FaultMode::Off,
-    };
-    let sharded = campaign::run_sharded_campaign(&campaign::ShardedCampaignConfig {
-        base,
-        shards,
-        state_dir: None,
-        resume: false,
-    })
-    .expect("in-memory sharded run cannot fail");
-    let sharded_peak_rss_mb = peak_rss_mb();
-
-    let buffered = campaign::run_campaign(base);
-    let final_peak_rss_mb = peak_rss_mb();
-
-    let summary_matches_buffered = sharded.outcome.summary == buffered.outcome.summary
-        && sharded.outcome.fingerprint == campaign::results_fingerprint(&buffered.outcome.results);
-    let soundness_violations =
-        sharded.outcome.summary.violations.len() + buffered.outcome.summary.violations.len();
-
-    CampaignScaleReport {
-        scenarios,
-        shards,
-        threads,
-        master_seed: seed,
-        sharded_elapsed_secs: sharded.runtime.elapsed_secs,
-        scenarios_per_sec: sharded.runtime.scenarios_per_sec,
-        buffered_elapsed_secs: buffered.runtime.elapsed_secs,
-        buffered_scenarios_per_sec: buffered.runtime.scenarios_per_sec,
-        speedup_vs_buffered: if buffered.runtime.scenarios_per_sec > 0.0 {
-            sharded.runtime.scenarios_per_sec / buffered.runtime.scenarios_per_sec
-        } else {
-            0.0
-        },
-        sharded_peak_rss_mb,
-        final_peak_rss_mb,
-        fingerprint: format!("{:#018x}", sharded.outcome.fingerprint),
-        summary_matches_buffered,
-        soundness_violations,
-    }
-}
-
-/// Renders E15 as the table `EXPERIMENTS.md` records.
-pub fn render_campaign_scale(report: &CampaignScaleReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "E15 — sharded streaming campaign at scale ({} scenarios, {} shards, seed {})\n\n",
-        report.scenarios, report.shards, report.master_seed
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>14} {:>14} {:>14}\n",
-        "path", "elapsed s", "scen/sec", "peak RSS MiB"
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>14.2} {:>14.1} {:>14.1}\n",
-        "sharded streaming",
-        report.sharded_elapsed_secs,
-        report.scenarios_per_sec,
-        report.sharded_peak_rss_mb,
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>14.2} {:>14.1} {:>14.1}\n",
-        "buffered baseline",
-        report.buffered_elapsed_secs,
-        report.buffered_scenarios_per_sec,
-        report.final_peak_rss_mb,
-    ));
-    out.push_str(&format!(
-        "\nspeedup {:.2}x | fingerprint {} | summary match: {} | soundness violations: {}\n",
-        report.speedup_vs_buffered,
-        report.fingerprint,
-        if report.summary_matches_buffered {
-            "yes"
-        } else {
-            "NO"
-        },
-        report.soundness_violations,
-    ));
-    out
-}
-
-/// Result of experiment E16 — the DES-substrate hot loop: the indexed radix
-/// queue moving pooled 4-byte frame handles vs the `BinaryHeap` future-event
-/// list moving inline frames (the configuration the engine used before the
-/// substrate refactor), the allocation profile of a full simulator run, and
-/// the end-to-end campaign throughput on the new engine.
-#[derive(Debug, Clone, Serialize)]
-pub struct SimHotLoopReport {
-    /// Events pushed through each queue configuration in the microbench.
-    pub queue_events: usize,
-    /// Pending events held in the queue throughout (the hold pattern) —
-    /// sized to the p99 pending-event depth measured on real campaign
-    /// scenarios (median 47, p99 276, max 320).
-    pub queue_window: usize,
-    /// Events/sec of the old configuration: binary heap, inline 112-byte
-    /// entries (the pre-refactor `Scheduled<EventKind>` with its inline
-    /// `Packet`).
-    pub heap_events_per_sec: f64,
-    /// Events/sec of the new configuration: radix queue, 24-byte entries
-    /// with 4-byte pooled frame handles (pool insert/remove included for
-    /// the ~2/3 of events that carry frames, as in the engine).
-    pub radix_events_per_sec: f64,
-    /// `radix_events_per_sec / heap_events_per_sec` at the engine-typical
-    /// window.
-    pub queue_speedup: f64,
-    /// Pending events in the deep-population variant of the hold pattern —
-    /// the regime the 10⁶-scenario campaign and multi-replication Monte
-    /// Carlo grow into, where the heap's log-depth and cache misses bite.
-    pub queue_window_deep: usize,
-    /// Events/sec of the old configuration at the deep window.
-    pub heap_events_per_sec_deep: f64,
-    /// Events/sec of the new configuration at the deep window.
-    pub radix_events_per_sec_deep: f64,
-    /// Speedup at the deep window — the issue's ≥3× target regime.
-    pub queue_speedup_deep: f64,
-    /// Heap allocations per event, old configuration (steady state).
-    pub heap_allocs_per_event: f64,
-    /// Heap allocations per event, new configuration (steady state).
-    pub radix_allocs_per_event: f64,
-    /// Full engine runs timed on the case-study workload.
-    pub sim_runs: usize,
-    /// Engine runs per second (one run = one simulated horizon).
-    pub sim_runs_per_sec: f64,
-    /// Heap allocations per engine run — construction and report assembly
-    /// included, so this is the *whole* per-scenario allocation budget the
-    /// campaign pays; the event loop itself contributes zero in steady
-    /// state.
-    pub sim_allocs_per_run: f64,
-    /// Scenarios of the end-to-end sharded campaign run.
-    pub campaign_scenarios: usize,
-    /// Shards of the campaign run.
-    pub campaign_shards: usize,
-    /// Worker threads (0 = all cores at run time).
-    pub campaign_threads: usize,
-    /// Master seed of the campaign.
-    pub campaign_master_seed: u64,
-    /// Wall-clock seconds of the sharded campaign.
-    pub campaign_elapsed_secs: f64,
-    /// End-to-end campaign throughput — the CI perf gate compares this
-    /// against the figure recorded in `BENCH_campaign.json`.
-    pub campaign_scenarios_per_sec: f64,
-    /// The campaign fingerprint (hex) — must match the seed-42 pins.
-    pub campaign_fingerprint: String,
-    /// Bound violations across the campaign — the soundness gate greps
-    /// for zero.
-    pub soundness_violations: usize,
-}
-
-/// The event layout the engine moved through its `BinaryHeap` before the
-/// substrate refactor: a port reference plus a full inline frame — 96
-/// bytes, 112 once the queue wraps it in `Scheduled` (timestamp +
-/// sequence), matching `size_of` of the old `Scheduled<EventKind>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct InlineFrameEvent {
-    port: (u64, u64, u64),
-    frame: [u64; 9],
-}
-
-/// The event layout of the refactored engine: a port reference and a
-/// 4-byte pool handle; the frame lives in a [`des::Pool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PooledHandleEvent {
-    port: (u32, u32),
-    handle: des::PoolId,
-}
-
-/// Deterministic pseudorandom stream for the queue microbenchmark (no RNG
-/// dependency, identical across runs).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    /// The engine's scheduling mix, matched to the lookahead histogram
-    /// measured on real case-study runs: ~3% simultaneous events
-    /// (synchronized releases), ~75% hop-scale lookaheads of 8 µs–1 ms
-    /// (100 Mbps serialization times, relaying latencies), ~22%
-    /// period-scale reschedules of 16–266 ms.
-    fn delta_ns(&mut self) -> u64 {
-        let r = self.next();
-        match r % 36 {
-            0 => 0,
-            1..=27 => 8_192 + r % (1_048_576 - 8_192),
-            _ => 16_000_000 + r % 250_000_000,
-        }
-    }
-}
-
-/// Drives the old queue configuration through a pop-one/schedule-one hold
-/// pattern of `window` pending events; returns `(events_per_sec,
-/// allocs_per_event)`.
-fn time_heap_queue(window: usize, events: usize, alloc_count: &dyn Fn() -> u64) -> (f64, f64) {
-    let mut queue: BinaryHeapQueue<InlineFrameEvent> = BinaryHeapQueue::new();
-    let mut lcg = Lcg(0x5EED_CAFE);
-    let mut now = 0u64;
-    let make = |t: u64| InlineFrameEvent {
-        port: (1, 2, 3),
-        frame: [t; 9],
-    };
-    for _ in 0..window {
-        let t = now + lcg.delta_ns();
-        queue.schedule(Instant::EPOCH + Duration::from_nanos(t), make(t));
-    }
-    let allocs_before = alloc_count();
-    let started = std::time::Instant::now();
-    let mut sink = 0u64;
-    for _ in 0..events {
-        let popped = queue.pop().expect("hold pattern keeps the queue full");
-        now = popped.time.as_nanos();
-        sink = sink.wrapping_add(popped.event.frame[0]);
-        let t = now + lcg.delta_ns();
-        queue.schedule(Instant::EPOCH + Duration::from_nanos(t), make(t));
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let allocs = alloc_count().saturating_sub(allocs_before);
-    assert!(sink > 0);
-    (
-        events as f64 / elapsed.max(1e-9),
-        allocs as f64 / events.max(1) as f64,
-    )
-}
-
-/// Drives the new queue configuration — radix queue, frames in a pool,
-/// events carrying 4-byte handles — through the identical hold pattern.
-/// The pool roundtrip runs on two events of every three, the fraction of
-/// engine events that carry a frame (`TxComplete` / `SwitchEnqueue`;
-/// `Generate` / `ShaperCheck` do not).
-fn time_radix_queue(window: usize, events: usize, alloc_count: &dyn Fn() -> u64) -> (f64, f64) {
-    let mut queue: RadixQueue<PooledHandleEvent> = RadixQueue::new();
-    let mut pool: Pool<[u64; 8]> = Pool::new();
-    let mut lcg = Lcg(0x5EED_CAFE);
-    let mut now = 0u64;
-    for _ in 0..window {
-        let t = now + lcg.delta_ns();
-        let handle = pool.insert([t; 8]);
-        queue.schedule(
-            Instant::EPOCH + Duration::from_nanos(t),
-            PooledHandleEvent {
-                port: (1, 2),
-                handle,
-            },
-        );
-    }
-    let allocs_before = alloc_count();
-    let started = std::time::Instant::now();
-    let mut sink = 0u64;
-    for i in 0..events {
-        let popped = queue.pop().expect("hold pattern keeps the queue full");
-        now = popped.time.as_nanos();
-        let handle = if i % 3 != 0 {
-            let frame = pool.remove(popped.event.handle);
-            sink = sink.wrapping_add(frame[0]);
-            pool.insert([now; 8])
-        } else {
-            sink = sink.wrapping_add(now);
-            popped.event.handle
-        };
-        let t = now + lcg.delta_ns();
-        queue.schedule(
-            Instant::EPOCH + Duration::from_nanos(t),
-            PooledHandleEvent {
-                port: (1, 2),
-                handle,
-            },
-        );
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let allocs = alloc_count().saturating_sub(allocs_before);
-    assert!(sink > 0);
-    (
-        events as f64 / elapsed.max(1e-9),
-        allocs as f64 / events.max(1) as f64,
-    )
-}
-
-/// The knobs of the E16 hot-loop experiment: how hard to drive each of its
-/// three stages (queue microbench, engine runs, sharded campaign).
-#[derive(Debug, Clone, Copy)]
-pub struct SimHotLoopConfig {
-    /// Events pushed through each future-event-list configuration.
-    pub queue_events: usize,
-    /// Steady pending-event population for the queue microbench (the deep
-    /// variant runs at 16× this).
-    pub queue_window: usize,
-    /// Full engine runs on the case-study workload.
-    pub sim_runs: usize,
-    /// Scenario count for the end-to-end sharded campaign.
-    pub scenarios: usize,
-    /// Campaign shard count.
-    pub shards: usize,
-    /// Campaign worker threads (0 = all cores).
-    pub threads: usize,
-    /// Master seed for the engine runs and the campaign.
-    pub seed: u64,
-}
-
-/// E16 — the DES-substrate hot loop.  Microbenches the old vs new
-/// future-event-list configuration under a steady hold pattern, times full
-/// engine runs on the case-study workload (counting their allocations),
-/// and runs the end-to-end sharded campaign on the refactored engine.
-/// `alloc_count` reads the calling binary's allocation counter (`|| 0`
-/// when none is installed).
-pub fn sim_hot_loop(config: SimHotLoopConfig, alloc_count: impl Fn() -> u64) -> SimHotLoopReport {
-    let SimHotLoopConfig {
-        queue_events,
-        queue_window,
-        sim_runs,
-        scenarios,
-        shards,
-        threads,
-        seed,
-    } = config;
-    let (heap_events_per_sec, heap_allocs_per_event) =
-        time_heap_queue(queue_window, queue_events, &alloc_count);
-    let (radix_events_per_sec, radix_allocs_per_event) =
-        time_radix_queue(queue_window, queue_events, &alloc_count);
-    // The same hold pattern at 16× the pending-event population: the
-    // regime larger campaigns and replicated Monte Carlo runs grow into.
-    let queue_window_deep = queue_window * 16;
-    let (heap_events_per_sec_deep, _) =
-        time_heap_queue(queue_window_deep, queue_events, &alloc_count);
-    let (radix_events_per_sec_deep, _) =
-        time_radix_queue(queue_window_deep, queue_events, &alloc_count);
-
-    // Full engine runs: the per-scenario cost the campaign pays, allocation
-    // count included.
-    let simulator = Simulator::new(
-        case_study(),
-        SimConfig::paper_default().with_horizon(Duration::from_millis(320)),
-    );
-    let allocs_before = alloc_count();
-    let started = std::time::Instant::now();
-    let mut delivered = 0u64;
-    for run in 0..sim_runs {
-        delivered += simulator.run_with_seed(seed ^ run as u64).total_delivered;
-    }
-    let sim_elapsed = started.elapsed().as_secs_f64();
-    let sim_allocs = alloc_count().saturating_sub(allocs_before);
-    assert!(sim_runs == 0 || delivered > 0);
-
-    // End-to-end: the sharded streaming campaign on the refactored engine,
-    // same configuration as E15's streaming run.
-    let sharded = campaign::run_sharded_campaign(&campaign::ShardedCampaignConfig {
-        base: campaign::CampaignConfig {
-            scenarios,
-            master_seed: seed,
-            threads,
-            with_1553: false,
-            envelope_override: None,
-            policy_override: None,
-            faults: campaign::FaultMode::Off,
-        },
-        shards,
-        state_dir: None,
-        resume: false,
-    })
-    .expect("in-memory sharded run cannot fail");
-
-    SimHotLoopReport {
-        queue_events,
-        queue_window,
-        heap_events_per_sec,
-        radix_events_per_sec,
-        queue_speedup: if heap_events_per_sec > 0.0 {
-            radix_events_per_sec / heap_events_per_sec
-        } else {
-            0.0
-        },
-        queue_window_deep,
-        heap_events_per_sec_deep,
-        radix_events_per_sec_deep,
-        queue_speedup_deep: if heap_events_per_sec_deep > 0.0 {
-            radix_events_per_sec_deep / heap_events_per_sec_deep
-        } else {
-            0.0
-        },
-        heap_allocs_per_event,
-        radix_allocs_per_event,
-        sim_runs,
-        sim_runs_per_sec: sim_runs as f64 / sim_elapsed.max(1e-9),
-        sim_allocs_per_run: sim_allocs as f64 / sim_runs.max(1) as f64,
-        campaign_scenarios: scenarios,
-        campaign_shards: shards,
-        campaign_threads: threads,
-        campaign_master_seed: seed,
-        campaign_elapsed_secs: sharded.runtime.elapsed_secs,
-        campaign_scenarios_per_sec: sharded.runtime.scenarios_per_sec,
-        campaign_fingerprint: format!("{:#018x}", sharded.outcome.fingerprint),
-        soundness_violations: sharded.outcome.summary.violations.len(),
-    }
-}
-
-/// Renders E16 as the table `EXPERIMENTS.md` records.
-pub fn render_sim_hot_loop(report: &SimHotLoopReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "E16 — DES substrate hot loop ({} events, window {}, {} engine runs, \
-         {} campaign scenarios)\n\n",
-        report.queue_events, report.queue_window, report.sim_runs, report.campaign_scenarios
-    ));
-    out.push_str(&format!(
-        "{:<34} {:>14} {:>14} {:>16}\n",
-        "future-event list", "events/sec", "allocs/event", "deep events/sec"
-    ));
-    out.push_str(&format!(
-        "{:<34} {:>14.0} {:>14.4} {:>16.0}\n",
-        "binary heap, inline frames",
-        report.heap_events_per_sec,
-        report.heap_allocs_per_event,
-        report.heap_events_per_sec_deep,
-    ));
-    out.push_str(&format!(
-        "{:<34} {:>14.0} {:>14.4} {:>16.0}\n",
-        "radix queue, pooled handles",
-        report.radix_events_per_sec,
-        report.radix_allocs_per_event,
-        report.radix_events_per_sec_deep,
-    ));
-    out.push_str(&format!(
-        "queue speedup {:.2}x at window {} | {:.2}x at window {}\n\n",
-        report.queue_speedup,
-        report.queue_window,
-        report.queue_speedup_deep,
-        report.queue_window_deep,
-    ));
-    out.push_str(&format!(
-        "engine: {:.1} runs/sec on the case study ({:.0} allocs/run)\n",
-        report.sim_runs_per_sec, report.sim_allocs_per_run,
-    ));
-    out.push_str(&format!(
-        "campaign: {:.1} scenarios/sec over {} scenarios in {:.2} s | fingerprint {} | \
-         soundness violations: {}\n",
-        report.campaign_scenarios_per_sec,
-        report.campaign_scenarios,
-        report.campaign_elapsed_secs,
-        report.campaign_fingerprint,
-        report.soundness_violations,
-    ));
-    out
-}
-
-// ---------------------------------------------------------------- E17
-
-/// Configuration of experiment E17 (`e17_minplus_kernels` bin).
-#[derive(Debug, Clone, Copy)]
-pub struct MinplusKernelsConfig {
-    /// Timing iterations per operator pair.
-    pub iterations: usize,
-    /// Staircase flows aggregated into the campaign-typical operands.
-    pub flows: usize,
-    /// Hops of the breakpoint-growth chain.
-    pub chain_hops: usize,
-    /// Scenarios of the end-to-end sharded campaign run.
-    pub scenarios: usize,
-    /// Shards of the campaign run.
-    pub shards: usize,
-    /// Worker threads (0 = all cores at run time).
-    pub threads: usize,
-    /// Master seed of the campaign.
-    pub seed: u64,
-}
-
-/// One operator's old-vs-new microbenchmark row.
-#[derive(Debug, Clone, Serialize)]
-pub struct KernelBench {
-    /// Operator label.
-    pub operator: String,
-    /// ns/op of the pre-PR candidate-enumeration implementation
-    /// (preserved verbatim in `netcalc::minplus::reference`).
-    pub old_ns_per_op: f64,
-    /// ns/op of the sorted-merge / sweep-line implementation.
-    pub new_ns_per_op: f64,
-    /// `old_ns_per_op / new_ns_per_op`.
-    pub speedup: f64,
-    /// Breakpoint counts of the two operands.
-    pub operand_breakpoints: (usize, usize),
-    /// Breakpoint count of the result.
-    pub result_breakpoints: usize,
-}
-
-/// Result of experiment E17 — the sorted-merge min-plus kernels: ns/op old
-/// vs new per operator at campaign-typical breakpoint counts, breakpoint
-/// growth along a multi-hop chain with and without horizon truncation, and
-/// the end-to-end sharded campaign (op counters from the run's own
-/// [`campaign::RuntimeStats`]).
-#[derive(Debug, Clone, Serialize)]
-pub struct MinplusKernelsReport {
-    /// Timing iterations per operator pair.
-    pub iterations: usize,
-    /// Per-operator rows, old vs new.
-    pub kernels: Vec<KernelBench>,
-    /// Differential mismatches between old and new results across the
-    /// operator benches (0 expected; the bin exits non-zero otherwise).
-    pub kernel_mismatches: usize,
-    /// Breakpoints of the accumulated general-convolution network curve
-    /// after each hop of the chain, untruncated.
-    pub chain_breakpoints: Vec<usize>,
-    /// The same chain with [`netcalc::Curve::truncate_service`] applied
-    /// after every convolution.
-    pub chain_breakpoints_truncated: Vec<usize>,
-    /// The truncation horizon in seconds.
-    pub truncation_horizon_s: f64,
-    /// Scenarios of the end-to-end sharded campaign run.
-    pub campaign_scenarios: usize,
-    /// Shards of the campaign run.
-    pub campaign_shards: usize,
-    /// Worker threads (0 = all cores at run time).
-    pub campaign_threads: usize,
-    /// Master seed of the campaign.
-    pub campaign_master_seed: u64,
-    /// Wall-clock seconds of the sharded campaign.
-    pub campaign_elapsed_secs: f64,
-    /// End-to-end campaign throughput — the CI perf gate compares this
-    /// against the figure recorded in `BENCH_campaign.json`.
-    pub campaign_scenarios_per_sec: f64,
-    /// The campaign fingerprint (hex) — must match the seed-42 pins.
-    pub campaign_fingerprint: String,
-    /// Bound violations across the campaign (zero expected).
-    pub soundness_violations: usize,
-    /// Min-plus operator counters of the campaign run.
-    pub campaign_ops: netcalc::counters::OpCounters,
-}
-
-/// A deterministic family of staircase arrival envelopes shaped like the
-/// campaign's: frame sizes and periods cycle through the ranges the
-/// scenario space draws from, on a 100 Mbps line.
-fn typical_staircase_envelopes(flows: usize) -> Vec<netcalc::Envelope> {
-    let line = DataRate::from_mbps(100);
-    (0..flows)
-        .map(|i| {
-            let size = DataSize::from_bytes(64 + ((i as u64 * 97) % 1_455));
-            let period = Duration::from_millis(5 + ((i as u64 * 7) % 45));
-            netcalc::Envelope::staircase(size, period, line)
-        })
-        .collect()
-}
-
-/// Times `f` and returns nanoseconds per call (one warm-up call first).
-fn time_ns_per_op(iterations: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let started = std::time::Instant::now();
-    for _ in 0..iterations.max(1) {
-        f();
-    }
-    started.elapsed().as_nanos() as f64 / iterations.max(1) as f64
-}
-
-/// E17: old-vs-new min-plus kernel throughput, truncation behaviour and
-/// the end-to-end campaign.
-pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
-    use netcalc::{minplus, minplus::reference, ArrivalBound, Curve};
-    let MinplusKernelsConfig {
-        iterations,
-        flows,
-        chain_hops,
-        scenarios,
-        shards,
-        threads,
-        seed,
-    } = config;
-
-    // Campaign-typical operands: an aggregate of staircase envelopes (the
-    // per-port cross traffic), a rate-latency port service, the general
-    // left-over hull, and the convex minorants the PBOO composition
-    // convolves.
-    let envelopes = typical_staircase_envelopes(flows);
-    let aggregate = netcalc::Envelope::aggregate_all(envelopes.iter()).curve();
-    let own = envelopes[0].curve();
-    let cross = aggregate.sub_envelope(&own);
-    let beta = Curve::rate_latency(100e6, 16e-6).expect("valid service curve");
-    let hull = minplus::leftover(&beta, &cross).expect("stable by construction");
-    let hull_b = minplus::leftover(&beta, &aggregate.sub_envelope(&envelopes[1].curve()))
-        .expect("stable by construction");
-    let (minor_a, minor_b) = (hull.convex_minorant(), hull_b.convex_minorant());
-
-    let mut kernels = Vec::new();
-    let mut mismatches = 0usize;
-    let mut row = |operator: &str,
-                   operands: (&Curve, &Curve),
-                   old: &mut dyn FnMut() -> Curve,
-                   new: &mut dyn FnMut() -> Curve,
-                   exact: bool| {
-        let old_result = old();
-        let new_result = new();
-        let matches = if exact {
-            old_result.points() == new_result.points()
-                && old_result.final_slope().to_bits() == new_result.final_slope().to_bits()
-        } else {
-            old_result.approx_eq(&new_result)
-        };
-        if !matches {
-            mismatches += 1;
-        }
-        let old_ns = time_ns_per_op(iterations, || {
-            std::hint::black_box(old());
-        });
-        let new_ns = time_ns_per_op(iterations, || {
-            std::hint::black_box(new());
-        });
-        kernels.push(KernelBench {
-            operator: operator.to_string(),
-            old_ns_per_op: old_ns,
-            new_ns_per_op: new_ns,
-            speedup: if new_ns > 0.0 { old_ns / new_ns } else { 0.0 },
-            operand_breakpoints: (operands.0.points().len(), operands.1.points().len()),
-            result_breakpoints: new_result.points().len(),
-        });
-    };
-
-    // The general convolution on the PBOO path (convex minorants of two
-    // left-over hulls): candidate fold vs the O(n+m) slope merge.
-    row(
-        "convolve (general, convex minorants)",
-        (&minor_a, &minor_b),
-        &mut || reference::convolve(&minor_a, &minor_b),
-        &mut || minplus::convolve(&minor_a, &minor_b),
-        true,
-    );
-    // The general deconvolution propagating the staircase envelope through
-    // the hull: left-fold all-candidates envelope vs the balanced pairwise
-    // reduction over the same member family.  Pinned approximately — the
-    // reduction computes the same pointwise maximum but associates the
-    // intermediate simplifications differently.
-    row(
-        "deconvolve (general)",
-        (&own, &hull),
-        &mut || reference::deconvolve(&own, &hull).expect("stable"),
-        &mut || minplus::deconvolve(&own, &hull).expect("stable"),
-        false,
-    );
-    // The blind-multiplexing left-over hull build.
-    row(
-        "leftover (general)",
-        (&beta, &cross),
-        &mut || reference::leftover(&beta, &cross).expect("stable"),
-        &mut || minplus::leftover(&beta, &cross).expect("stable"),
-        true,
-    );
-    // The pointwise envelope intersection (aggregate ∧ token bucket).
-    let tb_summary = netcalc::Envelope::aggregate_all(envelopes.iter())
-        .token_bucket()
-        .curve();
-    row(
-        "min (sweep envelope combine)",
-        (&aggregate, &tb_summary),
-        &mut || reference::min(&aggregate, &tb_summary),
-        &mut || aggregate.min(&tb_summary),
-        true,
-    );
-    // Both deviation kernels: O(n·m) rescans vs sorted candidates with
-    // monotone cursors.  Wrapped as degenerate one-point curves so the
-    // closure signature stays uniform.
-    let wrap = |v: f64| Curve::new(vec![(0.0, v)], 0.0).expect("finite deviation");
-    row(
-        "horizontal_deviation",
-        (&own, &hull),
-        &mut || wrap(reference::horizontal_deviation(&own, &hull).expect("stable")),
-        &mut || wrap(minplus::horizontal_deviation(&own, &hull).expect("stable")),
-        true,
-    );
-    row(
-        "vertical_deviation",
-        (&own, &hull),
-        &mut || wrap(reference::vertical_deviation(&own, &hull).expect("stable")),
-        &mut || wrap(minplus::vertical_deviation(&own, &hull).expect("stable")),
-        true,
-    );
-
-    // Breakpoint growth along a multi-hop chain of general (non-convex)
-    // left-over hulls, with and without horizon truncation after each
-    // convolution.  The horizon covers every deviation candidate of the
-    // operand family (4× the largest staircase period), so truncation is
-    // lossless for the bounds while capping the representation.
-    let horizon = 0.2;
-    let hop_hulls: Vec<Curve> = (0..chain_hops.max(1))
-        .map(|k| {
-            let idx = k % envelopes.len();
-            minplus::leftover(&beta, &aggregate.sub_envelope(&envelopes[idx].curve()))
-                .expect("stable by construction")
-        })
-        .collect();
-    let mut chain_breakpoints = Vec::with_capacity(hop_hulls.len());
-    let mut chain_breakpoints_truncated = Vec::with_capacity(hop_hulls.len());
-    let mut acc = hop_hulls[0].clone();
-    let mut acc_truncated = hop_hulls[0]
-        .truncate_service(horizon)
-        .expect("valid horizon");
-    chain_breakpoints.push(acc.points().len());
-    chain_breakpoints_truncated.push(acc_truncated.points().len());
-    for hull in &hop_hulls[1..] {
-        acc = minplus::convolve(&acc, hull);
-        acc_truncated = minplus::convolve(&acc_truncated, hull)
-            .truncate_service(horizon)
-            .expect("valid horizon");
-        chain_breakpoints.push(acc.points().len());
-        chain_breakpoints_truncated.push(acc_truncated.points().len());
-    }
-
-    // End-to-end: the sharded streaming campaign (same configuration as
-    // E16, so the scenarios/sec figures compare directly).
-    let sharded = campaign::run_sharded_campaign(&campaign::ShardedCampaignConfig {
-        base: campaign::CampaignConfig {
-            scenarios,
-            master_seed: seed,
-            threads,
-            with_1553: false,
-            envelope_override: None,
-            policy_override: None,
-            faults: campaign::FaultMode::Off,
-        },
-        shards,
-        state_dir: None,
-        resume: false,
-    })
-    .expect("in-memory sharded run cannot fail");
-
-    MinplusKernelsReport {
-        iterations,
-        kernels,
-        kernel_mismatches: mismatches,
-        chain_breakpoints,
-        chain_breakpoints_truncated,
-        truncation_horizon_s: horizon,
-        campaign_scenarios: scenarios,
-        campaign_shards: shards,
-        campaign_threads: threads,
-        campaign_master_seed: seed,
-        campaign_elapsed_secs: sharded.runtime.elapsed_secs,
-        campaign_scenarios_per_sec: sharded.runtime.scenarios_per_sec,
-        campaign_fingerprint: format!("{:#018x}", sharded.outcome.fingerprint),
-        soundness_violations: sharded.outcome.summary.violations.len(),
-        campaign_ops: sharded.runtime.ops,
-    }
-}
-
-/// Renders E17 as the table `EXPERIMENTS.md` records.
-pub fn render_minplus_kernels(report: &MinplusKernelsReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "E17 — sorted-merge min-plus kernels ({} iterations/op, {} campaign scenarios)\n\n",
-        report.iterations, report.campaign_scenarios
-    ));
-    out.push_str(&format!(
-        "{:<40} {:>12} {:>12} {:>9} {:>12}\n",
-        "operator", "old ns/op", "new ns/op", "speedup", "breakpoints"
-    ));
-    for k in &report.kernels {
-        out.push_str(&format!(
-            "{:<40} {:>12.0} {:>12.0} {:>8.2}x {:>5}x{:<6}\n",
-            k.operator,
-            k.old_ns_per_op,
-            k.new_ns_per_op,
-            k.speedup,
-            k.operand_breakpoints.0,
-            k.operand_breakpoints.1,
-        ));
-    }
-    out.push_str(&format!(
-        "\nchain breakpoints over {} hops: untruncated {:?} | truncated at {:.2}s {:?}\n",
-        report.chain_breakpoints.len(),
-        report.chain_breakpoints,
-        report.truncation_horizon_s,
-        report.chain_breakpoints_truncated,
-    ));
-    let ops = &report.campaign_ops;
-    out.push_str(&format!(
-        "campaign: {:.1} scenarios/sec over {} scenarios in {:.2} s | fingerprint {} | \
-         soundness violations: {}\n",
-        report.campaign_scenarios_per_sec,
-        report.campaign_scenarios,
-        report.campaign_elapsed_secs,
-        report.campaign_fingerprint,
-        report.soundness_violations,
-    ));
-    out.push_str(&format!(
-        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope\n",
-        ops.convolve, ops.deconvolve, ops.leftover, ops.add, ops.sub_envelope,
-    ));
-    if report.kernel_mismatches > 0 {
-        out.push_str(&format!(
-            "KERNEL MISMATCHES: {} operator(s) disagree with the reference\n",
-            report.kernel_mismatches,
         ));
     }
     out

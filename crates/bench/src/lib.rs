@@ -1,10 +1,10 @@
 //! Experiment harness: one function per figure/table of the paper.
 //!
 //! Each experiment function is pure (workload in, structured results out) so
-//! it can be driven both by the `src/bin/*` command-line harnesses (which
-//! print the tables `EXPERIMENTS.md` records) and by the Criterion benches
-//! (which measure how long the analyses take on workloads of increasing
-//! size).
+//! it can be driven both by the `src/bin/*` command-line harnesses (each
+//! prints its experiment's table; the README's "Experiments" section lists
+//! them) and by the Criterion benches (which measure how long the analyses
+//! take on workloads of increasing size).
 //!
 //! | id | paper artefact | function |
 //! |----|----------------|----------|
@@ -22,9 +22,6 @@
 //! | E12 | policy ablation — FCFS vs strict priority vs WRR, per-class tightness and deadline margins | [`experiments::policy_ablation`] |
 //! | E13 | admission throughput — incremental per-port-cached admission vs from-scratch re-analysis, batched 1/64/1024 | [`experiments::admission_throughput`] |
 //! | E14 | fault injection — degraded-mode bound inflation ladder | [`experiments::fault_inflation`] |
-//! | E15 | campaign scale — sharded streaming throughput, peak RSS | [`experiments::campaign_scale`] |
-//! | E16 | DES substrate — radix-queue vs binary-heap hot loop, allocs/event, campaign throughput | [`experiments::sim_hot_loop`] |
-//! | E17 | min-plus kernels — sorted-merge vs candidate-enumeration ns/op, horizon truncation, campaign throughput | [`experiments::minplus_kernels`] |
 
 pub mod experiments;
 

@@ -169,11 +169,11 @@ pub struct RuntimeStats {
     pub elapsed_secs: f64,
     /// Scenarios per wall-clock second.
     pub scenarios_per_sec: f64,
-    /// Min-plus operator invocations during this run, one count per
+    /// Min-plus operator invocations of this run's scenarios, one count per
     /// operator: convolve, deconvolve, leftover, add, sub_envelope,
-    /// min/max combine and both deviations.  A delta of the process-global
-    /// counters, so concurrent campaigns in one process fold together — the
-    /// CLI runs one at a time.
+    /// min/max combine and both deviations.  The sum of every worker's own
+    /// counts, so it depends neither on the worker count nor on other work
+    /// in the process; restored shards contribute nothing.
     pub ops: netcalc::counters::OpCounters,
 }
 

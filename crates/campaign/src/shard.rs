@@ -42,6 +42,7 @@ use crate::runner::{
     execute_scenario_with, prepared_scenarios, CampaignConfig, FaultMode, RuntimeStats,
 };
 use crate::space::Scenario;
+use netcalc::counters::OpCounters;
 use netcalc::EnvelopeModel;
 use rtswitch_core::PolicyArm;
 use serde::{Deserialize, Serialize};
@@ -770,8 +771,9 @@ fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<(), ShardError> {
     })
 }
 
-/// The campaign's worker pool: executes `scenarios` and hands each result
-/// to `sink` in slice order, which is scenario-id order.
+/// The campaign's worker pool: executes `scenarios`, hands each result to
+/// `sink` in slice order, which is scenario-id order, and returns the
+/// min-plus operations the workers performed.
 ///
 /// Workers pull indices from a shared atomic counter and send results
 /// back over a channel in completion order; the calling thread parks early
@@ -779,32 +781,41 @@ fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<(), ShardError> {
 /// over.  The pool gets `min(per_thread.len(), scenarios.len())` workers
 /// and worker `w` counts its scenarios in `per_thread[w]`, so a caller
 /// running several slices through one `per_thread` gets a load report
-/// that sums to the scenarios executed.
+/// that sums to the scenarios executed.  Each worker is a fresh thread, so
+/// its op-counter snapshot at the end is its own work and nobody else's.
 fn execute_in_id_order(
     config: &CampaignConfig,
     scenarios: &[Scenario],
     per_thread: &mut [usize],
     mut sink: impl FnMut(ScenarioResult),
-) {
+) -> OpCounters {
     let workers = per_thread.len().min(scenarios.len());
     let next = AtomicUsize::new(0);
     let (sender, receiver) = mpsc::channel::<(usize, usize, ScenarioResult)>();
     thread::scope(|scope| {
-        for worker in 0..workers {
-            let sender = sender.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&scenario) = scenarios.get(index) else {
-                    break;
-                };
-                let result =
-                    execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                if sender.send((worker, index, result)).is_err() {
-                    break;
-                }
-            });
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let sender = sender.clone();
+                let next = &next;
+                scope.spawn(move || {
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&scenario) = scenarios.get(index) else {
+                            break;
+                        };
+                        let result = execute_scenario_with(
+                            scenario,
+                            config.with_1553,
+                            config.envelope_override,
+                        );
+                        if sender.send((worker, index, result)).is_err() {
+                            break;
+                        }
+                    }
+                    OpCounters::snapshot()
+                })
+            })
+            .collect();
         drop(sender);
         let mut pending = BTreeMap::new();
         let mut next_index = 0;
@@ -817,7 +828,14 @@ fn execute_in_id_order(
             }
         }
         debug_assert_eq!(next_index, scenarios.len(), "a result was lost");
-    });
+        let mut ops = OpCounters::default();
+        for handle in handles {
+            ops += handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        ops
+    })
 }
 
 fn read_manifest(path: &Path) -> Result<Manifest, ShardError> {
@@ -935,7 +953,7 @@ pub(crate) fn run_shards(
     let threads = base.effective_threads();
     let mut per_thread = vec![0usize; threads];
     let started = Instant::now();
-    let ops_before = netcalc::counters::OpCounters::snapshot();
+    let mut ops = OpCounters::default();
     let mut executed_shards = 0usize;
 
     // Shards run sequentially — parallelism lives inside each shard's
@@ -948,7 +966,7 @@ pub(crate) fn run_shards(
         }
         let mut aggregate = StreamAggregate::new();
         let mut fingerprint = 0u64;
-        execute_in_id_order(&base, &scenarios[start..end], &mut per_thread, |result| {
+        ops += execute_in_id_order(&base, &scenarios[start..end], &mut per_thread, |result| {
             fingerprint = fingerprint.wrapping_add(result_fingerprint(&result));
             aggregate.fold(&result);
             keep(result);
@@ -999,7 +1017,7 @@ pub(crate) fn run_shards(
             } else {
                 0.0
             },
-            ops: netcalc::counters::OpCounters::snapshot().delta_since(&ops_before),
+            ops,
         },
         executed_shards,
         restored_shards,
@@ -1094,6 +1112,38 @@ mod tests {
         for json in &outcomes[1..] {
             assert_eq!(json, &outcomes[0]);
         }
+    }
+
+    #[test]
+    fn runtime_ops_count_this_runs_work_alone() {
+        // One worker or four, alone or next to a concurrent run in the
+        // same process: the run reports the same min-plus work.
+        let ops = |threads| {
+            let base = CampaignConfig {
+                scenarios: 12,
+                threads,
+                ..CampaignConfig::default()
+            };
+            run_sharded_campaign(&sharded(base, 2))
+                .expect("in-memory sharded run cannot fail")
+                .runtime
+                .ops
+        };
+        let solo = ops(1);
+        assert!(solo.convolve > 0 && solo.horizontal_deviation > 0);
+        assert_eq!(ops(4), solo);
+        let start = std::sync::Barrier::new(2);
+        let concurrent = || {
+            start.wait();
+            ops(2)
+        };
+        let (first, second) = thread::scope(|scope| {
+            let first = scope.spawn(concurrent);
+            let second = scope.spawn(concurrent);
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert_eq!(first, solo);
+        assert_eq!(second, solo);
     }
 
     #[test]

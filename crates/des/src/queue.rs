@@ -15,8 +15,8 @@
 //!   its own past.
 //! * [`BinaryHeapQueue`] — the straightforward `BinaryHeap` future-event
 //!   list the simulator used before the radix queue.  Retained as the
-//!   reference implementation for differential tests and the E16 hot-loop
-//!   microbenchmark; it accepts non-monotone schedules.
+//!   reference implementation for differential tests; it accepts
+//!   non-monotone schedules.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -282,8 +282,7 @@ impl<E: Eq> PartialOrd for HeapEntry<E> {
 
 /// The pre-radix `BinaryHeap` future-event list, kept as the ordering
 /// reference: differential tests pit [`RadixQueue`] against it over
-/// arbitrary interleavings, and the E16 microbenchmark measures the
-/// throughput gap that motivated the replacement.
+/// arbitrary interleavings.
 #[derive(Debug, Clone)]
 pub struct BinaryHeapQueue<E: Eq> {
     heap: BinaryHeap<HeapEntry<E>>,

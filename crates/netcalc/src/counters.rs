@@ -3,17 +3,18 @@
 //! Every public min-plus entry point ([`crate::minplus`]'s operators and
 //! [`Curve::add`](crate::Curve::add), [`Curve::sub_envelope`](crate::Curve::sub_envelope),
 //! [`Curve::min`](crate::Curve::min), [`Curve::max`](crate::Curve::max))
-//! records its operator kind into a relaxed, process-global [`AtomicU64`];
-//! [`OpCounters::snapshot`] reads them all at once so a campaign run can
-//! report the delta of min-plus work it performed without re-profiling.
-//! Because the counters are process-global, concurrent runs in one process
-//! fold together.
+//! records its operator kind into a counter of the calling thread;
+//! [`OpCounters::snapshot`] reads that thread's counts.  A campaign worker
+//! is a fresh thread, so its snapshot when it finishes is exactly the
+//! min-plus work it performed, and summing the workers' snapshots gives a
+//! run's own figures whatever else the process is doing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::ops::AddAssign;
 
 use serde::{Deserialize, Serialize};
 
-/// The operator kinds tracked by the global counters.
+/// The operator kinds tracked by the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Min-plus convolution (`convolve`).
@@ -36,19 +37,21 @@ pub enum OpKind {
 
 const OP_KINDS: usize = 8;
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-static COUNTERS: [AtomicU64; OP_KINDS] = [ZERO; OP_KINDS];
-
-/// Record one operation of the given kind (relaxed; safe from any thread).
-pub fn record_op(kind: OpKind) {
-    COUNTERS[kind as usize].fetch_add(1, Ordering::Relaxed);
+thread_local! {
+    static COUNTERS: [Cell<u64>; OP_KINDS] = const { [const { Cell::new(0) }; OP_KINDS] };
 }
 
-/// A point-in-time snapshot of the global min-plus op counters.
+/// Record one operation of the given kind on the calling thread.
+pub fn record_op(kind: OpKind) {
+    COUNTERS.with(|counters| {
+        let counter = &counters[kind as usize];
+        counter.set(counter.get() + 1);
+    });
+}
+
+/// The min-plus op counts of one thread, or a sum of several threads'.
 ///
-/// Counters are process-global and monotone; per-run figures are obtained by
-/// snapshotting before and after and taking [`OpCounters::delta_since`].
+/// Counts are monotone per thread; sum snapshots with `+=`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpCounters {
     /// Min-plus convolutions performed.
@@ -70,38 +73,21 @@ pub struct OpCounters {
 }
 
 impl OpCounters {
-    /// Read all global counters at once (relaxed loads).
+    /// The operations the calling thread has recorded so far.
     pub fn snapshot() -> Self {
-        let load = |kind: OpKind| COUNTERS[kind as usize].load(Ordering::Relaxed);
-        OpCounters {
-            convolve: load(OpKind::Convolve),
-            deconvolve: load(OpKind::Deconvolve),
-            leftover: load(OpKind::Leftover),
-            add: load(OpKind::Add),
-            sub_envelope: load(OpKind::SubEnvelope),
-            combine: load(OpKind::Combine),
-            horizontal_deviation: load(OpKind::HorizontalDeviation),
-            vertical_deviation: load(OpKind::VerticalDeviation),
-        }
-    }
-
-    /// Counter increments between `earlier` and `self` (saturating, so a
-    /// stale snapshot never produces a bogus huge delta).
-    pub fn delta_since(&self, earlier: &OpCounters) -> OpCounters {
-        OpCounters {
-            convolve: self.convolve.saturating_sub(earlier.convolve),
-            deconvolve: self.deconvolve.saturating_sub(earlier.deconvolve),
-            leftover: self.leftover.saturating_sub(earlier.leftover),
-            add: self.add.saturating_sub(earlier.add),
-            sub_envelope: self.sub_envelope.saturating_sub(earlier.sub_envelope),
-            combine: self.combine.saturating_sub(earlier.combine),
-            horizontal_deviation: self
-                .horizontal_deviation
-                .saturating_sub(earlier.horizontal_deviation),
-            vertical_deviation: self
-                .vertical_deviation
-                .saturating_sub(earlier.vertical_deviation),
-        }
+        COUNTERS.with(|counters| {
+            let load = |kind: OpKind| counters[kind as usize].get();
+            OpCounters {
+                convolve: load(OpKind::Convolve),
+                deconvolve: load(OpKind::Deconvolve),
+                leftover: load(OpKind::Leftover),
+                add: load(OpKind::Add),
+                sub_envelope: load(OpKind::SubEnvelope),
+                combine: load(OpKind::Combine),
+                horizontal_deviation: load(OpKind::HorizontalDeviation),
+                vertical_deviation: load(OpKind::VerticalDeviation),
+            }
+        })
     }
 
     /// Total min-plus operator invocations.
@@ -117,19 +103,46 @@ impl OpCounters {
     }
 }
 
+impl AddAssign for OpCounters {
+    fn add_assign(&mut self, other: OpCounters) {
+        self.convolve += other.convolve;
+        self.deconvolve += other.deconvolve;
+        self.leftover += other.leftover;
+        self.add += other.add;
+        self.sub_envelope += other.sub_envelope;
+        self.combine += other.combine;
+        self.horizontal_deviation += other.horizontal_deviation;
+        self.vertical_deviation += other.vertical_deviation;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_record_and_delta() {
-        let before = OpCounters::snapshot();
-        record_op(OpKind::Convolve);
-        record_op(OpKind::Convolve);
-        record_op(OpKind::Leftover);
-        let delta = OpCounters::snapshot().delta_since(&before);
-        assert!(delta.convolve >= 2);
-        assert!(delta.leftover >= 1);
-        assert!(delta.total_ops() >= 3);
+        let here = OpCounters::snapshot();
+        let recorded = std::thread::spawn(|| {
+            record_op(OpKind::Convolve);
+            record_op(OpKind::Convolve);
+            record_op(OpKind::Leftover);
+            OpCounters::snapshot()
+        })
+        .join()
+        .unwrap();
+        let expected = OpCounters {
+            convolve: 2,
+            leftover: 1,
+            ..OpCounters::default()
+        };
+        assert_eq!(recorded, expected);
+        assert_eq!(recorded.total_ops(), 3);
+        // Another thread's work never shows up in this thread's counts.
+        assert_eq!(OpCounters::snapshot(), here);
+        let mut sum = recorded;
+        sum += recorded;
+        assert_eq!(sum.convolve, 4);
+        assert_eq!(sum.total_ops(), 6);
     }
 }

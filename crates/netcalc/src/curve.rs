@@ -375,8 +375,8 @@ impl Curve {
     /// concat + sort + dedup, every candidate evaluated through the
     /// binary-search [`Curve::eval`].  Retained verbatim as the
     /// differential-test oracle (the sweep kernel is pinned
-    /// breakpoint-identical against it) and the "old" side of the E17
-    /// microbenchmarks.
+    /// breakpoint-identical against it), reached through
+    /// `minplus::reference::{min, max}`.
     pub(crate) fn combine_candidates(&self, other: &Curve, take_min: bool) -> Curve {
         let (mut xs, mut crossings, mut out) = (vec![], vec![], vec![]);
         let final_slope = combine_points_into_candidates(
@@ -1059,7 +1059,7 @@ pub(crate) fn combine_points_into(
 /// The pre-sweep combine kernel, verbatim: candidate grid built by
 /// concat, sort and dedup, every candidate evaluated through the
 /// binary-search [`eval_points`].  Retained as the differential-test
-/// oracle and the "old" side of the E17 microbenchmarks.
+/// oracle behind `Curve::combine_candidates`.
 ///
 /// The tail crossing is checked on the breakpoint grid *before* interior
 /// crossings are appended (they are unsorted and all lie strictly inside

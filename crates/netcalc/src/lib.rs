@@ -553,11 +553,10 @@ mod proptests {
                 capacity.as_f64_bps(),
             ).unwrap();
             let own_curve = own.curve();
-            // A loaded port shaped like the campaign's (and E17's): 24
-            // staircase envelopes with the scenario space's frame sizes and
-            // periods on a 100 Mbps line, ≈600 breakpoints once summed, split
-            // back into one flow's cross traffic the way the per-port
-            // analysis does.
+            // A loaded port shaped like the campaign's: 24 staircase
+            // envelopes with the scenario space's frame sizes and periods on
+            // a 100 Mbps line, ≈600 breakpoints once summed, split back into
+            // one flow's cross traffic the way the per-port analysis does.
             let line = DataRate::from_mbps(100);
             let port: Vec<Curve> = (0..24u64)
                 .map(|i| Envelope::staircase(

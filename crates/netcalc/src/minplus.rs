@@ -568,8 +568,8 @@ pub mod reference {
     //! [`Curve::inverse_upper`].
     //!
     //! These are the oracles the differential property tests pin the sorted-
-    //! merge kernels against (breakpoint-for-breakpoint, bit-for-bit) and
-    //! the "old" side of the E17 kernel microbenchmarks.  They are *not*
+    //! merge kernels against (breakpoint-for-breakpoint, bit-for-bit), kept
+    //! verbatim from before the sorted-merge rewrite.  They are *not*
     //! called by any analysis path, and they neither borrow the scratch
     //! buffers nor bump the op counters.
 

@@ -23,8 +23,8 @@
 //!   re-analysis over a per-port curve cache, batched commuting-group
 //!   evaluation, NDJSON serving).
 //!
-//! See the repository `README.md` for a quick start and `EXPERIMENTS.md` for
-//! the reproduction of every figure and table.
+//! See the repository `README.md` for a quick start, and its "Experiments"
+//! section for the bins that reproduce every figure and table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
