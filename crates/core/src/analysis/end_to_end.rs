@@ -1,6 +1,6 @@
 //! End-to-end composition over the paper's architecture.
 
-use crate::analysis::stage::{analyze_stage, StageFlow};
+use crate::analysis::stage::{analyze_stage, mux_for_policy, StageFlow};
 use crate::analysis::Approach;
 use crate::config::NetworkConfig;
 use crate::verdict::ClassSummary;
@@ -129,33 +129,16 @@ impl AnalysisReport {
 /// 3. two link propagation delays.
 ///
 /// Flows are described by their token-bucket envelopes (the paper's
-/// configuration) — see [`analyze_with_envelope`] for the staircase
-/// generalization.
+/// configuration), so every stage runs the closed forms.  The staircase
+/// generalization of the same architecture is
+/// [`analyze_multi_hop_with`](crate::analyze_multi_hop_with) on
+/// [`Fabric::single_switch`](ethernet::Fabric::single_switch).
 pub fn analyze(
     workload: &Workload,
     config: &NetworkConfig,
     approach: Approach,
 ) -> Result<AnalysisReport, AnalysisError> {
-    analyze_with_envelope(workload, config, approach, EnvelopeModel::TokenBucket)
-}
-
-/// [`analyze`] with an explicit arrival-envelope model.
-///
-/// Under [`EnvelopeModel::TokenBucket`] this reproduces the paper's
-/// closed-form pipeline bit for bit.  Under [`EnvelopeModel::Staircase`]
-/// every flow carries the staircase of its release pattern alongside the
-/// token-bucket summary; each stage reports the minimum of the closed-form
-/// and curve-aggregate bounds, and output envelopes propagate the
-/// staircase shifted by the stage delay — so bounds can only tighten.
-pub fn analyze_with_envelope(
-    workload: &Workload,
-    config: &NetworkConfig,
-    approach: Approach,
-    model: EnvelopeModel,
-) -> Result<AnalysisReport, AnalysisError> {
     let policy = approach.scheduling_policy(config.priority_levels);
-    let source_envelope =
-        |spec: &workload::MessageSpec| spec.arrival_envelope(model, config.link_rate);
 
     // Stage 1: one multiplexer per source station.
     let mut stage1: HashMap<MessageId, (Duration, Envelope)> = HashMap::new();
@@ -165,7 +148,7 @@ pub fn analyze_with_envelope(
             .into_iter()
             .map(|spec| StageFlow {
                 message: spec.id,
-                envelope: source_envelope(spec),
+                envelope: spec.arrival_envelope(EnvelopeModel::TokenBucket, config.link_rate),
                 priority: spec.priority(),
                 frame: spec.frame_size(),
             })
@@ -173,12 +156,11 @@ pub fn analyze_with_envelope(
         if flows.is_empty() {
             continue;
         }
-        let bounds =
-            analyze_stage(&flows, &policy, config.link_rate, Duration::ZERO).map_err(|source| {
-                AnalysisError::Stage {
-                    stage: format!("station {} ({}) uplink", station.id, station.name),
-                    source,
-                }
+        let bounds = mux_for_policy(&flows, &policy, config.link_rate, Duration::ZERO)
+            .and_then(|mux| analyze_stage(&flows, &mux, &[]))
+            .map_err(|source| AnalysisError::Stage {
+                stage: format!("station {} ({}) uplink", station.id, station.name),
+                source,
             })?;
         for (message, bound) in bounds {
             stage1.insert(message, (bound.delay, bound.output));
@@ -207,12 +189,11 @@ pub fn analyze_with_envelope(
         if flows.is_empty() {
             continue;
         }
-        let bounds =
-            analyze_stage(&flows, &policy, config.link_rate, config.ttechno).map_err(|source| {
-                AnalysisError::Stage {
-                    stage: format!("switch port to {} ({})", station.id, station.name),
-                    source,
-                }
+        let bounds = mux_for_policy(&flows, &policy, config.link_rate, config.ttechno)
+            .and_then(|mux| analyze_stage(&flows, &mux, &[]))
+            .map_err(|source| AnalysisError::Stage {
+                stage: format!("switch port to {} ({})", station.id, station.name),
+                source,
             })?;
         for (message, bound) in bounds {
             stage2.insert(message, bound.delay);

@@ -273,8 +273,9 @@ pub fn analyze_multi_hop(
 /// carries the staircase of its release pattern:
 ///
 /// * each stage bound is the minimum of the paper's closed form and the
-///   curve-aggregate horizontal deviation (computed inside the
-///   multiplexers);
+///   horizontal deviation of the class's aggregate arrival curve
+///   ([`netcalc::Mux::delay_bound`]), the aggregate summed once per port
+///   by [`analyze_port`];
 /// * each per-flow hop delay runs through the **general** blind-multiplexing
 ///   left-over curve ([`netcalc::minplus::leftover`]) with the staircase cross
 ///   traffic, packetizer-corrected via `[β − l]⁺`
@@ -601,7 +602,7 @@ mod tests {
         let w = small_workload();
         let cfg = NetworkConfig::paper_default();
         let fabric = Fabric::single_switch(w.stations.len());
-        for approach in [Approach::Fcfs, Approach::StrictPriority] {
+        for approach in [Approach::Fcfs, Approach::StrictPriority, wrr_approach()] {
             let flat = analyze(&w, &cfg, approach).unwrap();
             let multi = analyze_multi_hop(&w, &cfg, approach, &fabric).unwrap();
             for (a, b) in flat.messages.iter().zip(multi.messages.iter()) {

@@ -20,7 +20,7 @@ use crate::analysis::stage::{analyze_stage, mux_for_policy, StageFlow};
 use crate::config::NetworkConfig;
 use ethernet::SchedulingPolicy;
 use netcalc::{
-    delay_bound, minplus, ArrivalBound, Curve, Envelope, EnvelopeModel, NcError, RateLatency,
+    delay_bound, minplus, Curve, Envelope, EnvelopeModel, Mux, NcError, RateLatency, ServiceBound,
     TokenBucket,
 };
 use units::Duration;
@@ -85,13 +85,25 @@ pub fn analyze_port(
         stage: port_name.to_string(),
         source,
     };
-    let stage_bounds = analyze_stage(flows, policy, config.link_rate, ttechno).map_err(&stage)?;
-    // The general left-over curves of this port, one per flow (staircase
-    // model only; the token-bucket model keeps the closed-form path).
+    let mux = mux_for_policy(flows, policy, config.link_rate, ttechno).map_err(&stage)?;
+    // Under the staircase model every class's aggregate arrival curve is
+    // summed once, and both the stage bound and the left-over curves
+    // borrow it; the token-bucket model keeps the closed-form path.  A
+    // class's stage bound is refined only when a flow it sums carries a
+    // tighter-than-token-bucket curve.
+    let aggregates = match model {
+        EnvelopeModel::TokenBucket => Vec::new(),
+        EnvelopeModel::Staircase => class_aggregates(flows, &mux),
+    };
+    let refine: Vec<Option<&Curve>> = aggregates
+        .iter()
+        .map(|(curve, has_extra)| has_extra.then_some(curve))
+        .collect();
+    let stage_bounds = analyze_stage(flows, &mux, &refine).map_err(&stage)?;
     let port_curves = match model {
         EnvelopeModel::TokenBucket => None,
         EnvelopeModel::Staircase => {
-            Some(leftover_curves_for_port(flows, policy, config, ttechno).map_err(&stage)?)
+            Some(leftover_curves(flows, &mux, &aggregates).map_err(&stage)?)
         }
     };
 
@@ -112,8 +124,7 @@ pub fn analyze_port(
                 capacity_bps: config.link_rate.bps(),
             },
         };
-        let mut leftover =
-            leftover_service(flows, i, policy, config, ttechno).ok_or_else(unstable_port)?;
+        let mut leftover = leftover_service(flows, i, &mux).ok_or_else(unstable_port)?;
         // Store-and-forward packetizer: a frame cannot enter the next hop's
         // service before it is *fully* received, so the fluid left-over
         // curve of every non-final hop must give up one maximum frame of
@@ -169,12 +180,65 @@ pub fn analyze_port(
     })
 }
 
-/// The left-over rate-latency service curve of flow `index` at a port
-/// multiplexing `flows`, or `None` when the interfering traffic saturates
-/// the flow's residual service.
+/// The aggregate arrival curve of every class of `mux`, each flow's
+/// effective curve added exactly once, with whether any flow it sums
+/// carries a constraint tighter than its token bucket.
 ///
-/// * **FCFS** — blind multiplexing against the aggregate of every other
-///   flow at the port.
+/// A class sums the flows its closed form sums: every flow under FCFS, the
+/// levels `q ≤ p` under strict priority (accumulated from
+/// [`Curve::zero`] level by level), the class's own flows under WRR.
+/// Within a class flows are added in input order, so every sum is
+/// reproducible bit for bit.
+fn class_aggregates(flows: &[StageFlow], mux: &Mux) -> Vec<(Curve, bool)> {
+    let classes = mux.class_count();
+    let cumulative = matches!(mux, Mux::StaticPriority(_));
+    let mut acc = (Curve::zero(), false);
+    let mut aggregates = Vec::with_capacity(classes);
+    for class in 0..classes {
+        if !cumulative {
+            acc = (Curve::zero(), false);
+        }
+        for f in flows.iter().filter(|f| clamp(mux, f.priority) == class) {
+            acc.0 = acc.0.add(&f.envelope.effective_curve());
+            acc.1 |= f.envelope.has_extra();
+        }
+        aggregates.push(acc.clone());
+    }
+    aggregates
+}
+
+/// Clamps a flow's priority to the queues `mux` serves, like the traffic
+/// classifier.
+fn clamp(mux: &Mux, priority: usize) -> usize {
+    priority.min(mux.class_count().saturating_sub(1))
+}
+
+/// The service a flow of `class` is blind-multiplexed on (see
+/// [`leftover_service`]): `β_{C,t}` under FCFS, `β_{C, t + l/C}` with `l`
+/// the largest lower-priority burst under strict priority, the class's
+/// quantum-share residual under WRR.
+fn leftover_base(flows: &[StageFlow], class: usize, mux: &Mux) -> Result<RateLatency, NcError> {
+    let Mux::StaticPriority(sp) = mux else {
+        return mux.residual_service(class);
+    };
+    let blocking = flows
+        .iter()
+        .filter(|f| clamp(mux, f.priority) > class)
+        .map(|f| f.envelope.burst())
+        .fold(units::DataSize::ZERO, units::DataSize::max);
+    let capacity = sp.capacity();
+    Ok(RateLatency::new(
+        capacity,
+        sp.ttechno() + capacity.transmission_time(blocking),
+    ))
+}
+
+/// The left-over rate-latency service curve of flow `index` at a port
+/// whose multiplexer `mux` holds `flows` ([`mux_for_policy`]), or `None`
+/// when the interfering traffic saturates the flow's residual service.
+///
+/// * **FCFS** — blind multiplexing on the link service `β_{C,t}` against
+///   the aggregate of every other flow at the port.
 /// * **Strict priority** — blind multiplexing against the other flows of
 ///   the same or higher priority, after reserving the transmission time of
 ///   the largest lower-priority frame (non-preemptive blocking) as extra
@@ -183,168 +247,112 @@ pub fn analyze_port(
 ///   ([`netcalc::WrrMux::residual_service`]), then blind multiplexing
 ///   against the other flows of the *same class* (the class queue is one
 ///   FIFO, so the arbitrary-multiplexing residual applies within it).
-pub fn leftover_service(
-    flows: &[StageFlow],
-    index: usize,
-    policy: &SchedulingPolicy,
-    config: &NetworkConfig,
-    ttechno: Duration,
-) -> Option<RateLatency> {
-    let classes = policy.queue_count();
-    let clamp = |p: usize| p.min(classes.saturating_sub(1));
-    let (base, cross) = match policy {
-        SchedulingPolicy::Fcfs => {
-            let cross = TokenBucket::aggregate_all(
-                flows
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != index)
-                    .map(|(_, f)| f.envelope.token_bucket()),
-            );
-            (RateLatency::new(config.link_rate, ttechno), cross)
-        }
-        SchedulingPolicy::StrictPriority { .. } => {
-            let own = clamp(flows[index].priority);
-            let cross = TokenBucket::aggregate_all(
-                flows
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, f)| j != index && clamp(f.priority) <= own)
-                    .map(|(_, f)| f.envelope.token_bucket()),
-            );
-            let blocking = flows
-                .iter()
-                .filter(|f| clamp(f.priority) > own)
-                .map(|f| f.envelope.burst())
-                .fold(units::DataSize::ZERO, units::DataSize::max);
-            let base = RateLatency::new(
-                config.link_rate,
-                ttechno + config.link_rate.transmission_time(blocking),
-            );
-            (base, cross)
-        }
-        SchedulingPolicy::Wrr { .. } => {
-            // The quantum-share residual depends only on the per-class
-            // frame sizes and occupancy, so the mux is fed the flows'
-            // token-bucket summaries — not their full piecewise-linear
-            // envelopes, whose clones would dominate this per-flow path.
-            let mut mux = mux_for_policy(policy, config.link_rate, ttechno);
-            for f in flows {
-                mux.add_flow(f.priority, f.envelope.token_bucket(), f.frame)
-                    .ok()?;
-            }
-            let own = clamp(flows[index].priority);
-            let base = mux.residual_service(own).ok()?;
-            let cross = TokenBucket::aggregate_all(
-                flows
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, f)| j != index && clamp(f.priority) == own)
-                    .map(|(_, f)| f.envelope.token_bucket()),
-            );
-            (base, cross)
-        }
+pub fn leftover_service(flows: &[StageFlow], index: usize, mux: &Mux) -> Option<RateLatency> {
+    let own = clamp(mux, flows[index].priority);
+    let queues_with = |class: usize| match mux {
+        Mux::StaticPriority(_) => class <= own,
+        _ => class == own,
     };
-    base.leftover(&cross)
+    let cross = TokenBucket::aggregate_all(
+        flows
+            .iter()
+            .enumerate()
+            .filter(|&(j, f)| j != index && queues_with(clamp(mux, f.priority)))
+            .map(|(_, f)| f.envelope.token_bucket()),
+    );
+    leftover_base(flows, own, mux).ok()?.leftover(&cross)
 }
 
 /// The general left-over service **curves** of every flow at a port
-/// ([`netcalc::minplus::leftover`]): the same blind-multiplexing construction as
-/// [`leftover_service`], but against the cross traffic's full
-/// piecewise-linear envelopes (e.g. staircases) instead of their
+/// ([`netcalc::minplus::leftover`]): the same blind-multiplexing
+/// construction as [`leftover_service`], but against the cross traffic's
+/// full piecewise-linear envelopes (e.g. staircases) instead of their
 /// token-bucket summaries — the cross traffic's flat steps let the residual
 /// service recover faster, so the served flow's deviation can only shrink.
 ///
-/// Batched per port: the aggregate arrival curve of each priority prefix is
-/// built once and each flow's cross traffic is recovered by subtracting its
-/// own envelope ([`Curve::sub_envelope`]), turning the per-port cost from
-/// quadratic to linear in the flow count.
-pub fn leftover_curves_for_port(
+/// Each flow's cross traffic is its class's aggregate from
+/// [`class_aggregates`] minus its own envelope ([`Curve::sub_envelope`]),
+/// so a port costs one subtraction and one left-over per flow.
+fn leftover_curves(
     flows: &[StageFlow],
-    policy: &SchedulingPolicy,
-    config: &NetworkConfig,
-    ttechno: Duration,
+    mux: &Mux,
+    aggregates: &[(Curve, bool)],
 ) -> Result<Vec<Curve>, NcError> {
-    use netcalc::ServiceBound;
-    let levels = policy.queue_count();
-    let clamp = |p: usize| p.min(levels.saturating_sub(1));
-    match policy {
-        SchedulingPolicy::Fcfs => {
-            let full = Envelope::aggregate_all(flows.iter().map(|f| &f.envelope)).curve();
-            let base = RateLatency::new(config.link_rate, ttechno).curve();
-            flows
-                .iter()
-                .map(|f| {
-                    let cross = full.sub_envelope(&f.envelope.effective_curve());
-                    minplus::leftover(&base, &cross)
-                })
-                .collect()
-        }
-        SchedulingPolicy::StrictPriority { .. } => {
-            // Aggregate arrival curve of levels ≤ p, one prefix per level.
-            let mut prefixes: Vec<Curve> = Vec::with_capacity(levels);
-            let mut acc = netcalc::Curve::zero();
-            for p in 0..levels {
-                for f in flows.iter().filter(|f| clamp(f.priority) == p) {
-                    acc = acc.add(&f.envelope.effective_curve());
+    let mut bases: Vec<Option<Curve>> = vec![None; mux.class_count()];
+    flows
+        .iter()
+        .map(|f| {
+            let own = clamp(mux, f.priority);
+            if bases[own].is_none() {
+                bases[own] = Some(leftover_base(flows, own, mux)?.curve());
+            }
+            let cross = aggregates[own]
+                .0
+                .sub_envelope(&f.envelope.effective_curve());
+            minplus::leftover(bases[own].as_ref().expect("just filled"), &cross)
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ethernet::{WrrUnit, WrrWeights};
+    use netcalc::counters::OpCounters;
+    use units::{DataRate, DataSize};
+
+    #[test]
+    fn each_staircase_port_sums_every_flow_once() {
+        // Eight staircase flows of 64–1114 B every 5–40 ms at priorities
+        // 0–2, on a 100 Mbps port with a 16 µs relaying latency.
+        let rate = DataRate::from_mbps(100);
+        let config = NetworkConfig::paper_default().with_link_rate(rate);
+        let flows: Vec<StageFlow> = (0..8)
+            .map(|i| {
+                let frame = DataSize::from_bytes(64 + 150 * i as u64);
+                let period = Duration::from_millis(5 << (i % 4));
+                StageFlow {
+                    message: MessageId(i),
+                    envelope: Envelope::staircase(frame, period, rate),
+                    priority: i % 3,
+                    frame,
                 }
-                prefixes.push(acc.clone());
-            }
-            // Largest lower-priority frame that can block level p.
-            let blocking: Vec<units::DataSize> = (0..levels)
-                .map(|p| {
-                    flows
-                        .iter()
-                        .filter(|f| clamp(f.priority) > p)
-                        .map(|f| f.envelope.burst())
-                        .fold(units::DataSize::ZERO, units::DataSize::max)
-                })
-                .collect();
-            let bases: Vec<Curve> = (0..levels)
-                .map(|p| {
-                    RateLatency::new(
-                        config.link_rate,
-                        ttechno + config.link_rate.transmission_time(blocking[p]),
-                    )
-                    .curve()
-                })
-                .collect();
-            flows
-                .iter()
-                .map(|f| {
-                    let own = clamp(f.priority);
-                    let cross = prefixes[own].sub_envelope(&f.envelope.effective_curve());
-                    minplus::leftover(&bases[own], &cross)
-                })
-                .collect()
-        }
-        SchedulingPolicy::Wrr { .. } => {
-            // Per-class quantum-share residual services, then the general
-            // blind-multiplexing left-over against the *same-class* cross
-            // traffic's full piecewise-linear envelopes.
-            let mut mux = mux_for_policy(policy, config.link_rate, ttechno);
-            for f in flows {
-                mux.add_flow(f.priority, f.envelope.clone(), f.frame)?;
-            }
-            // Aggregate arrival curve of each class (classes without flows
-            // never get looked up).
-            let mut aggregates: Vec<Curve> = vec![netcalc::Curve::zero(); levels];
-            for f in flows {
-                let own = clamp(f.priority);
-                aggregates[own] = aggregates[own].add(&f.envelope.effective_curve());
-            }
-            let mut bases: Vec<Option<Curve>> = vec![None; levels];
-            flows
-                .iter()
-                .map(|f| {
-                    let own = clamp(f.priority);
-                    if bases[own].is_none() {
-                        bases[own] = Some(mux.residual_service(own)?.curve());
-                    }
-                    let cross = aggregates[own].sub_envelope(&f.envelope.effective_curve());
-                    minplus::leftover(bases[own].as_ref().expect("just filled"), &cross)
-                })
-                .collect()
+            })
+            .collect();
+        let last_hop: Vec<bool> = (0..flows.len()).map(|i| i % 2 == 0).collect();
+        let policies = [
+            SchedulingPolicy::Fcfs,
+            SchedulingPolicy::StrictPriority { levels: 4 },
+            SchedulingPolicy::Wrr {
+                weights: WrrWeights::new(&[4, 2, 1], WrrUnit::Frames),
+            },
+        ];
+        for policy in &policies {
+            let before = OpCounters::snapshot();
+            let analysis = analyze_port(
+                &flows,
+                &last_hop,
+                policy,
+                &config,
+                Duration::from_micros(16),
+                EnvelopeModel::Staircase,
+                "switch-out[s0]",
+            )
+            .unwrap();
+            let after = OpCounters::snapshot();
+            assert!(analysis.flows.iter().all(|f| f.leftover_curve.is_some()));
+            // One aggregation serves the stage bound and the left-over
+            // curves: one `add` per flow, then one subtraction and one
+            // left-over per flow.
+            assert_eq!(
+                (
+                    after.add - before.add,
+                    after.leftover - before.leftover,
+                    after.sub_envelope - before.sub_envelope,
+                ),
+                (8, 8, 8),
+                "{policy:?}"
+            );
         }
     }
 }

@@ -2,7 +2,7 @@
 //! port), generic over the unified [`SchedulingPolicy`].
 
 use ethernet::{SchedulingPolicy, WrrUnit};
-use netcalc::{Envelope, Mux, NcError, WrrAccounting};
+use netcalc::{Curve, Envelope, Mux, NcError, WrrAccounting};
 use serde::{Deserialize, Serialize};
 use units::{DataRate, DataSize, Duration};
 use workload::MessageId;
@@ -25,11 +25,21 @@ pub struct StageFlow {
     pub frame: DataSize,
 }
 
-/// Builds the empty policy-generic multiplexer for a stage: the single
-/// place that maps the unified [`SchedulingPolicy`] onto the Network-
-/// Calculus multiplexers (FCFS, strict priority, WRR).
-pub fn mux_for_policy(policy: &SchedulingPolicy, capacity: DataRate, ttechno: Duration) -> Mux {
-    match policy {
+/// Builds the policy-generic multiplexer of a stage, loaded with every
+/// flow's token bucket: the single place that maps the unified
+/// [`SchedulingPolicy`] onto the Network-Calculus multiplexers (FCFS,
+/// strict priority, WRR).
+///
+/// `capacity` is the outgoing link rate `C`; `ttechno` is the element's
+/// relaying latency (0 for an end system, the switch's `t_techno` for a
+/// switch output port).
+pub fn mux_for_policy(
+    flows: &[StageFlow],
+    policy: &SchedulingPolicy,
+    capacity: DataRate,
+    ttechno: Duration,
+) -> Result<Mux, NcError> {
+    let mut mux = match policy {
         SchedulingPolicy::Fcfs => Mux::fcfs(capacity, ttechno),
         SchedulingPolicy::StrictPriority { levels } => {
             Mux::static_priority((*levels).max(1), capacity, ttechno)
@@ -41,7 +51,11 @@ pub fn mux_for_policy(policy: &SchedulingPolicy, capacity: DataRate, ttechno: Du
             };
             Mux::wrr(capacity, ttechno, accounting, &weights.active_quanta())
         }
+    };
+    for flow in flows {
+        mux.add_flow(flow.priority, flow.envelope.token_bucket(), flow.frame)?;
     }
+    Ok(mux)
 }
 
 /// The per-flow outcome of a stage analysis.
@@ -55,28 +69,22 @@ pub struct StageBound {
     pub output: Envelope,
 }
 
-/// Analyses one stage under the given scheduling policy.
+/// Analyses one stage: every flow's bound is its class's
+/// [`Mux::delay_bound`], and its output envelope is its input envelope
+/// delayed by that bound.
 ///
-/// * `capacity` — the outgoing link rate `C`;
-/// * `ttechno` — the relaying latency of the element (0 for an end system,
-///   the switch's `t_techno` for a switch output port).
-///
-/// The policy selects the residual-service multiplexer through the
-/// policy-generic [`Mux`] dispatch; the per-class delay bounds are
-/// computed lazily (aggregating a class's arrival curves is the expensive
-/// part) and shared by every flow of the class.
+/// `mux` is the stage's multiplexer loaded with `flows`
+/// ([`mux_for_policy`]).  `aggregates[c]`, when present, is the aggregate
+/// arrival curve the class-`c` bound is refined by; classes without one
+/// (every class when `aggregates` is empty) keep the closed form.  Each
+/// class's bound is computed once and shared by every flow of the class.
 pub fn analyze_stage(
     flows: &[StageFlow],
-    policy: &SchedulingPolicy,
-    capacity: DataRate,
-    ttechno: Duration,
+    mux: &Mux,
+    aggregates: &[Option<&Curve>],
 ) -> Result<Vec<(MessageId, StageBound)>, NcError> {
-    let mut mux = mux_for_policy(policy, capacity, ttechno);
-    let classes = mux.class_count();
-    for flow in flows {
-        mux.add_flow(flow.priority, flow.envelope.clone(), flow.frame)?;
-    }
     mux.check_stability()?;
+    let classes = mux.class_count();
     let mut class_delay: Vec<Option<Duration>> = vec![None; classes];
     flows
         .iter()
@@ -85,7 +93,7 @@ pub fn analyze_stage(
             let delay = match class_delay[class] {
                 Some(delay) => delay,
                 None => {
-                    let delay = mux.delay_bound(class)?;
+                    let delay = mux.delay_bound(class, aggregates.get(class).copied().flatten())?;
                     class_delay[class] = Some(delay);
                     delay
                 }
@@ -118,6 +126,16 @@ mod tests {
         DataRate::from_mbps(10)
     }
 
+    /// Loads `flows` into the policy's mux at 10 Mbps and analyses the
+    /// stage on closed forms.
+    fn stage(
+        flows: &[StageFlow],
+        policy: &SchedulingPolicy,
+        ttechno: Duration,
+    ) -> Result<Vec<(MessageId, StageBound)>, NcError> {
+        analyze_stage(flows, &mux_for_policy(flows, policy, c10(), ttechno)?, &[])
+    }
+
     fn fcfs() -> SchedulingPolicy {
         SchedulingPolicy::Fcfs
     }
@@ -139,7 +157,7 @@ mod tests {
             flow(1, 86, 40, 1),
             flow(2, 1046, 160, 3),
         ];
-        let result = analyze_stage(&flows, &fcfs(), c10(), Duration::from_micros(16)).unwrap();
+        let result = stage(&flows, &fcfs(), Duration::from_micros(16)).unwrap();
         assert_eq!(result.len(), 3);
         let d0 = result[0].1.delay;
         assert!(result.iter().all(|(_, b)| b.delay == d0));
@@ -159,11 +177,11 @@ mod tests {
             flow(1, 86, 40, 1),
             flow(2, 1046, 160, 3),
         ];
-        let result = analyze_stage(&flows, &sp4(), c10(), Duration::from_micros(16)).unwrap();
+        let result = stage(&flows, &sp4(), Duration::from_micros(16)).unwrap();
         assert!(result[0].1.delay <= result[1].1.delay);
         assert!(result[1].1.delay <= result[2].1.delay);
         // The urgent flow's bound beats the FCFS bound for the same stage.
-        let fcfs = analyze_stage(&flows, &fcfs(), c10(), Duration::from_micros(16)).unwrap();
+        let fcfs = stage(&flows, &fcfs(), Duration::from_micros(16)).unwrap();
         assert!(result[0].1.delay < fcfs[0].1.delay);
     }
 
@@ -174,7 +192,7 @@ mod tests {
             flow(1, 86, 40, 1),
             flow(2, 1046, 160, 3),
         ];
-        let result = analyze_stage(&flows, &wrr4(), c10(), Duration::from_micros(16)).unwrap();
+        let result = stage(&flows, &wrr4(), Duration::from_micros(16)).unwrap();
         assert_eq!(result.len(), 3);
         for (i, (_, bound)) in result.iter().enumerate() {
             assert!(bound.delay > Duration::ZERO);
@@ -192,8 +210,8 @@ mod tests {
         let single = SchedulingPolicy::Wrr {
             weights: WrrWeights::new(&[2], WrrUnit::Frames),
         };
-        let wrr = analyze_stage(&flows, &single, c10(), Duration::from_micros(16)).unwrap();
-        let fcfs = analyze_stage(&flows, &fcfs(), c10(), Duration::from_micros(16)).unwrap();
+        let wrr = stage(&flows, &single, Duration::from_micros(16)).unwrap();
+        let fcfs = stage(&flows, &fcfs(), Duration::from_micros(16)).unwrap();
         assert_eq!(wrr, fcfs);
     }
 
@@ -201,7 +219,7 @@ mod tests {
     fn priority_indices_above_the_class_count_are_clamped() {
         for policy in [sp4(), wrr4()] {
             let flows = [flow(0, 68, 20, 9)];
-            let result = analyze_stage(&flows, &policy, c10(), Duration::ZERO).unwrap();
+            let result = stage(&flows, &policy, Duration::ZERO).unwrap();
             assert_eq!(result.len(), 1);
             assert!(result[0].1.delay > Duration::ZERO);
         }
@@ -210,9 +228,7 @@ mod tests {
     #[test]
     fn empty_stage_is_fine() {
         for policy in [fcfs(), sp4(), wrr4()] {
-            assert!(analyze_stage(&[], &policy, c10(), Duration::ZERO)
-                .unwrap()
-                .is_empty());
+            assert!(stage(&[], &policy, Duration::ZERO).unwrap().is_empty());
         }
     }
 
@@ -221,7 +237,7 @@ mod tests {
         // 1518 bytes every 1 ms ≈ 12 Mbps > 10 Mbps.
         let flows = [flow(0, 1518, 1, 0)];
         for policy in [fcfs(), sp4(), wrr4()] {
-            assert!(analyze_stage(&flows, &policy, c10(), Duration::ZERO).is_err());
+            assert!(stage(&flows, &policy, Duration::ZERO).is_err());
         }
     }
 }

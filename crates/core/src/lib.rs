@@ -55,17 +55,13 @@ pub mod verdict;
 pub use analysis::degraded::{
     analyze_degraded_with, degraded_workload, DegradedFlowBound, DegradedReport,
 };
-pub use analysis::end_to_end::{
-    analyze, analyze_with_envelope, AnalysisError, AnalysisReport, MessageBound,
-};
+pub use analysis::end_to_end::{analyze, AnalysisError, AnalysisReport, MessageBound};
 pub use analysis::jitter::{jitter_bounds, JitterBound};
 pub use analysis::multi_hop::{
     analyze_multi_hop, analyze_multi_hop_with, compose_end_to_end, flow_ports, port_schedule,
     FabricPort, HopBound, MultiHopMessageBound, MultiHopReport,
 };
-pub use analysis::port::{
-    analyze_port, leftover_curves_for_port, leftover_service, PortAnalysis, PortFlowAnalysis,
-};
+pub use analysis::port::{analyze_port, leftover_service, PortAnalysis, PortFlowAnalysis};
 pub use analysis::stage::{analyze_stage, mux_for_policy, StageBound, StageFlow};
 pub use analysis::{Approach, PolicyArm};
 pub use compare1553::{

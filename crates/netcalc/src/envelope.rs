@@ -190,34 +190,6 @@ impl Envelope {
         };
         Ok(Envelope { tb, extra })
     }
-
-    /// The aggregate envelope of multiplexed flows: token-bucket summaries
-    /// aggregate exactly as before (bursts add, rates add), and if *any*
-    /// flow carries an extra constraint, the aggregate carries the sum of
-    /// the effective curves.
-    pub fn aggregate_all<'a, I>(flows: I) -> Envelope
-    where
-        I: IntoIterator<Item = &'a Envelope>,
-        I::IntoIter: Clone,
-    {
-        let iter = flows.into_iter();
-        let tb = TokenBucket::aggregate_all(iter.clone().map(|e| &e.tb));
-        let any_extra = iter.clone().any(|e| e.has_extra());
-        let extra = any_extra.then(|| {
-            let mut iter = iter;
-            match iter.next() {
-                None => Curve::zero(),
-                Some(first) => {
-                    let mut acc = first.curve();
-                    for e in iter {
-                        acc = acc.add(&e.effective_curve());
-                    }
-                    acc
-                }
-            }
-        });
-        Envelope { tb, extra }
-    }
 }
 
 impl From<TokenBucket> for Envelope {
@@ -314,25 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sums_summaries_and_curves() {
-        let (len, period, peak) = msg();
-        let a = Envelope::staircase(len, period, peak);
-        let b: Envelope = TokenBucket::for_message(len, Duration::from_millis(40)).into();
-        let agg = Envelope::aggregate_all([&a, &b]);
-        assert!(agg.has_extra());
-        assert_eq!(agg.burst(), a.burst() + b.burst());
-        assert_eq!(agg.rate(), a.rate() + b.rate());
-        let expect = a.curve().add(&b.curve());
-        assert!(agg.curve().approx_eq(&expect));
-        // A pure token-bucket aggregate carries no curve.
-        let plain = Envelope::aggregate_all([&b]);
-        assert!(!plain.has_extra());
-        // Empty aggregate is the zero envelope.
-        let none = Envelope::aggregate_all([]);
-        assert_eq!(none.burst(), DataSize::ZERO);
-    }
-
-    #[test]
     fn staircase_aggregate_tightens_the_delay_bound_after_a_delay() {
         // The gain mechanism end to end: after a sub-period stage delay,
         // the staircase aggregate's effective burst is still Σ b while the
@@ -353,11 +306,14 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        let sum = |flows: &[Envelope]| {
+            flows
+                .iter()
+                .fold(Curve::zero(), |acc, e| acc.add(&e.effective_curve()))
+        };
         let beta = Curve::rate_latency(10e6, 16e-6).unwrap();
-        let h_st = horizontal_deviation(&Envelope::aggregate_all(staircase.iter()).curve(), &beta)
-            .unwrap();
-        let h_tb =
-            horizontal_deviation(&Envelope::aggregate_all(affine.iter()).curve(), &beta).unwrap();
+        let h_st = horizontal_deviation(&sum(&staircase), &beta).unwrap();
+        let h_tb = horizontal_deviation(&sum(&affine), &beta).unwrap();
         assert!(
             h_st < h_tb - 1e-9,
             "staircase {h_st} did not beat affine {h_tb}"

@@ -17,8 +17,9 @@
 //! * **Multiplexers**: the paper's two aggregation formulas — the FCFS bound
 //!   `D = Σ b_i / C + t_techno` and the strict-priority bound
 //!   `D_p = (Σ_{q≤p} b_i + max_{q>p} b_j) / (C − Σ_{q<p} r_i) + t_techno` —
-//!   are implemented verbatim in [`mux`], together with service-curve based
-//!   refinements.
+//!   are implemented verbatim in [`mux`], plus weighted round robin.
+//!   [`Mux::delay_bound`] refines a class's closed form by the horizontal
+//!   deviation of an aggregate arrival curve the caller supplies.
 //!
 //! General piecewise-linear curves and their min-plus algebra live in
 //! [`curve`] and [`minplus`]; the closed forms used by the paper are special

@@ -19,15 +19,14 @@
 //!   maximal quanta plus one maximal frame of non-preemption — see
 //!   [`WrrMux::residual_service`] for the exact accounting.
 //!
-//! All closed forms are special cases of the general curve machinery
-//! (aggregate arrival envelope against a residual rate-latency service
-//! curve); the unit tests cross-check the derivations.  The multiplexers
-//! accept any [`Envelope`]: flows carrying only a token-bucket summary take
-//! exactly the closed-form path (bit-identical to the paper's formulas),
-//! while flows carrying a tighter piecewise-linear constraint (e.g.
-//! staircase envelopes of periodic sources) additionally run the aggregate
-//! through [`crate::minplus::horizontal_deviation`] and report the minimum of
-//! both bounds.
+//! The multiplexers hold each flow's token bucket and compute only these
+//! closed forms; the unit tests cross-check them against the general curve
+//! machinery (aggregate token bucket against a residual rate-latency
+//! service curve).  A caller that knows a class's aggregate arrival curve
+//! (e.g. the sum of the staircase envelopes of periodic sources) passes it
+//! to [`Mux::delay_bound`], which reports the minimum of the closed form
+//! and that curve's [`crate::minplus::horizontal_deviation`] against the
+//! class's residual service.
 //!
 //! The policy-generic [`Mux`] dispatch wraps the three multiplexers behind
 //! one class-indexed interface so the analysis layers select the residual
@@ -36,6 +35,7 @@
 
 use crate::arrival::TokenBucket;
 use crate::bounds;
+use crate::curve::Curve;
 use crate::envelope::Envelope;
 use crate::service::{RateLatency, ServiceBound};
 use crate::NcError;
@@ -47,7 +47,7 @@ use units::{DataRate, DataSize, Duration};
 pub struct FcfsMux {
     capacity: DataRate,
     ttechno: Duration,
-    flows: Vec<Envelope>,
+    flows: Vec<TokenBucket>,
 }
 
 impl FcfsMux {
@@ -62,24 +62,18 @@ impl FcfsMux {
     }
 
     /// Adds a shaped flow to the multiplexer.
-    pub fn add_flow(&mut self, flow: impl Into<Envelope>) {
-        self.flows.push(flow.into());
+    pub fn add_flow(&mut self, flow: TokenBucket) {
+        self.flows.push(flow);
     }
 
     /// Adds every flow from an iterator.
-    pub fn add_flows<E: Into<Envelope>, I: IntoIterator<Item = E>>(&mut self, flows: I) {
-        self.flows.extend(flows.into_iter().map(Into::into));
+    pub fn add_flows<I: IntoIterator<Item = TokenBucket>>(&mut self, flows: I) {
+        self.flows.extend(flows);
     }
 
     /// The flows currently multiplexed.
-    pub fn flows(&self) -> &[Envelope] {
+    pub fn flows(&self) -> &[TokenBucket] {
         &self.flows
-    }
-
-    /// `true` when any flow carries a constraint tighter than its
-    /// token-bucket summary.
-    fn has_extras(&self) -> bool {
-        self.flows.iter().any(Envelope::has_extra)
     }
 
     /// The link capacity `C`.
@@ -124,24 +118,10 @@ impl FcfsMux {
 
     /// The paper's FCFS latency bound `D = Σ b_i / C + t_techno`, identical
     /// for every flow through the multiplexer.
-    ///
-    /// When flows carry envelope constraints tighter than their token
-    /// buckets, the bound is the minimum of the closed form and the
-    /// horizontal deviation of the aggregate arrival curve against the
-    /// link's rate-latency curve (both are sound FCFS aggregate bounds).
     pub fn delay_bound(&self) -> Result<Duration, NcError> {
         self.check_stability()?;
         let queueing = self.capacity.transmission_time(self.aggregate_burst());
-        let closed = queueing + self.ttechno;
-        if !self.has_extras() {
-            return Ok(closed);
-        }
-        let aggregate = Envelope::aggregate_all(self.flows.iter());
-        let h = crate::minplus::horizontal_deviation(
-            &aggregate.effective_curve(),
-            &self.service_curve().curve(),
-        )?;
-        Ok(closed.min(Duration::from_secs_f64_ceil(h)))
+        Ok(queueing + self.ttechno)
     }
 
     /// The same bound obtained through the general curve machinery
@@ -149,26 +129,15 @@ impl FcfsMux {
     /// cross-validate [`FcfsMux::delay_bound`].
     pub fn delay_bound_via_curves(&self) -> Result<Duration, NcError> {
         self.check_stability()?;
-        let aggregate = TokenBucket::aggregate_all(self.flows.iter().map(Envelope::token_bucket));
+        let aggregate = TokenBucket::aggregate_all(&self.flows);
         bounds::delay_bound(&aggregate, &self.service_curve())
     }
 
-    /// The worst-case backlog in the multiplexer queue (with envelope
-    /// extras, the minimum of the closed-form and curve-aggregate vertical
-    /// deviations).
+    /// The worst-case backlog in the multiplexer queue.
     pub fn backlog_bound(&self) -> Result<DataSize, NcError> {
         self.check_stability()?;
-        let aggregate = TokenBucket::aggregate_all(self.flows.iter().map(Envelope::token_bucket));
-        let closed = bounds::backlog_bound(&aggregate, &self.service_curve())?;
-        if !self.has_extras() {
-            return Ok(closed);
-        }
-        let curves = Envelope::aggregate_all(self.flows.iter());
-        let v = crate::minplus::vertical_deviation(
-            &curves.effective_curve(),
-            &self.service_curve().curve(),
-        )?;
-        Ok(closed.min(DataSize::from_bits(v.ceil() as u64)))
+        let aggregate = TokenBucket::aggregate_all(&self.flows);
+        bounds::backlog_bound(&aggregate, &self.service_curve())
     }
 
     /// The rate-latency service curve offered by the outgoing link.
@@ -214,7 +183,7 @@ pub struct PriorityLevelReport {
 pub struct StaticPriorityMux {
     capacity: DataRate,
     ttechno: Duration,
-    levels: Vec<Vec<Envelope>>,
+    levels: Vec<Vec<TokenBucket>>,
 }
 
 impl StaticPriorityMux {
@@ -226,15 +195,6 @@ impl StaticPriorityMux {
             ttechno,
             levels: vec![Vec::new(); levels.max(1)],
         }
-    }
-
-    /// `true` when any flow of levels `q ≤ p` carries a constraint tighter
-    /// than its token-bucket summary.
-    fn has_extras_through(&self, priority: usize) -> bool {
-        self.levels[..=priority]
-            .iter()
-            .flat_map(|l| l.iter())
-            .any(Envelope::has_extra)
     }
 
     /// Number of priority levels.
@@ -253,16 +213,16 @@ impl StaticPriorityMux {
     }
 
     /// Adds a shaped flow at priority `priority` (0 = highest).
-    pub fn add_flow(&mut self, priority: usize, flow: impl Into<Envelope>) -> Result<(), NcError> {
+    pub fn add_flow(&mut self, priority: usize, flow: TokenBucket) -> Result<(), NcError> {
         self.levels
             .get_mut(priority)
             .ok_or(NcError::UnknownPriority(priority))?
-            .push(flow.into());
+            .push(flow);
         Ok(())
     }
 
     /// The flows registered at a given priority.
-    pub fn flows_at(&self, priority: usize) -> Result<&[Envelope], NcError> {
+    pub fn flows_at(&self, priority: usize) -> Result<&[TokenBucket], NcError> {
         self.levels
             .get(priority)
             .map(|v| v.as_slice())
@@ -276,11 +236,7 @@ impl StaticPriorityMux {
 
     /// Aggregate sustained rate over all levels.
     pub fn aggregate_rate(&self) -> DataRate {
-        self.levels
-            .iter()
-            .flat_map(|l| l.iter())
-            .map(|f| f.rate())
-            .sum()
+        self.levels.iter().flatten().map(|f| f.rate()).sum()
     }
 
     /// Link utilization over all levels.
@@ -293,7 +249,7 @@ impl StaticPriorityMux {
     fn higher_rate(&self, priority: usize) -> DataRate {
         self.levels[..priority]
             .iter()
-            .flat_map(|l| l.iter())
+            .flatten()
             .map(|f| f.rate())
             .sum()
     }
@@ -302,7 +258,7 @@ impl StaticPriorityMux {
     fn cumulative_burst(&self, priority: usize) -> DataSize {
         self.levels[..=priority]
             .iter()
-            .flat_map(|l| l.iter())
+            .flatten()
             .map(|f| f.burst())
             .sum()
     }
@@ -313,7 +269,7 @@ impl StaticPriorityMux {
     fn lower_blocking_burst(&self, priority: usize) -> DataSize {
         self.levels[priority + 1..]
             .iter()
-            .flat_map(|l| l.iter())
+            .flatten()
             .map(|f| f.burst())
             .fold(DataSize::ZERO, DataSize::max)
     }
@@ -352,11 +308,7 @@ impl StaticPriorityMux {
     pub fn check_stability(&self) -> Result<(), NcError> {
         for p in 0..self.levels.len() {
             let residual = self.residual_rate(p)?;
-            let demand: DataRate = self.levels[..=p]
-                .iter()
-                .flat_map(|l| l.iter())
-                .map(|f| f.rate())
-                .sum();
+            let demand: DataRate = self.levels[..=p].iter().flatten().map(|f| f.rate()).sum();
             if demand > residual + self.higher_rate(p) {
                 // Equivalent to Σ_{q≤p} r > C.
                 return Err(NcError::Unstable {
@@ -373,37 +325,10 @@ impl StaticPriorityMux {
     ///
     /// `D_p = (Σ_{i∈∪_{q≤p} S_q} b_i + max_{j∈∪_{q>p} S_q} b_j) /
     ///        (C − Σ_{i∈∪_{q<p} S_q} r_i) + t_techno`.
-    ///
-    /// When flows of levels `q ≤ p` carry envelope constraints tighter
-    /// than their token buckets, the bound is the minimum of the closed
-    /// form and the horizontal deviation of their aggregate arrival curve
-    /// against [`StaticPriorityMux::residual_service`] (both are sound
-    /// non-preemptive strict-priority bounds).
-    ///
-    /// The deviation refinement has a *stronger* precondition than port
-    /// stability: it feeds the cumulative aggregate `α_{≤p}` against the
-    /// residual rate `C − Σ_{q<p} r`, so the higher-priority rates are
-    /// counted on both sides and it is only defined when
-    /// `Σ_{q≤p} r ≤ C − Σ_{q<p} r`.  A port can be perfectly stable
-    /// (`Σ_{q≤p} r ≤ C`, which [`StaticPriorityMux::check_stability`]
-    /// guarantees before bounds are computed) while violating that; the
-    /// refinement is then skipped and the closed form — sound on its own —
-    /// is the bound.
     pub fn delay_bound(&self, priority: usize) -> Result<Duration, NcError> {
         let residual = self.residual_rate(priority)?;
         let numerator = self.cumulative_burst(priority) + self.lower_blocking_burst(priority);
-        let closed = residual.transmission_time(numerator) + self.ttechno;
-        if !self.has_extras_through(priority) {
-            return Ok(closed);
-        }
-        let aggregate =
-            Envelope::aggregate_all(self.levels[..=priority].iter().flat_map(|l| l.iter()));
-        let service = self.residual_service(priority)?;
-        match crate::minplus::horizontal_deviation(&aggregate.effective_curve(), &service.curve()) {
-            Ok(h) => Ok(closed.min(Duration::from_secs_f64_ceil(h))),
-            Err(NcError::Unstable { .. }) => Ok(closed),
-            Err(e) => Err(e),
-        }
+        Ok(residual.transmission_time(numerator) + self.ttechno)
     }
 
     /// The closed-form bound via the general curve machinery (aggregate
@@ -411,34 +336,24 @@ impl StaticPriorityMux {
     /// [`StaticPriorityMux::residual_service`]); used to cross-validate
     /// [`StaticPriorityMux::delay_bound`].
     pub fn delay_bound_via_curves(&self, priority: usize) -> Result<Duration, NcError> {
-        let aggregate = TokenBucket::aggregate_all(
-            self.levels[..=priority]
-                .iter()
-                .flat_map(|l| l.iter())
-                .map(Envelope::token_bucket),
-        );
         let service = self.residual_service(priority)?;
-        if aggregate.rate() > service.rate() {
-            return Err(NcError::Unstable {
-                context: format!("priority {priority} cumulative load"),
-                demand_bps: aggregate.rate().bps(),
-                capacity_bps: service.rate().bps(),
-            });
-        }
-        bounds::delay_bound(&aggregate, &service)
+        bounds::delay_bound(&self.cumulative_bucket(priority, &service)?, &service)
     }
 
-    /// The worst-case backlog of the queues holding priorities ≤ p (with
-    /// envelope extras, the minimum of the closed-form and curve-aggregate
-    /// vertical deviations).
+    /// The worst-case backlog of the queues holding priorities ≤ p.
     pub fn backlog_bound(&self, priority: usize) -> Result<DataSize, NcError> {
-        let aggregate = TokenBucket::aggregate_all(
-            self.levels[..=priority]
-                .iter()
-                .flat_map(|l| l.iter())
-                .map(Envelope::token_bucket),
-        );
         let service = self.residual_service(priority)?;
+        bounds::backlog_bound(&self.cumulative_bucket(priority, &service)?, &service)
+    }
+
+    /// The aggregate token bucket of levels `q ≤ p`, or an error when its
+    /// rate exceeds the level's residual rate.
+    fn cumulative_bucket(
+        &self,
+        priority: usize,
+        service: &RateLatency,
+    ) -> Result<TokenBucket, NcError> {
+        let aggregate = TokenBucket::aggregate_all(self.levels[..=priority].iter().flatten());
         if aggregate.rate() > service.rate() {
             return Err(NcError::Unstable {
                 context: format!("priority {priority} cumulative load"),
@@ -446,20 +361,7 @@ impl StaticPriorityMux {
                 capacity_bps: service.rate().bps(),
             });
         }
-        let closed = bounds::backlog_bound(&aggregate, &service)?;
-        if !self.has_extras_through(priority) {
-            return Ok(closed);
-        }
-        let curves =
-            Envelope::aggregate_all(self.levels[..=priority].iter().flat_map(|l| l.iter()));
-        // Same stronger-than-stability precondition as in `delay_bound`:
-        // skip the refinement (not the bound) when the cumulative rate
-        // exceeds the residual.
-        match crate::minplus::vertical_deviation(&curves.effective_curve(), &service.curve()) {
-            Ok(v) => Ok(closed.min(DataSize::from_bits(v.ceil() as u64))),
-            Err(NcError::Unstable { .. }) => Ok(closed),
-            Err(e) => Err(e),
-        }
+        Ok(aggregate)
     }
 
     /// Full per-level report (one entry per priority level, ordered from the
@@ -499,14 +401,14 @@ pub enum WrrAccounting {
     Bytes,
 }
 
-/// One flow registered with a [`WrrMux`]: its arrival envelope plus the
-/// physical frame size its packets keep on the wire (envelope bursts
+/// One flow registered with a [`WrrMux`]: its token bucket plus the
+/// physical frame size its packets keep on the wire (bucket bursts
 /// inflate as a flow propagates, frame sizes do not — and the WRR quantum
 /// accounting works on frames).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WrrFlow {
-    /// The flow's arrival envelope at this multiplexer.
-    pub envelope: Envelope,
+    /// The flow's token bucket at this multiplexer.
+    pub bucket: TokenBucket,
     /// The flow's maximal physical frame size.
     pub frame: DataSize,
 }
@@ -596,16 +498,13 @@ impl WrrMux {
     pub fn add_flow(
         &mut self,
         class: usize,
-        flow: impl Into<Envelope>,
+        bucket: TokenBucket,
         frame: DataSize,
     ) -> Result<(), NcError> {
         self.classes
             .get_mut(class)
             .ok_or(NcError::UnknownPriority(class))?
-            .push(WrrFlow {
-                envelope: flow.into(),
-                frame,
-            });
+            .push(WrrFlow { bucket, frame });
         Ok(())
     }
 
@@ -624,11 +523,7 @@ impl WrrMux {
 
     /// Aggregate sustained rate over all classes.
     pub fn aggregate_rate(&self) -> DataRate {
-        self.classes
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|f| f.envelope.rate())
-            .sum()
+        self.classes.iter().flatten().map(|f| f.bucket.rate()).sum()
     }
 
     /// Link utilization over all classes.
@@ -756,7 +651,7 @@ impl WrrMux {
             if self.classes[p].is_empty() {
                 continue;
             }
-            let demand: DataRate = self.classes[p].iter().map(|f| f.envelope.rate()).sum();
+            let demand: DataRate = self.classes[p].iter().map(|f| f.bucket.rate()).sum();
             let residual = self.residual_rate(p)?;
             if demand > residual {
                 return Err(NcError::Unstable {
@@ -769,19 +664,10 @@ impl WrrMux {
         Ok(())
     }
 
-    /// `true` when any flow of class `p` carries a constraint tighter than
-    /// its token-bucket summary.
-    fn has_extras_at(&self, class: usize) -> bool {
-        self.classes[class].iter().any(|f| f.envelope.has_extra())
-    }
-
-    /// The delay bound of class `p`: the aggregate class arrival envelope
+    /// The delay bound of class `p`: the aggregate class token bucket
     /// against [`WrrMux::residual_service`] — closed form
-    /// `D_p = Θ_p + Σ_{i∈S_p} b_i / (φ_p/Σφ · C)`, reported as the minimum
-    /// of the closed form and the curve-based horizontal deviation whenever
-    /// a flow carries a tighter-than-token-bucket constraint (mirroring the
-    /// FCFS and strict-priority multiplexers).  An empty class's bound is
-    /// its residual latency.
+    /// `D_p = Θ_p + Σ_{i∈S_p} b_i / (φ_p/Σφ · C)`.  An empty class's bound
+    /// is its residual latency.
     pub fn delay_bound(&self, class: usize) -> Result<Duration, NcError> {
         if class >= self.quanta.len() {
             return Err(NcError::UnknownPriority(class));
@@ -790,30 +676,10 @@ impl WrrMux {
         if self.classes[class].is_empty() {
             return Ok(service.latency());
         }
-        let aggregate = TokenBucket::aggregate_all(
-            self.classes[class]
-                .iter()
-                .map(|f| f.envelope.token_bucket()),
-        );
-        if aggregate.rate() > service.rate() {
-            return Err(NcError::Unstable {
-                context: format!("WRR class {class} residual rate"),
-                demand_bps: aggregate.rate().bps(),
-                capacity_bps: service.rate().bps(),
-            });
-        }
-        let closed = bounds::delay_bound(&aggregate, &service)?;
-        if !self.has_extras_at(class) {
-            return Ok(closed);
-        }
-        let curves = Envelope::aggregate_all(self.classes[class].iter().map(|f| &f.envelope));
-        let h = crate::minplus::horizontal_deviation(&curves.effective_curve(), &service.curve())?;
-        Ok(closed.min(Duration::from_secs_f64_ceil(h)))
+        bounds::delay_bound(&self.class_bucket(class, &service)?, &service)
     }
 
-    /// The worst-case backlog of class `p`'s queue (with envelope extras,
-    /// the minimum of the closed-form and curve-aggregate vertical
-    /// deviations).
+    /// The worst-case backlog of class `p`'s queue.
     pub fn backlog_bound(&self, class: usize) -> Result<DataSize, NcError> {
         if class >= self.quanta.len() {
             return Err(NcError::UnknownPriority(class));
@@ -822,11 +688,13 @@ impl WrrMux {
             return Ok(DataSize::ZERO);
         }
         let service = self.residual_service(class)?;
-        let aggregate = TokenBucket::aggregate_all(
-            self.classes[class]
-                .iter()
-                .map(|f| f.envelope.token_bucket()),
-        );
+        bounds::backlog_bound(&self.class_bucket(class, &service)?, &service)
+    }
+
+    /// The aggregate token bucket of class `p`, or an error when its rate
+    /// exceeds the class's residual rate.
+    fn class_bucket(&self, class: usize, service: &RateLatency) -> Result<TokenBucket, NcError> {
+        let aggregate = TokenBucket::aggregate_all(self.classes[class].iter().map(|f| f.bucket));
         if aggregate.rate() > service.rate() {
             return Err(NcError::Unstable {
                 context: format!("WRR class {class} residual rate"),
@@ -834,13 +702,7 @@ impl WrrMux {
                 capacity_bps: service.rate().bps(),
             });
         }
-        let closed = bounds::backlog_bound(&aggregate, &service)?;
-        if !self.has_extras_at(class) {
-            return Ok(closed);
-        }
-        let curves = Envelope::aggregate_all(self.classes[class].iter().map(|f| &f.envelope));
-        let v = crate::minplus::vertical_deviation(&curves.effective_curve(), &service.curve())?;
-        Ok(closed.min(DataSize::from_bits(v.ceil() as u64)))
+        Ok(aggregate)
     }
 
     /// Full per-class report, ordered by class index.
@@ -927,17 +789,17 @@ impl Mux {
     pub fn add_flow(
         &mut self,
         class: usize,
-        flow: impl Into<Envelope>,
+        bucket: TokenBucket,
         frame: DataSize,
     ) -> Result<(), NcError> {
         let class = self.clamp(class);
         match self {
             Mux::Fcfs(m) => {
-                m.add_flow(flow);
+                m.add_flow(bucket);
                 Ok(())
             }
-            Mux::StaticPriority(m) => m.add_flow(class, flow),
-            Mux::Wrr(m) => m.add_flow(class, flow, frame),
+            Mux::StaticPriority(m) => m.add_flow(class, bucket),
+            Mux::Wrr(m) => m.add_flow(class, bucket, frame),
         }
     }
 
@@ -951,13 +813,40 @@ impl Mux {
     }
 
     /// The delay bound of `class` (clamped; identical for every class
-    /// under FCFS).
-    pub fn delay_bound(&self, class: usize) -> Result<Duration, NcError> {
+    /// under FCFS): the policy's closed form, refined by the class's
+    /// aggregate arrival curve when the caller passes one.
+    ///
+    /// `aggregate` sums the same flows the closed form sums as token
+    /// buckets: every flow under FCFS, the levels `q ≤ p` under strict
+    /// priority, the class's own flows under WRR.  The bound is then
+    /// `min(closed, ⌈h(aggregate, β)⌉)` against [`Mux::residual_service`];
+    /// both are sound, so the minimum is too.
+    ///
+    /// The refinement falls back to the closed form when the deviation is
+    /// unstable.  Under strict priority that happens on stable ports: the
+    /// cumulative aggregate `α_{≤p}` meets the residual rate
+    /// `C − Σ_{q<p} r`, so the higher-priority rates count on both sides,
+    /// and `Σ_{q≤p} r ≤ C` does not imply `Σ_{q≤p} r ≤ C − Σ_{q<p} r`.
+    /// Under FCFS and WRR [`Mux::check_stability`] already rules it out.
+    pub fn delay_bound(
+        &self,
+        class: usize,
+        aggregate: Option<&Curve>,
+    ) -> Result<Duration, NcError> {
         let class = self.clamp(class);
-        match self {
+        let closed = match self {
             Mux::Fcfs(m) => m.delay_bound(),
             Mux::StaticPriority(m) => m.delay_bound(class),
             Mux::Wrr(m) => m.delay_bound(class),
+        }?;
+        let Some(aggregate) = aggregate else {
+            return Ok(closed);
+        };
+        let service = self.residual_service(class)?.curve();
+        match crate::minplus::horizontal_deviation(aggregate, &service) {
+            Ok(h) => Ok(closed.min(Duration::from_secs_f64_ceil(h))),
+            Err(NcError::Unstable { .. }) => Ok(closed),
+            Err(e) => Err(e),
         }
     }
 
@@ -977,6 +866,7 @@ impl Mux {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ArrivalBound;
 
     fn tb(bytes: u64, period_ms: u64) -> TokenBucket {
         TokenBucket::for_message(
@@ -1048,9 +938,8 @@ mod tests {
     #[test]
     fn fcfs_output_envelope_inflates_burst() {
         let mut mux = FcfsMux::new(c10(), t16());
+        mux.add_flows([tb(1000, 20), tb(500, 20)]);
         let f = Envelope::from(tb(1000, 20));
-        mux.add_flow(f.clone());
-        mux.add_flow(tb(500, 20));
         let out = mux.output_envelope(&f).unwrap();
         assert!(out.burst() > f.burst());
         assert_eq!(out.rate(), f.rate());
@@ -1181,29 +1070,27 @@ mod tests {
         // higher-priority rates on both sides), so the staircase-carrying
         // bound must be the closed form rather than an `Unstable` error.
         let peak = DataRate::from_mbps(10);
-        let mut mux = StaticPriorityMux::new(2, DataRate::from_mbps(1), Duration::ZERO);
-        mux.add_flow(
-            0,
-            Envelope::staircase(DataSize::from_bytes(1_500), Duration::from_millis(20), peak),
-        )
-        .unwrap();
-        mux.add_flow(
-            1,
-            Envelope::staircase(DataSize::from_bytes(750), Duration::from_millis(20), peak),
-        )
-        .unwrap();
+        let period = Duration::from_millis(20);
+        let urgent = Envelope::staircase(DataSize::from_bytes(1_500), period, peak);
+        let bulk = Envelope::staircase(DataSize::from_bytes(750), period, peak);
+        let mut mux = Mux::static_priority(2, DataRate::from_mbps(1), Duration::ZERO);
+        for (p, flow) in [&urgent, &bulk].into_iter().enumerate() {
+            mux.add_flow(p, flow.token_bucket(), flow.burst()).unwrap();
+        }
         mux.check_stability().unwrap();
         // Level 0 keeps the refinement (600k ≤ 1M residual).
-        mux.delay_bound(0).unwrap();
+        let level0 = urgent.curve();
+        assert!(mux.delay_bound(0, Some(&level0)).unwrap() <= mux.delay_bound(0, None).unwrap());
         // Closed form: (12_000 + 6_000 bits) / (1M − 600k) = 45 ms.
-        let bound = mux.delay_bound(1).unwrap();
+        let cumulative = level0.add(&bulk.curve());
+        let bound = mux.delay_bound(1, Some(&cumulative)).unwrap();
         assert_eq!(bound, Duration::from_millis(45));
         // The closed-form backlog is itself a deviation against the
         // residual, so in this regime it stays (correctly) unavailable.
-        assert!(matches!(
-            mux.backlog_bound(1),
-            Err(NcError::Unstable { .. })
-        ));
+        let Mux::StaticPriority(sp) = &mux else {
+            unreachable!("built as a strict-priority mux")
+        };
+        assert!(matches!(sp.backlog_bound(1), Err(NcError::Unstable { .. })));
     }
 
     #[test]
@@ -1390,7 +1277,7 @@ mod tests {
         assert_eq!(via_fcfs.class_count(), 1);
         for p in 0..3 {
             assert_eq!(
-                via_fcfs.delay_bound(p).unwrap(),
+                via_fcfs.delay_bound(p, None).unwrap(),
                 direct_fcfs.delay_bound().unwrap()
             );
         }
@@ -1409,7 +1296,7 @@ mod tests {
         }
         for p in 0..3 {
             assert_eq!(
-                via_sp.delay_bound(p).unwrap(),
+                via_sp.delay_bound(p, None).unwrap(),
                 direct_sp.delay_bound(p).unwrap()
             );
             assert_eq!(
@@ -1419,7 +1306,7 @@ mod tests {
         }
         // Out-of-range classes are clamped, exactly like the classifier.
         assert_eq!(
-            via_sp.delay_bound(9).unwrap(),
+            via_sp.delay_bound(9, None).unwrap(),
             direct_sp.delay_bound(2).unwrap()
         );
 
@@ -1433,7 +1320,7 @@ mod tests {
         via_wrr.check_stability().unwrap();
         for p in 0..3 {
             assert_eq!(
-                via_wrr.delay_bound(p).unwrap(),
+                via_wrr.delay_bound(p, None).unwrap(),
                 direct_wrr.delay_bound(p).unwrap()
             );
         }
