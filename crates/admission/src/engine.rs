@@ -866,12 +866,23 @@ impl AdmissionEngine {
         Ok(())
     }
 
-    /// The dirty-port closure of a mutation, walked over the engine's
-    /// route index.  `drop` excludes the mutated flow's own (stale)
-    /// crossings — its *new* path, when it has one, is always wholly in
-    /// the seed, so propagation from it is already covered.  Matches
-    /// [`dirty_closure`] over the tentative route table, at O(closure)
-    /// instead of O(flows).
+    /// The dirty-port closure of a mutation: starting from `seed`, every
+    /// port *downstream* of a dirty port along any flow's path, walked
+    /// over the engine's route index until a fixpoint.
+    ///
+    /// Dirtiness only travels downstream because a port's inputs are its
+    /// flows' envelopes, and a flow's envelope at hop `k` is produced at
+    /// hop `k − 1`; upstream ports never observe downstream state.
+    /// Consequently each flow's dirty hops form a *suffix* of its path and
+    /// the cached prefix stays valid.  The closure depends only on routes —
+    /// never on the scheduling policy or envelope model — so one walk
+    /// serves every arm.  Each newly dirty port wakes the flows crossing
+    /// it, and every flow is expanded from its earliest dirty hop only, so
+    /// the walk costs O(closure) rather than O(flows).
+    ///
+    /// `drop` excludes the mutated flow's own (stale) crossings — its *new*
+    /// path, when it has one, is always wholly in the seed, so propagation
+    /// from it is already covered.
     fn closure_indexed(
         &self,
         seed: BTreeSet<FabricPort>,
@@ -1293,7 +1304,6 @@ impl AdmissionEngine {
                 continue;
             }
             let idxs = &port_flows[&port];
-            let ttechno = port_ttechno(port, &self.config);
             let stage_flows: Vec<StageFlow> = idxs
                 .iter()
                 .map(|&i| {
@@ -1325,7 +1335,7 @@ impl AdmissionEngine {
                 &last_hop,
                 &self.policy,
                 &self.config,
-                ttechno,
+                port.ttechno(&self.config),
                 self.model,
                 &port.to_string(),
             )?;
@@ -1461,60 +1471,4 @@ impl Preview {
             delta: None,
         }
     }
-}
-
-/// The relaying latency of a port: zero at station uplinks (shaping
-/// happens in the station), `ttechno` inside switches — the same split as
-/// the from-scratch multi-hop walk.
-fn port_ttechno(port: FabricPort, config: &NetworkConfig) -> Duration {
-    match port {
-        FabricPort::Uplink { .. } => Duration::ZERO,
-        FabricPort::Trunk { .. } | FabricPort::Down { .. } => config.ttechno,
-    }
-}
-
-/// The dirty-port closure: starting from `seed`, repeatedly mark every
-/// port *downstream* of a dirty port along any flow's path, until a
-/// fixpoint.
-///
-/// Dirtiness only travels downstream because a port's inputs are its
-/// flows' envelopes, and a flow's envelope at hop `k` is produced at hop
-/// `k − 1`; upstream ports never observe downstream state.  Consequently
-/// each flow's dirty hops form a *suffix* of its path and the cached
-/// prefix stays valid.  The closure depends only on routes — never on the
-/// scheduling policy or envelope model — so one walk serves every arm.
-pub fn dirty_closure(paths: &[&[FabricPort]], seed: BTreeSet<FabricPort>) -> BTreeSet<FabricPort> {
-    // One pass indexes the routes by port, then a worklist propagates
-    // dirtiness: each newly dirty port wakes the flows crossing it and
-    // marks their downstream suffixes.  Every flow is expanded at most
-    // once (from its earliest dirty hop), so the walk is linear in the
-    // route table instead of a fixpoint over it.
-    let mut by_port: BTreeMap<FabricPort, Vec<(usize, usize)>> = BTreeMap::new();
-    for (flow, path) in paths.iter().enumerate() {
-        for (k, &port) in path.iter().enumerate() {
-            by_port.entry(port).or_default().push((flow, k));
-        }
-    }
-    let mut dirty = seed;
-    let mut pending: Vec<FabricPort> = dirty.iter().copied().collect();
-    // Earliest hop each flow has been expanded from: a later wake at an
-    // earlier hop must still mark the longer suffix.
-    let mut expanded_from = vec![usize::MAX; paths.len()];
-    while let Some(port) = pending.pop() {
-        let Some(crossings) = by_port.get(&port) else {
-            continue;
-        };
-        for &(flow, k) in crossings {
-            if k >= expanded_from[flow] {
-                continue;
-            }
-            expanded_from[flow] = k;
-            for &downstream in &paths[flow][k + 1..] {
-                if dirty.insert(downstream) {
-                    pending.push(downstream);
-                }
-            }
-        }
-    }
-    dirty
 }

@@ -72,9 +72,9 @@ pub mod trace;
 
 pub use batch::BatchOutcome;
 pub use engine::{
-    dirty_closure, AdmissionEngine, AdmissionQuery, AdmissionSnapshot, AdmissionVerdict,
-    CacheStats, CurveKey, Decision, EngineStats, FailoverPlan, FlowId, FlowMargin, FlowSpec,
-    PortEntry, PortFlowEntry, PortOccupancy,
+    AdmissionEngine, AdmissionQuery, AdmissionSnapshot, AdmissionVerdict, CacheStats, CurveKey,
+    Decision, EngineStats, FailoverPlan, FlowId, FlowMargin, FlowSpec, PortEntry, PortFlowEntry,
+    PortOccupancy,
 };
 pub use service::{serve, ServeRequest, ServeResponse};
 pub use trace::{base_scenario, engine_for, resolve, trace_ops, TraceOp};

@@ -1,10 +1,10 @@
 //! Experiment harness: one function per figure/table of the paper.
 //!
 //! Each experiment function is pure (workload in, structured results out) so
-//! it can be driven both by the `src/bin/*` command-line harnesses (each
-//! prints its experiment's table; the README's "Experiments" section lists
-//! them) and by the Criterion benches (which measure how long the analyses
-//! take on workloads of increasing size).
+//! the `src/bin/*` command-line harnesses (each prints its experiment's
+//! table; the README's "Experiments" section lists them) and the tests drive
+//! the same code.  Performance is measured by the `perfbench` workspace, not
+//! here.
 //!
 //! | id | paper artefact | function |
 //! |----|----------------|----------|
@@ -26,3 +26,40 @@
 pub mod experiments;
 
 pub use experiments::*;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtswitch_core::NetworkConfig;
+    use shaping::TrafficClass;
+    use workload::case_study::{case_study_with, CaseStudyConfig};
+
+    #[test]
+    fn harness_runs() {
+        // The E1 harness on the case study scaled from 5 to 30 subsystems:
+        // both analyses stay stable at 10 Mbps, the figure keeps one row
+        // per class, and every added subsystem loads the mission computer's
+        // port, so the urgent FCFS bound grows while strict priority stays
+        // below it.
+        let config = NetworkConfig::paper_default();
+        let mut previous_fcfs = 0.0;
+        for subsystems in [5, 10, 20, 30] {
+            let workload = case_study_with(CaseStudyConfig {
+                subsystems,
+                with_command_traffic: true,
+            });
+            let fig = figure1(&workload, &config);
+            let rows = fig.rows();
+            assert_eq!(rows.len(), 4, "{subsystems} subsystems");
+            let urgent = &rows[0];
+            assert_eq!(urgent.class, TrafficClass::UrgentSporadic);
+            assert!(urgent.priority_bound_ms < urgent.fcfs_bound_ms);
+            assert!(
+                urgent.fcfs_bound_ms > previous_fcfs,
+                "{subsystems} subsystems"
+            );
+            previous_fcfs = urgent.fcfs_bound_ms;
+            assert_eq!(fig.render().lines().count(), 2 + rows.len());
+        }
+    }
+}

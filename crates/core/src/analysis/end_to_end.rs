@@ -1,13 +1,13 @@
 //! End-to-end composition over the paper's architecture.
 
-use crate::analysis::stage::{analyze_stage, mux_for_policy, StageFlow};
+use crate::analysis::multi_hop::analyze_multi_hop;
 use crate::analysis::Approach;
 use crate::config::NetworkConfig;
 use crate::verdict::ClassSummary;
-use netcalc::{Envelope, EnvelopeModel, NcError};
+use ethernet::Fabric;
+use netcalc::NcError;
 use serde::{Deserialize, Serialize};
 use shaping::TrafficClass;
-use std::collections::HashMap;
 use units::Duration;
 use workload::{MessageId, StationId, Workload};
 
@@ -20,7 +20,9 @@ pub enum AnalysisError {
     /// A multiplexing stage has no finite bound (overload) or was
     /// mis-configured; the string identifies the stage.
     Stage {
-        /// Which stage failed ("station s3 uplink", "switch port to s0", …).
+        /// Which stage failed: a port (`uplink[s3]`, `trunk[sw0->sw1]`,
+        /// `switch-out[s0]`) or a flow's end-to-end composition
+        /// (`convolved path of` and the message name).
         stage: String,
         /// The underlying Network-Calculus error.
         source: NcError,
@@ -128,101 +130,36 @@ impl AnalysisReport {
 ///    with the switch's `t_techno`);
 /// 3. two link propagation delays.
 ///
-/// Flows are described by their token-bucket envelopes (the paper's
-/// configuration), so every stage runs the closed forms.  The staircase
+/// This is the stage sum of [`analyze_multi_hop`] on
+/// [`Fabric::single_switch`]: the uplink is hop 0, the switch output port
+/// hop 1.  Flows are described by their token-bucket envelopes (the paper's
+/// configuration), so every stage runs the closed forms; the staircase
 /// generalization of the same architecture is
-/// [`analyze_multi_hop_with`](crate::analyze_multi_hop_with) on
-/// [`Fabric::single_switch`](ethernet::Fabric::single_switch).
+/// [`analyze_multi_hop_with`](crate::analyze_multi_hop_with) on the same
+/// fabric.
 pub fn analyze(
     workload: &Workload,
     config: &NetworkConfig,
     approach: Approach,
 ) -> Result<AnalysisReport, AnalysisError> {
-    let policy = approach.scheduling_policy(config.priority_levels);
-
-    // Stage 1: one multiplexer per source station.
-    let mut stage1: HashMap<MessageId, (Duration, Envelope)> = HashMap::new();
-    for station in &workload.stations {
-        let flows: Vec<StageFlow> = workload
-            .messages_from(station.id)
-            .into_iter()
-            .map(|spec| StageFlow {
-                message: spec.id,
-                envelope: spec.arrival_envelope(EnvelopeModel::TokenBucket, config.link_rate),
-                priority: spec.priority(),
-                frame: spec.frame_size(),
-            })
-            .collect();
-        if flows.is_empty() {
-            continue;
-        }
-        let bounds = mux_for_policy(&flows, &policy, config.link_rate, Duration::ZERO)
-            .and_then(|mux| analyze_stage(&flows, &mux, &[]))
-            .map_err(|source| AnalysisError::Stage {
-                stage: format!("station {} ({}) uplink", station.id, station.name),
-                source,
-            })?;
-        for (message, bound) in bounds {
-            stage1.insert(message, (bound.delay, bound.output));
-        }
-    }
-
-    // Stage 2: one multiplexer per switch output port (destination station).
-    let mut stage2: HashMap<MessageId, Duration> = HashMap::new();
-    for station in &workload.stations {
-        let flows: Vec<StageFlow> = workload
-            .messages_to(station.id)
-            .into_iter()
-            .map(|spec| {
-                let (_, output) = stage1
-                    .get(&spec.id)
-                    .cloned()
-                    .expect("stage 1 covered every message");
-                StageFlow {
-                    message: spec.id,
-                    envelope: output,
-                    priority: spec.priority(),
-                    frame: spec.frame_size(),
-                }
-            })
-            .collect();
-        if flows.is_empty() {
-            continue;
-        }
-        let bounds = mux_for_policy(&flows, &policy, config.link_rate, config.ttechno)
-            .and_then(|mux| analyze_stage(&flows, &mux, &[]))
-            .map_err(|source| AnalysisError::Stage {
-                stage: format!("switch port to {} ({})", station.id, station.name),
-                source,
-            })?;
-        for (message, bound) in bounds {
-            stage2.insert(message, bound.delay);
-        }
-    }
-
-    // Compose.
-    let messages = workload
+    let fabric = Fabric::single_switch(workload.stations.len());
+    let report = analyze_multi_hop(workload, config, approach, &fabric)?;
+    let messages = report
         .messages
-        .iter()
-        .map(|spec| {
-            let (source_bound, _) = stage1[&spec.id];
-            let switch_bound = stage2[&spec.id];
-            let total_bound = source_bound + switch_bound + config.propagation + config.propagation;
-            MessageBound {
-                message: spec.id,
-                name: spec.name.clone(),
-                class: spec.traffic_class(),
-                source: spec.source,
-                destination: spec.destination,
-                deadline: spec.deadline,
-                source_bound,
-                switch_bound,
-                total_bound,
-                meets_deadline: total_bound <= spec.deadline,
-            }
+        .into_iter()
+        .map(|m| MessageBound {
+            message: m.message,
+            name: m.name,
+            class: m.class,
+            source: m.source,
+            destination: m.destination,
+            deadline: m.deadline,
+            source_bound: m.hops[0].stage_delay,
+            switch_bound: m.hops[1].stage_delay,
+            total_bound: m.stage_sum_bound,
+            meets_deadline: m.stage_sum_bound <= m.deadline,
         })
         .collect();
-
     Ok(AnalysisReport {
         approach,
         config: *config,
@@ -383,7 +320,7 @@ mod tests {
         );
         let err = analyze(&w, &NetworkConfig::paper_default(), Approach::Fcfs).unwrap_err();
         let AnalysisError::Stage { stage, source } = err;
-        assert!(stage.contains("firehose"));
+        assert_eq!(stage, "uplink[s1]");
         assert!(matches!(source, NcError::Unstable { .. }));
     }
 

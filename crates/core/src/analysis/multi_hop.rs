@@ -11,8 +11,9 @@
 //! 1. **Stage sum** — the direct generalization of the single-switch
 //!    composition: the paper's FCFS / strict-priority multiplexer bound at
 //!    every port (each port analysed with the flows' *propagated* arrival
-//!    envelopes), summed along the path.  On a single-switch fabric this
-//!    reproduces [`analyze`](crate::analyze) exactly.
+//!    envelopes), summed along the path.  [`analyze`](crate::analyze) *is*
+//!    this walk on one switch: it reports the stage sum of
+//!    [`Fabric::single_switch`].
 //! 2. **Per-hop sum** — at every port, the flow's own delay through its
 //!    blind-multiplexing left-over service curve
 //!    ([`RateLatency::leftover`]), summed along the path.  The burst is
@@ -36,8 +37,8 @@
 //! Arrival curves propagate between hops by min-plus deconvolution: a
 //! token-bucket flow `(b, r)` that traversed an element with delay bound `D`
 //! leaves it with envelope `(b + r·D, r)`
-//! ([`analyze_stage`](super::stage::analyze_stage) computes exactly that
-//! inflation).
+//! ([`PortFlowAnalysis::output`](crate::PortFlowAnalysis::output) carries
+//! exactly that inflation).
 //!
 //! The reported [`MultiHopMessageBound::total_bound`] is the minimum of the
 //! stage sum and the convolved bound — both are sound, neither dominates the
@@ -108,6 +109,18 @@ pub enum FabricPort {
         /// The destination station index.
         station: usize,
     },
+}
+
+impl FabricPort {
+    /// The port's relaying latency: zero at a station uplink (an end system
+    /// only shapes and serializes), the switch's `t_techno` at trunk and
+    /// switch output ports.
+    pub fn ttechno(self, config: &NetworkConfig) -> Duration {
+        match self {
+            FabricPort::Uplink { .. } => Duration::ZERO,
+            FabricPort::Trunk { .. } | FabricPort::Down { .. } => config.ttechno,
+        }
+    }
 }
 
 impl core::fmt::Display for FabricPort {
@@ -330,10 +343,6 @@ pub fn analyze_multi_hop_with(
 
     for &port in &order {
         let flows_here = &port_flows[&port];
-        let ttechno = match port {
-            FabricPort::Uplink { .. } => Duration::ZERO,
-            FabricPort::Trunk { .. } | FabricPort::Down { .. } => config.ttechno,
-        };
         let stage_flows: Vec<StageFlow> = flows_here
             .iter()
             .map(|&msg| StageFlow {
@@ -352,7 +361,7 @@ pub fn analyze_multi_hop_with(
             &last_hop,
             &policy,
             config,
-            ttechno,
+            port.ttechno(config),
             model,
             &port.to_string(),
         )?;
@@ -605,15 +614,23 @@ mod tests {
         for approach in [Approach::Fcfs, Approach::StrictPriority, wrr_approach()] {
             let flat = analyze(&w, &cfg, approach).unwrap();
             let multi = analyze_multi_hop(&w, &cfg, approach, &fabric).unwrap();
+            assert_eq!(flat.messages.len(), multi.messages.len());
             for (a, b) in flat.messages.iter().zip(multi.messages.iter()) {
-                assert_eq!(a.message, b.message);
-                assert_eq!(
-                    a.total_bound, b.stage_sum_bound,
-                    "{}: single-switch stage sum must reproduce analyze()",
-                    a.name
-                );
                 assert_eq!(b.links, 2);
                 assert_eq!(b.hops.len(), 2);
+                assert_eq!(
+                    (a.message, &a.name, a.class, a.source, a.destination),
+                    (b.message, &b.name, b.class, b.source, b.destination)
+                );
+                assert_eq!(a.deadline, b.deadline);
+                assert_eq!(a.source_bound, b.hops[0].stage_delay, "{}", a.name);
+                assert_eq!(a.switch_bound, b.hops[1].stage_delay, "{}", a.name);
+                assert_eq!(
+                    a.total_bound, b.stage_sum_bound,
+                    "{}: analyze() reports the single-switch stage sum",
+                    a.name
+                );
+                assert_eq!(a.meets_deadline, a.total_bound <= a.deadline);
             }
         }
     }

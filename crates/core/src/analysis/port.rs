@@ -247,7 +247,11 @@ fn leftover_base(flows: &[StageFlow], class: usize, mux: &Mux) -> Result<RateLat
 ///   ([`netcalc::WrrMux::residual_service`]), then blind multiplexing
 ///   against the other flows of the *same class* (the class queue is one
 ///   FIFO, so the arbitrary-multiplexing residual applies within it).
-pub fn leftover_service(flows: &[StageFlow], index: usize, mux: &Mux) -> Option<RateLatency> {
+pub(crate) fn leftover_service(
+    flows: &[StageFlow],
+    index: usize,
+    mux: &Mux,
+) -> Option<RateLatency> {
     let own = clamp(mux, flows[index].priority);
     let queues_with = |class: usize| match mux {
         Mux::StaticPriority(_) => class <= own,
@@ -301,6 +305,17 @@ mod tests {
     use netcalc::counters::OpCounters;
     use units::{DataRate, DataSize};
 
+    /// FCFS, 4-level strict priority and 3-class WRR in frames.
+    fn policies() -> [SchedulingPolicy; 3] {
+        [
+            SchedulingPolicy::Fcfs,
+            SchedulingPolicy::StrictPriority { levels: 4 },
+            SchedulingPolicy::Wrr {
+                weights: WrrWeights::new(&[4, 2, 1], WrrUnit::Frames),
+            },
+        ]
+    }
+
     #[test]
     fn each_staircase_port_sums_every_flow_once() {
         // Eight staircase flows of 64–1114 B every 5–40 ms at priorities
@@ -320,14 +335,7 @@ mod tests {
             })
             .collect();
         let last_hop: Vec<bool> = (0..flows.len()).map(|i| i % 2 == 0).collect();
-        let policies = [
-            SchedulingPolicy::Fcfs,
-            SchedulingPolicy::StrictPriority { levels: 4 },
-            SchedulingPolicy::Wrr {
-                weights: WrrWeights::new(&[4, 2, 1], WrrUnit::Frames),
-            },
-        ];
-        for policy in &policies {
+        for policy in &policies() {
             let before = OpCounters::snapshot();
             let analysis = analyze_port(
                 &flows,
@@ -353,6 +361,41 @@ mod tests {
                 (8, 8, 8),
                 "{policy:?}"
             );
+        }
+    }
+
+    #[test]
+    fn an_unstable_staircase_port_is_rejected_before_any_curve_is_summed() {
+        // Eight staircase flows of 1114 B every 5 ms at priorities 0–2:
+        // about 14 Mbps of demand on a 10 Mbps port.
+        let rate = DataRate::from_mbps(10);
+        let config = NetworkConfig::paper_default().with_link_rate(rate);
+        let frame = DataSize::from_bytes(1114);
+        let flows: Vec<StageFlow> = (0..8)
+            .map(|i| StageFlow {
+                message: MessageId(i),
+                envelope: Envelope::staircase(frame, Duration::from_millis(5), rate),
+                priority: i % 3,
+                frame,
+            })
+            .collect();
+        let last_hop = vec![true; flows.len()];
+        for policy in &policies() {
+            let before = OpCounters::snapshot();
+            let err = analyze_port(
+                &flows,
+                &last_hop,
+                policy,
+                &config,
+                Duration::from_micros(16),
+                EnvelopeModel::Staircase,
+                "switch-out[s0]",
+            )
+            .unwrap_err();
+            let after = OpCounters::snapshot();
+            let AnalysisError::Stage { source, .. } = err;
+            assert!(matches!(source, NcError::Unstable { .. }), "{policy:?}");
+            assert_eq!(after.add - before.add, 0, "{policy:?}");
         }
     }
 }

@@ -32,8 +32,10 @@ pub struct StageFlow {
 ///
 /// `capacity` is the outgoing link rate `C`; `ttechno` is the element's
 /// relaying latency (0 for an end system, the switch's `t_techno` for a
-/// switch output port).
-pub fn mux_for_policy(
+/// switch output port).  An overloaded stage fails here with
+/// [`NcError::Unstable`], before any curve is built for it, so every
+/// multiplexer this returns is stable.
+pub(crate) fn mux_for_policy(
     flows: &[StageFlow],
     policy: &SchedulingPolicy,
     capacity: DataRate,
@@ -55,12 +57,13 @@ pub fn mux_for_policy(
     for flow in flows {
         mux.add_flow(flow.priority, flow.envelope.token_bucket(), flow.frame)?;
     }
+    mux.check_stability()?;
     Ok(mux)
 }
 
 /// The per-flow outcome of a stage analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageBound {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StageBound {
     /// Worst-case delay through the stage (queueing + serialization +
     /// relaying latency).
     pub delay: Duration,
@@ -73,17 +76,16 @@ pub struct StageBound {
 /// [`Mux::delay_bound`], and its output envelope is its input envelope
 /// delayed by that bound.
 ///
-/// `mux` is the stage's multiplexer loaded with `flows`
+/// `mux` is the stage's stable multiplexer loaded with `flows`
 /// ([`mux_for_policy`]).  `aggregates[c]`, when present, is the aggregate
 /// arrival curve the class-`c` bound is refined by; classes without one
 /// (every class when `aggregates` is empty) keep the closed form.  Each
 /// class's bound is computed once and shared by every flow of the class.
-pub fn analyze_stage(
+pub(crate) fn analyze_stage(
     flows: &[StageFlow],
     mux: &Mux,
     aggregates: &[Option<&Curve>],
 ) -> Result<Vec<(MessageId, StageBound)>, NcError> {
-    mux.check_stability()?;
     let classes = mux.class_count();
     let mut class_delay: Vec<Option<Duration>> = vec![None; classes];
     flows

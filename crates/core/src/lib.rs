@@ -61,8 +61,8 @@ pub use analysis::multi_hop::{
     analyze_multi_hop, analyze_multi_hop_with, compose_end_to_end, flow_ports, port_schedule,
     FabricPort, HopBound, MultiHopMessageBound, MultiHopReport,
 };
-pub use analysis::port::{analyze_port, leftover_service, PortAnalysis, PortFlowAnalysis};
-pub use analysis::stage::{analyze_stage, mux_for_policy, StageBound, StageFlow};
+pub use analysis::port::{analyze_port, PortAnalysis, PortFlowAnalysis};
+pub use analysis::stage::StageFlow;
 pub use analysis::{Approach, PolicyArm};
 pub use compare1553::{
     analyze_1553, compare_bounds_1553, compare_with_1553, BaselineComparison, Bus1553Study,

@@ -411,75 +411,6 @@ impl Curve {
         prev.is_none_or(|p| self.final_slope >= p)
     }
 
-    /// Truncates an **arrival** curve at `horizon_s` seconds: exact on
-    /// `[0, horizon_s]`, continued beyond with the *steepest* remaining
-    /// slope, so the result dominates `self` everywhere and is a valid
-    /// (possibly looser) arrival curve.  The result carries at most one
-    /// breakpoint more than `self` has inside the horizon — re-truncating
-    /// after every propagation step provably caps breakpoint growth along
-    /// a multi-hop chain, because each hop's output can only populate the
-    /// fixed window `[0, horizon_s]`.
-    pub fn truncate_arrival(&self, horizon_s: f64) -> Result<Curve, NcError> {
-        if !horizon_s.is_finite() || horizon_s < 0.0 {
-            return Err(NcError::InvalidCurve(format!(
-                "invalid horizon {horizon_s}"
-            )));
-        }
-        let (last_x, _) = *self.points.last().expect("non-empty");
-        if horizon_s >= last_x {
-            return Ok(self.clone());
-        }
-        let keep = self.points.partition_point(|&(x, _)| x <= horizon_s);
-        // keep >= 1: the first breakpoint sits at x = 0 <= horizon_s.
-        let mut points = self.points[..keep].to_vec();
-        let mut tail_slope = self.final_slope;
-        for w in self.points[keep - 1..].windows(2) {
-            tail_slope = tail_slope.max((w[1].1 - w[0].1) / (w[1].0 - w[0].0));
-        }
-        let boundary = self.eval(horizon_s);
-        if horizon_s > points.last().expect("non-empty").0 {
-            points.push((horizon_s, boundary));
-        }
-        Ok(Curve {
-            points: simplify_points(points, tail_slope),
-            final_slope: tail_slope,
-        })
-    }
-
-    /// Truncates a **service** curve at `horizon_s` seconds: exact on
-    /// `[0, horizon_s]`, continued beyond with the *shallowest* remaining
-    /// slope (clamped at zero), so the result lower-bounds `self`
-    /// everywhere — up to the crate-wide [`EPS`] validity tolerance on
-    /// nearly-flat noise segments — and stays a valid service curve, with
-    /// the same at-most-one-extra-breakpoint bound as
-    /// [`Curve::truncate_arrival`].
-    pub fn truncate_service(&self, horizon_s: f64) -> Result<Curve, NcError> {
-        if !horizon_s.is_finite() || horizon_s < 0.0 {
-            return Err(NcError::InvalidCurve(format!(
-                "invalid horizon {horizon_s}"
-            )));
-        }
-        let (last_x, _) = *self.points.last().expect("non-empty");
-        if horizon_s >= last_x {
-            return Ok(self.clone());
-        }
-        let keep = self.points.partition_point(|&(x, _)| x <= horizon_s);
-        let mut points = self.points[..keep].to_vec();
-        let mut tail_slope = self.final_slope;
-        for w in self.points[keep - 1..].windows(2) {
-            tail_slope = tail_slope.min((w[1].1 - w[0].1) / (w[1].0 - w[0].0));
-        }
-        let tail_slope = tail_slope.max(0.0);
-        let boundary = self.eval(horizon_s);
-        if horizon_s > points.last().expect("non-empty").0 {
-            points.push((horizon_s, boundary));
-        }
-        Ok(Curve {
-            points: simplify_points(points, tail_slope),
-            final_slope: tail_slope,
-        })
-    }
-
     /// Horizontal shift to the left by `delta` seconds:
     /// `g(t) = f(t + delta)` — the output-envelope propagation of an
     /// element with delay bound `delta` (every bit leaves at most `delta`

@@ -641,63 +641,46 @@ mod proptests {
             }
         }
 
-        /// Horizon truncation is sound: a truncated arrival curve dominates
-        /// the original everywhere (it stays a valid upper envelope), a
-        /// truncated service curve lower-bounds the original everywhere (it
-        /// stays a valid guarantee), both are exact inside the horizon, and
-        /// both carry at most one breakpoint more than the original had
-        /// inside the horizon.
+        /// Horizon truncation is sound: a staircase envelope represents
+        /// `steps` steps exactly and continues with the average rate beyond
+        /// them, so it reads `(k + 1)·burst` at every step instant `k·T`
+        /// inside the horizon, dominates the instantaneous release
+        /// `burst·(⌊t/T⌋ + 1)` everywhere — beyond the horizon too — stays
+        /// below the token bucket `burst + t·burst/T` everywhere, and
+        /// carries at most two breakpoints per step plus the origin.
         #[test]
         fn horizon_truncation_is_sound(
             burst in 64u64..100_000,
             period_ms in 1u64..1_000,
             steps in 1usize..16,
             capacity_mbps in 1u64..1_000,
-            latency_us in 0u64..10_000,
-            horizon_pct in 5u64..200,
         ) {
-            let horizon_frac = horizon_pct as f64 / 100.0;
-            let capacity = DataRate::from_mbps(capacity_mbps);
+            let b = burst as f64 * 8.0;
+            let period = period_ms as f64 * 1e-3;
             let st = Curve::staircase(
-                burst as f64 * 8.0,
-                period_ms as f64 * 1e-3,
+                b,
+                period,
                 steps,
-                capacity.as_f64_bps(),
+                DataRate::from_mbps(capacity_mbps).as_f64_bps(),
             ).unwrap();
-            let beta = Curve::rate_latency(
-                capacity.as_f64_bps(),
-                latency_us as f64 * 1e-6,
-            ).unwrap();
-            let last_x = st.points().last().unwrap().0.max(1e-6);
-            let horizon = horizon_frac * last_x;
             let tol = |v: f64| 1e-6f64.max(1e-9 * v.abs());
-
-            let ta = st.truncate_arrival(horizon).unwrap();
-            let within = st.points().iter().filter(|p| p.0 <= horizon).count();
-            prop_assert!(ta.points().len() <= within + 1);
-            for i in 0..40 {
-                let t = 2.0 * last_x * i as f64 / 39.0;
-                let (orig, trunc) = (st.eval(t), ta.eval(t));
-                prop_assert!(trunc + tol(orig) >= orig,
-                    "arrival truncation dipped below the original at t={t}: {trunc} < {orig}");
-                if t <= horizon {
-                    prop_assert!((trunc - orig).abs() <= tol(orig),
-                        "arrival truncation inexact inside the horizon at t={t}");
-                }
+            prop_assert!(st.points().len() <= 2 * steps + 1);
+            for k in 0..=steps {
+                let t = k as f64 * period;
+                let exact = b * (k as f64 + 1.0);
+                prop_assert!((st.eval(t) - exact).abs() <= tol(exact),
+                    "step instant {k}: {} != {exact}", st.eval(t));
             }
-
-            let tb = beta.truncate_service(horizon).unwrap();
-            let within = beta.points().iter().filter(|p| p.0 <= horizon).count();
-            prop_assert!(tb.points().len() <= within + 1);
-            for i in 0..40 {
-                let t = 2.0 * last_x * i as f64 / 39.0;
-                let (orig, trunc) = (beta.eval(t), tb.eval(t));
-                prop_assert!(trunc <= orig + tol(orig),
-                    "service truncation rose above the original at t={t}: {trunc} > {orig}");
-                if t <= horizon {
-                    prop_assert!((trunc - orig).abs() <= tol(orig),
-                        "service truncation inexact inside the horizon at t={t}");
-                }
+            let horizon = steps as f64 * period;
+            for i in 0..=80 {
+                let t = 2.0 * horizon * i as f64 / 80.0;
+                let value = st.eval(t);
+                let released = b * ((t / period).floor() + 1.0);
+                let bucket = b + t * b / period;
+                prop_assert!(value + tol(released) >= released,
+                    "staircase dipped below the release at t={t}: {value} < {released}");
+                prop_assert!(value <= bucket + tol(bucket),
+                    "staircase rose above the token bucket at t={t}: {value} > {bucket}");
             }
         }
     }

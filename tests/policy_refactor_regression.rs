@@ -18,10 +18,18 @@
 //! 3. The WRR arm must be *sound*: every seed-42 scenario forced onto its
 //!    seeded WRR weight set validates against the WRR-serving simulator
 //!    with zero bound violations.
+//! 4. The paper's single-switch analysis, `analyze`, is pinned under all
+//!    three arms over the first 200 seed-42 workloads and the case study at
+//!    10 and 100 Mbps: its per-message source, switch and total bounds and
+//!    deadline verdicts hash to the value the two-stage station-then-switch
+//!    walk produced before `analyze` became the single-switch projection of
+//!    the multi-hop walk.
 
 use campaign::{run_campaign, CampaignConfig, FaultMode, ScenarioSpace};
 use netcalc::EnvelopeModel;
-use rtswitch_core::{analyze_multi_hop_with, Approach, PolicyArm};
+use rtswitch_core::{analyze, analyze_multi_hop_with, Approach, NetworkConfig, PolicyArm};
+use units::DataRate;
+use workload::case_study::case_study;
 
 /// FNV-1a fingerprints of the forced-policy campaign JSON (40 scenarios,
 /// master seed 42) produced by the pre-refactor pipeline.
@@ -32,6 +40,13 @@ const PRE_REFACTOR_PRIORITY_JSON: u64 = 0xfdaf_c051_2e5d_03b0;
 /// per-hop sum, convolved, total — plus infeasibility messages) over the
 /// first 200 seed-42 scenarios, captured pre-refactor.
 const PRE_REFACTOR_BOTH_ARM_BOUNDS: u64 = 0x03b8_852e_caa1_49ac;
+
+/// FNV-1a fingerprint of `analyze`'s per-message source, switch and total
+/// bounds and deadline verdicts (`u64::MAX` per rejected analysis) over the
+/// first 200 seed-42 workloads and the case study at 10 and 100 Mbps, each
+/// under FCFS, strict priority and a seeded WRR arm, captured from the
+/// two-stage station-then-switch walk: 29 438 messages and 11 rejections.
+const TWO_STAGE_WALK_BOUNDS: u64 = 0x83d9_9584_33b3_a41d;
 
 /// FNV-1a over a stream of u64 values.
 struct Fnv(u64);
@@ -119,6 +134,51 @@ fn both_paper_arms_token_bucket_bounds_match_the_pre_refactor_closed_forms() {
         hash.0, PRE_REFACTOR_BOTH_ARM_BOUNDS,
         "token-bucket bounds drifted from the pre-refactor closed forms \
          (got {:#x})",
+        hash.0
+    );
+}
+
+#[test]
+fn paper_single_switch_bounds_match_the_two_stage_walk() {
+    let space = ScenarioSpace::new(42);
+    let mut cases: Vec<(workload::Workload, NetworkConfig, [Approach; 3])> = (0..200)
+        .map(|id| {
+            let scenario = space.scenario(id);
+            let arms = [Approach::Fcfs, Approach::StrictPriority, space.wrr_arm(id)];
+            (scenario.build_workload(), scenario.network_config(), arms)
+        })
+        .collect();
+    for mbps in [10, 100] {
+        let config = NetworkConfig::paper_default().with_link_rate(DataRate::from_mbps(mbps));
+        let arms = [Approach::Fcfs, Approach::StrictPriority, space.wrr_arm(0)];
+        cases.push((case_study(), config, arms));
+    }
+    let mut hash = Fnv::new();
+    let (mut messages, mut errors) = (0, 0);
+    for (workload, config, arms) in &cases {
+        for &approach in arms {
+            match analyze(workload, config, approach) {
+                Ok(report) => {
+                    for m in &report.messages {
+                        hash.push(m.source_bound.as_nanos());
+                        hash.push(m.switch_bound.as_nanos());
+                        hash.push(m.total_bound.as_nanos());
+                        hash.push(m.meets_deadline as u64);
+                    }
+                    messages += report.messages.len();
+                }
+                // The error text is left out: it names the failing port.
+                Err(_) => {
+                    hash.push(u64::MAX);
+                    errors += 1;
+                }
+            }
+        }
+    }
+    assert_eq!((messages, errors), (29_438, 11));
+    assert_eq!(
+        hash.0, TWO_STAGE_WALK_BOUNDS,
+        "analyze drifted from the two-stage walk (got {:#x})",
         hash.0
     );
 }
