@@ -17,12 +17,11 @@ use crate::report::{
 };
 use crate::shard::{run_shards, ShardedCampaignConfig};
 use crate::space::{FaultDraw, Scenario, ScenarioSpace};
-use ethernet::fabric::Fabric;
 use netcalc::EnvelopeModel;
 use netsim::Simulator;
 use rtswitch_core::{
-    analyze_degraded_with, analyze_multi_hop_with, validation_from_bound_lookup, AnalysisError,
-    Approach, NetworkConfig, PolicyArm,
+    analyze_degraded_from, analyze_multi_hop_with, validation_from_bound_lookup, AnalysisError,
+    Approach, MultiHopReport, PolicyArm,
 };
 use serde::{Deserialize, Serialize};
 use std::thread;
@@ -221,18 +220,51 @@ pub fn execute_scenario_with(
     );
     let config = scenario.network_config();
     let model = envelope_override.unwrap_or(scenario.envelope);
-    // The degraded stage is independent of the healthy pipeline's outcome:
-    // an infeasible fault set is a certification answer in its own right.
-    let fault = scenario
-        .faults
-        .map(|draw| execute_fault_stage(&scenario, draw, model, &workload, &fabric, &config));
-    match analyze_multi_hop_with(
+    let tb_analysis = analyze_multi_hop_with(
         &workload,
         &config,
         scenario.approach,
         &fabric,
         EnvelopeModel::TokenBucket,
-    ) {
+    );
+    // The staircase analysis rides along whenever the envelope dimension
+    // is live and the Ethernet analysis is feasible, both to validate the
+    // staircase arm and to report the per-scenario tightness gain.
+    let staircase_analysis =
+        (tb_analysis.is_ok() && envelope_override != Some(EnvelopeModel::TokenBucket)).then(|| {
+            analyze_multi_hop_with(
+                &workload,
+                &config,
+                scenario.approach,
+                &fabric,
+                EnvelopeModel::Staircase,
+            )
+            .expect("staircase stage bounds are minima that include the closed form")
+        });
+    // The degraded stage is independent of the healthy pipeline's outcome
+    // (an infeasible fault set is a certification answer in its own right),
+    // but it starts from the healthy analysis of the scenario's model.
+    // Only a staircase scenario whose token-bucket analysis is infeasible
+    // has none yet.
+    let fault = scenario.faults.map(|draw| {
+        let staircase_fallback;
+        let healthy = match (model, &staircase_analysis) {
+            (EnvelopeModel::TokenBucket, _) => tb_analysis.as_ref(),
+            (EnvelopeModel::Staircase, Some(st)) => Ok(st),
+            (EnvelopeModel::Staircase, None) => {
+                staircase_fallback = analyze_multi_hop_with(
+                    &workload,
+                    &config,
+                    scenario.approach,
+                    &fabric,
+                    EnvelopeModel::Staircase,
+                );
+                staircase_fallback.as_ref()
+            }
+        };
+        execute_fault_stage(&scenario, draw, healthy, &workload)
+    });
+    match tb_analysis {
         Err(AnalysisError::Stage { stage, .. }) => {
             // The Ethernet analysis is infeasible (stability is judged on
             // the token-bucket rates, so the staircase arm cannot save
@@ -248,20 +280,6 @@ pub fn execute_scenario_with(
             }
         }
         Ok(tb_analysis) => {
-            // The staircase analysis rides along whenever the envelope
-            // dimension is live, both to validate the staircase arm and to
-            // report the per-scenario tightness gain.
-            let staircase_analysis =
-                (envelope_override != Some(EnvelopeModel::TokenBucket)).then(|| {
-                    analyze_multi_hop_with(
-                        &workload,
-                        &config,
-                        scenario.approach,
-                        &fabric,
-                        EnvelopeModel::Staircase,
-                    )
-                    .expect("staircase stage bounds are minima that include the closed form")
-                });
             let envelope_gain = staircase_analysis
                 .as_ref()
                 .map(|st| EnvelopeGain::from_reports(&tb_analysis, st));
@@ -308,22 +326,30 @@ pub fn execute_scenario_with(
     }
 }
 
-/// Runs the degraded stage of one scenario on the workload, fabric and
-/// network configuration the healthy pipeline built: expand the drawn
-/// fault set, compute the degraded-mode analytic bounds (babblers as extra
-/// cross-traffic envelopes, failover re-routed through the backup trunk),
-/// run the faulty simulation with the *same* fault set, and validate every
+/// Runs the degraded stage of one scenario from the healthy analysis of
+/// its envelope model (or the error that made it infeasible): expand the
+/// drawn fault set, compute the degraded-mode analytic bounds (babblers as
+/// extra cross-traffic envelopes, failover re-routed through the backup
+/// trunk) on the healthy report's fabric and network configuration, run the
+/// faulty simulation with the *same* fault set, and validate every
 /// surviving frame's delay against its degraded bound.
 fn execute_fault_stage(
     scenario: &Scenario,
     draw: FaultDraw,
-    model: EnvelopeModel,
+    healthy: Result<&MultiHopReport, &AnalysisError>,
     workload: &Workload,
-    fabric: &Fabric,
-    config: &NetworkConfig,
 ) -> FaultOutcome {
+    let healthy = match healthy {
+        Ok(healthy) => healthy,
+        Err(AnalysisError::Stage { stage, .. }) => {
+            return FaultOutcome::AnalysisInfeasible {
+                stage: stage.clone(),
+            }
+        }
+    };
+    let fabric = &healthy.fabric;
     let faults = draw.expand(workload.stations.len(), fabric, scenario.horizon);
-    match analyze_degraded_with(workload, config, scenario.approach, fabric, model, &faults) {
+    match analyze_degraded_from(healthy, workload, &faults) {
         Err(AnalysisError::Stage { stage, .. }) => FaultOutcome::AnalysisInfeasible { stage },
         Ok(degraded) => {
             let simulator =

@@ -129,6 +129,10 @@ impl DegradedReport {
 /// the maximum over both routings.  Link faults and the health monitor are
 /// loss-only and leave delay bounds untouched.
 ///
+/// This is the healthy [`analyze_multi_hop_with`] followed by
+/// [`analyze_degraded_from`]; a caller that already holds the healthy
+/// report calls the latter directly.
+///
 /// Errors propagate from the underlying multi-hop analysis — typically an
 /// unstable port once the babble load is added, which is itself a meaningful
 /// verdict ("no finite bound survives this fault set").
@@ -145,6 +149,27 @@ pub fn analyze_degraded_with(
     faults: &FaultModel,
 ) -> Result<DegradedReport, AnalysisError> {
     let healthy = analyze_multi_hop_with(workload, config, approach, fabric, model)?;
+    analyze_degraded_from(&healthy, workload, faults)
+}
+
+/// [`analyze_degraded_with`] on the healthy analysis of `workload` the
+/// caller already holds: `healthy` supplies the approach, envelope model,
+/// network configuration and fabric the degraded analyses run under, and
+/// every flow's healthy bound.
+///
+/// # Panics
+/// Panics if a scheduled failover's backup does not reconnect the fabric.
+pub fn analyze_degraded_from(
+    healthy: &MultiHopReport,
+    workload: &Workload,
+    faults: &FaultModel,
+) -> Result<DegradedReport, AnalysisError> {
+    let (config, approach, fabric, model) = (
+        &healthy.config,
+        healthy.approach,
+        &healthy.fabric,
+        healthy.envelope,
+    );
     let augmented = degraded_workload(workload, &faults.babblers);
     let primary = analyze_multi_hop_with(&augmented, config, approach, fabric, model)?;
     let failover = match faults.failover {
@@ -166,7 +191,7 @@ pub fn analyze_degraded_with(
         .messages
         .iter()
         .map(|m| {
-            let healthy_bound = bound_of(&healthy, m.id);
+            let healthy_bound = bound_of(healthy, m.id);
             let primary_bound = bound_of(&primary, m.id);
             let degraded_bound = failover
                 .as_ref()

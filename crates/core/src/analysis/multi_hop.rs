@@ -85,7 +85,7 @@ use netcalc::{
 };
 use serde::{Deserialize, Serialize};
 use shaping::TrafficClass;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use units::Duration;
 use workload::{MessageId, MessageSpec, StationId, Workload};
 
@@ -356,6 +356,7 @@ pub fn analyze_multi_hop_with(
             .iter()
             .map(|&msg| hop_records[msg].len() + 1 == paths[msg].len())
             .collect();
+        let port_name = port.to_string();
         let analysis = analyze_port(
             &stage_flows,
             &last_hop,
@@ -363,13 +364,13 @@ pub fn analyze_multi_hop_with(
             config,
             port.ttechno(config),
             model,
-            &port.to_string(),
+            &port_name,
         )?;
 
         for (i, &msg) in flows_here.iter().enumerate() {
             let pf = &analysis.flows[i];
             hop_records[msg].push(HopBound {
-                port: port.to_string(),
+                port: port_name.clone(),
                 stage_delay: pf.stage_delay,
                 flow_delay: pf.flow_delay,
             });
@@ -467,15 +468,15 @@ pub fn port_schedule(
         }
     }
 
-    // Kahn's topological sort over the ports.  Switch trees always admit
-    // one; a cyclic dependency can only arise from routing over a cyclic
-    // switch graph, which the tree builders never produce.
-    let mut ready: Vec<FabricPort> = indegree
+    // Kahn's topological sort over the ports, always taking the greatest
+    // ready port next.  Switch trees always admit one; a cyclic dependency
+    // can only arise from routing over a cyclic switch graph, which the
+    // tree builders never produce.
+    let mut ready: BinaryHeap<FabricPort> = indegree
         .iter()
         .filter(|(_, &d)| d == 0)
         .map(|(&p, _)| p)
         .collect();
-    ready.sort_unstable();
     let mut order: Vec<FabricPort> = Vec::with_capacity(indegree.len());
     while let Some(port) = ready.pop() {
         order.push(port);
@@ -485,7 +486,6 @@ pub fn port_schedule(
                 *d -= 1;
                 if *d == 0 {
                     ready.push(succ);
-                    ready.sort_unstable();
                 }
             }
         }

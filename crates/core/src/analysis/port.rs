@@ -100,10 +100,14 @@ pub fn analyze_port(
         .map(|(curve, has_extra)| has_extra.then_some(curve))
         .collect();
     let stage_bounds = analyze_stage(flows, &mux, &refine).map_err(&stage)?;
+    let bases: Vec<Result<RateLatency, NcError>> = (0..mux.class_count())
+        .map(|class| leftover_base(flows, class, &mux))
+        .collect();
+    let totals = queue_set_totals(flows, &mux);
     let port_curves = match model {
         EnvelopeModel::TokenBucket => None,
         EnvelopeModel::Staircase => {
-            Some(leftover_curves(flows, &mux, &aggregates).map_err(&stage)?)
+            Some(leftover_curves(flows, &mux, &bases, &aggregates).map_err(&stage)?)
         }
     };
 
@@ -124,7 +128,19 @@ pub fn analyze_port(
                 capacity_bps: config.link_rate.bps(),
             },
         };
-        let mut leftover = leftover_service(flows, i, &mux).ok_or_else(unstable_port)?;
+        // Blind multiplexing against the rest of the flow's queue set: its
+        // total minus the flow's own bucket (integer sums, so exact).
+        let own = clamp(&mux, flow.priority);
+        let bucket = flow.envelope.token_bucket();
+        let cross = TokenBucket::new(
+            totals[own].burst() - bucket.burst(),
+            totals[own].rate() - bucket.rate(),
+        );
+        let mut leftover = bases[own]
+            .as_ref()
+            .ok()
+            .and_then(|base| base.leftover(&cross))
+            .ok_or_else(unstable_port)?;
         // Store-and-forward packetizer: a frame cannot enter the next hop's
         // service before it is *fully* received, so the fluid left-over
         // curve of every non-final hop must give up one maximum frame of
@@ -141,10 +157,7 @@ pub fn analyze_port(
             );
         }
         let (flow_delay, leftover_curve) = match model {
-            EnvelopeModel::TokenBucket => (
-                delay_bound(&flow.envelope.token_bucket(), &leftover).map_err(&stage)?,
-                None,
-            ),
+            EnvelopeModel::TokenBucket => (delay_bound(&bucket, &leftover).map_err(&stage)?, None),
             EnvelopeModel::Staircase => {
                 // The general blind-multiplexing left-over curve against the
                 // staircase cross traffic, same packetizer correction, same
@@ -213,10 +226,37 @@ fn clamp(mux: &Mux, priority: usize) -> usize {
     priority.min(mux.class_count().saturating_sub(1))
 }
 
-/// The service a flow of `class` is blind-multiplexed on (see
-/// [`leftover_service`]): `β_{C,t}` under FCFS, `β_{C, t + l/C}` with `l`
-/// the largest lower-priority burst under strict priority, the class's
-/// quantum-share residual under WRR.
+/// The token-bucket total of every class's queue set: the flows a flow of
+/// that class is blind-multiplexed with, itself included.
+///
+/// * **FCFS** — every flow at the port.
+/// * **Strict priority** — the flows of the same or higher priority
+///   (levels `q ≤ p`).
+/// * **WRR** — the flows of the *same class* (the class queue is one FIFO,
+///   so the arbitrary-multiplexing residual applies within it).
+///
+/// Bursts and rates are integers, so each total is exact in any summation
+/// order.
+fn queue_set_totals(flows: &[StageFlow], mux: &Mux) -> Vec<TokenBucket> {
+    let empty = TokenBucket::new(units::DataSize::ZERO, units::DataRate::ZERO);
+    let mut totals = vec![empty; mux.class_count()];
+    for f in flows {
+        let class = clamp(mux, f.priority);
+        totals[class] = totals[class].aggregate(&f.envelope.token_bucket());
+    }
+    if matches!(mux, Mux::StaticPriority(_)) {
+        for class in 1..totals.len() {
+            totals[class] = totals[class].aggregate(&totals[class - 1]);
+        }
+    }
+    totals
+}
+
+/// The service a flow of `class` is blind-multiplexed on against the rest
+/// of its queue set ([`queue_set_totals`]): `β_{C,t}` under FCFS,
+/// `β_{C, t + l/C}` with `l` the largest lower-priority burst under strict
+/// priority (non-preemptive blocking), the class's quantum-share residual
+/// ([`netcalc::WrrMux::residual_service`]) under WRR.
 fn leftover_base(flows: &[StageFlow], class: usize, mux: &Mux) -> Result<RateLatency, NcError> {
     let Mux::StaticPriority(sp) = mux else {
         return mux.residual_service(class);
@@ -233,46 +273,13 @@ fn leftover_base(flows: &[StageFlow], class: usize, mux: &Mux) -> Result<RateLat
     ))
 }
 
-/// The left-over rate-latency service curve of flow `index` at a port
-/// whose multiplexer `mux` holds `flows` ([`mux_for_policy`]), or `None`
-/// when the interfering traffic saturates the flow's residual service.
-///
-/// * **FCFS** — blind multiplexing on the link service `β_{C,t}` against
-///   the aggregate of every other flow at the port.
-/// * **Strict priority** — blind multiplexing against the other flows of
-///   the same or higher priority, after reserving the transmission time of
-///   the largest lower-priority frame (non-preemptive blocking) as extra
-///   latency.
-/// * **WRR** — the class's quantum-share residual service
-///   ([`netcalc::WrrMux::residual_service`]), then blind multiplexing
-///   against the other flows of the *same class* (the class queue is one
-///   FIFO, so the arbitrary-multiplexing residual applies within it).
-pub(crate) fn leftover_service(
-    flows: &[StageFlow],
-    index: usize,
-    mux: &Mux,
-) -> Option<RateLatency> {
-    let own = clamp(mux, flows[index].priority);
-    let queues_with = |class: usize| match mux {
-        Mux::StaticPriority(_) => class <= own,
-        _ => class == own,
-    };
-    let cross = TokenBucket::aggregate_all(
-        flows
-            .iter()
-            .enumerate()
-            .filter(|&(j, f)| j != index && queues_with(clamp(mux, f.priority)))
-            .map(|(_, f)| f.envelope.token_bucket()),
-    );
-    leftover_base(flows, own, mux).ok()?.leftover(&cross)
-}
-
 /// The general left-over service **curves** of every flow at a port
 /// ([`netcalc::minplus::leftover`]): the same blind-multiplexing
-/// construction as [`leftover_service`], but against the cross traffic's
-/// full piecewise-linear envelopes (e.g. staircases) instead of their
-/// token-bucket summaries — the cross traffic's flat steps let the residual
-/// service recover faster, so the served flow's deviation can only shrink.
+/// construction on the class's `bases` as the rate-latency left-over, but
+/// against the cross traffic's full piecewise-linear envelopes (e.g.
+/// staircases) instead of their token-bucket summaries — the cross
+/// traffic's flat steps let the residual service recover faster, so the
+/// served flow's deviation can only shrink.
 ///
 /// Each flow's cross traffic is its class's aggregate from
 /// [`class_aggregates`] minus its own envelope ([`Curve::sub_envelope`]),
@@ -280,20 +287,21 @@ pub(crate) fn leftover_service(
 fn leftover_curves(
     flows: &[StageFlow],
     mux: &Mux,
+    bases: &[Result<RateLatency, NcError>],
     aggregates: &[(Curve, bool)],
 ) -> Result<Vec<Curve>, NcError> {
-    let mut bases: Vec<Option<Curve>> = vec![None; mux.class_count()];
+    let mut base_curves: Vec<Option<Curve>> = vec![None; bases.len()];
     flows
         .iter()
         .map(|f| {
             let own = clamp(mux, f.priority);
-            if bases[own].is_none() {
-                bases[own] = Some(leftover_base(flows, own, mux)?.curve());
+            if base_curves[own].is_none() {
+                base_curves[own] = Some(bases[own].clone()?.curve());
             }
             let cross = aggregates[own]
                 .0
                 .sub_envelope(&f.envelope.effective_curve());
-            minplus::leftover(bases[own].as_ref().expect("just filled"), &cross)
+            minplus::leftover(base_curves[own].as_ref().expect("just filled"), &cross)
         })
         .collect()
 }
@@ -316,13 +324,12 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn each_staircase_port_sums_every_flow_once() {
-        // Eight staircase flows of 64–1114 B every 5–40 ms at priorities
-        // 0–2, on a 100 Mbps port with a 16 µs relaying latency.
+    /// Eight staircase flows of 64–1114 B every 5–40 ms at priorities 0–2,
+    /// on a 100 Mbps port.
+    fn eight_staircase_flows() -> (NetworkConfig, Vec<StageFlow>) {
         let rate = DataRate::from_mbps(100);
         let config = NetworkConfig::paper_default().with_link_rate(rate);
-        let flows: Vec<StageFlow> = (0..8)
+        let flows = (0..8)
             .map(|i| {
                 let frame = DataSize::from_bytes(64 + 150 * i as u64);
                 let period = Duration::from_millis(5 << (i % 4));
@@ -334,6 +341,13 @@ mod tests {
                 }
             })
             .collect();
+        (config, flows)
+    }
+
+    #[test]
+    fn each_staircase_port_sums_every_flow_once() {
+        // The eight staircase flows with a 16 µs relaying latency.
+        let (config, flows) = eight_staircase_flows();
         let last_hop: Vec<bool> = (0..flows.len()).map(|i| i % 2 == 0).collect();
         for policy in &policies() {
             let before = OpCounters::snapshot();
@@ -361,6 +375,55 @@ mod tests {
                 (8, 8, 8),
                 "{policy:?}"
             );
+        }
+    }
+
+    #[test]
+    fn each_leftover_service_blind_multiplexes_the_rest_of_its_queue_set() {
+        // The eight staircase flows, each at its final hop so no packetizer
+        // correction applies.
+        let (config, flows) = eight_staircase_flows();
+        let last_hop = vec![true; flows.len()];
+        let ttechno = Duration::from_micros(16);
+        for policy in &policies() {
+            let mux = mux_for_policy(&flows, policy, config.link_rate, ttechno).unwrap();
+            for model in [EnvelopeModel::TokenBucket, EnvelopeModel::Staircase] {
+                let analysis = analyze_port(
+                    &flows,
+                    &last_hop,
+                    policy,
+                    &config,
+                    ttechno,
+                    model,
+                    "switch-out[s0]",
+                )
+                .unwrap();
+                for (index, result) in analysis.flows.iter().enumerate() {
+                    // The oracle re-aggregates the other flows of the queue
+                    // set: every flow under FCFS, levels q ≤ p under strict
+                    // priority, the own class under WRR.
+                    let own = clamp(&mux, flows[index].priority);
+                    let queues_with = |class: usize| match mux {
+                        Mux::StaticPriority(_) => class <= own,
+                        _ => class == own,
+                    };
+                    let cross = TokenBucket::aggregate_all(
+                        flows
+                            .iter()
+                            .enumerate()
+                            .filter(|&(j, f)| j != index && queues_with(clamp(&mux, f.priority)))
+                            .map(|(_, f)| f.envelope.token_bucket()),
+                    );
+                    let expected = leftover_base(&flows, own, &mux)
+                        .unwrap()
+                        .leftover(&cross)
+                        .unwrap();
+                    assert_eq!(
+                        result.leftover, expected,
+                        "{policy:?} {model:?} flow {index}"
+                    );
+                }
+            }
         }
     }
 

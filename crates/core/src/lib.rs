@@ -53,7 +53,8 @@ pub mod validation;
 pub mod verdict;
 
 pub use analysis::degraded::{
-    analyze_degraded_with, degraded_workload, DegradedFlowBound, DegradedReport,
+    analyze_degraded_from, analyze_degraded_with, degraded_workload, DegradedFlowBound,
+    DegradedReport,
 };
 pub use analysis::end_to_end::{analyze, AnalysisError, AnalysisReport, MessageBound};
 pub use analysis::jitter::{jitter_bounds, JitterBound};

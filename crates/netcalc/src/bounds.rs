@@ -1,22 +1,46 @@
-//! Worst-case delay, backlog and output bounds from arrival/service curves.
+//! Worst-case delay, backlog and output bounds: the delay and the output
+//! burst of a token bucket through a rate-latency server in closed form, the
+//! backlog from general arrival/service curves.
 
 use crate::arrival::{ArrivalBound, TokenBucket};
+use crate::curve::EPS;
 use crate::minplus;
 use crate::service::{RateLatency, ServiceBound};
 use crate::NcError;
 use units::{DataSize, Duration};
 
-/// The worst-case delay of a flow with arrival bound `alpha` through an
-/// element offering service bound `beta`: the horizontal deviation
-/// `h(α, β)`, rounded **up** to the next nanosecond.
+/// The worst-case delay of a token-bucket flow through a rate-latency
+/// server: the horizontal deviation `h(γ_{r,b}, β_{R,T})`, rounded **up**
+/// to the next nanosecond.
 ///
-/// For the token-bucket / rate-latency pair used throughout the paper this
-/// equals the closed form `T + b / R`.
-pub fn delay_bound<A: ArrivalBound + ?Sized, S: ServiceBound + ?Sized>(
-    alpha: &A,
-    beta: &S,
-) -> Result<Duration, NcError> {
-    let h = minplus::horizontal_deviation(&alpha.curve(), &beta.curve())?;
+/// This is the closed form `T + b/R`, evaluated exactly as
+/// [`minplus::horizontal_deviation`] evaluates the two curves, so the two
+/// agree bit for bit, errors included (pinned by a proptest).  The
+/// deviation's candidates are `t = 0` and the end of the dead time `T`;
+/// at each the delay is `T + (b + r·t)/R − t`, floored at zero.  Like
+/// [`crate::Curve::rate_latency`], a dead time worth at most
+/// [`crate::curve::EPS`] bits of service counts as none.
+pub fn delay_bound(flow: &TokenBucket, server: &RateLatency) -> Result<Duration, NcError> {
+    let (burst, rate) = (flow.burst().as_f64_bits(), flow.rate().as_f64_bps());
+    let (capacity, latency) = (server.rate().as_f64_bps(), server.latency().as_secs_f64());
+    let unstable = |context: &str| NcError::Unstable {
+        context: context.into(),
+        demand_bps: rate.ceil() as u64,
+        capacity_bps: capacity.floor() as u64,
+    };
+    if rate > capacity + EPS {
+        return Err(unstable("horizontal deviation"));
+    }
+    if capacity <= 0.0 {
+        return Err(unstable("service curve plateaus below arrival curve"));
+    }
+    let dead = if latency == 0.0 || (capacity * latency).abs() <= EPS {
+        0.0
+    } else {
+        latency
+    };
+    let delay_at = |t: f64| (dead + (burst + rate * t) / capacity - t).max(0.0);
+    let h = 0.0f64.max(delay_at(0.0)).max(delay_at(dead));
     Ok(Duration::from_secs_f64_ceil(h))
 }
 

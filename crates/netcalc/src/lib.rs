@@ -13,7 +13,8 @@
 //!   rate-latency curve `β_{C,T}(t) = C·(t − T)⁺` ([`service::RateLatency`]).
 //! * **Bounds**: the worst-case delay is the horizontal deviation between
 //!   the arrival and service curves and the worst-case backlog the vertical
-//!   deviation ([`bounds`]).
+//!   deviation; for a token bucket through a rate-latency server the delay
+//!   is the closed form `T + b/R` ([`bounds`]).
 //! * **Multiplexers**: the paper's two aggregation formulas — the FCFS bound
 //!   `D = Σ b_i / C + t_techno` and the strict-priority bound
 //!   `D_p = (Σ_{q≤p} b_i + max_{q>p} b_j) / (C − Σ_{q<p} r_i) + t_techno` —
@@ -145,6 +146,47 @@ mod proptests {
             let general = Duration::from_secs_f64_ceil(general);
             let diff = closed.as_nanos().abs_diff(general.as_nanos());
             prop_assert!(diff <= 1, "closed {closed} vs general {general}");
+        }
+
+        /// [`bounds::delay_bound`] is the closed form of the curve
+        /// deviation it replaces: on random token buckets and rate-latency
+        /// servers, and on the edges the deviation treats specially (no
+        /// dead time, a dead time worth at most `EPS` bits, `r = R`,
+        /// `r > R + EPS`, `R = 0`), it equals
+        /// `⌈h(γ_{r,b}, β_{R,T})⌉` bit for bit, errors included.
+        #[test]
+        fn delay_bound_is_the_curve_deviation(
+            burst in 0u64..100_000_000,
+            rate in 0u64..2_000_000_000,
+            capacity in 0u64..2_000_000_000,
+            latency_ns in 0u64..2_000_000_000,
+        ) {
+            let tiny_ns = 1 + latency_ns % 10;
+            let tiny_capacity = capacity % (1_000 / tiny_ns + 1);
+            for (rate, capacity, latency_ns) in [
+                // Random stable pair.
+                (rate % (capacity + 1), capacity, latency_ns),
+                // No dead time.
+                (rate % (capacity + 1), capacity, 0),
+                // A dead time worth at most EPS bits: R·T ≤ 1000 bit·ns.
+                (rate % (tiny_capacity + 1), tiny_capacity, tiny_ns),
+                // r = R.
+                (capacity, capacity, latency_ns),
+                // r > R + EPS.
+                (capacity + 1 + rate % 1_000, capacity, latency_ns),
+                // R = 0, with and without arrivals.
+                (0, 0, latency_ns),
+                (1 + rate, 0, latency_ns),
+            ] {
+                let tb = TokenBucket::new(DataSize::from_bits(burst), DataRate::from_bps(rate));
+                let rl = RateLatency::new(
+                    DataRate::from_bps(capacity),
+                    Duration::from_nanos(latency_ns),
+                );
+                let reference = minplus::horizontal_deviation(&tb.curve(), &rl.curve())
+                    .map(Duration::from_secs_f64_ceil);
+                prop_assert_eq!(bounds::delay_bound(&tb, &rl), reference);
+            }
         }
 
         /// The FCFS bound grows monotonically with every additional flow.

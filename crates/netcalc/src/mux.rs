@@ -33,7 +33,7 @@
 //! service per port from the unified scheduling policy instead of matching
 //! on per-crate policy enums.
 
-use crate::arrival::TokenBucket;
+use crate::arrival::{ArrivalBound, TokenBucket};
 use crate::bounds;
 use crate::curve::Curve;
 use crate::envelope::Envelope;
@@ -130,7 +130,7 @@ impl FcfsMux {
     pub fn delay_bound_via_curves(&self) -> Result<Duration, NcError> {
         self.check_stability()?;
         let aggregate = TokenBucket::aggregate_all(&self.flows);
-        bounds::delay_bound(&aggregate, &self.service_curve())
+        deviation_via_curves(&aggregate, &self.service_curve())
     }
 
     /// The worst-case backlog in the multiplexer queue.
@@ -156,6 +156,14 @@ impl FcfsMux {
     pub fn output_envelope(&self, flow: &Envelope) -> Result<Envelope, NcError> {
         flow.delayed(self.delay_bound()?)
     }
+}
+
+/// `⌈h(γ_{r,b}, β_{R,T})⌉` on the general piecewise-linear curves of a
+/// token bucket and a rate-latency server: the curve-engine side of the
+/// `delay_bound_via_curves` cross-checks.
+fn deviation_via_curves(flow: &TokenBucket, service: &RateLatency) -> Result<Duration, NcError> {
+    let h = crate::minplus::horizontal_deviation(&flow.curve(), &service.curve())?;
+    Ok(Duration::from_secs_f64_ceil(h))
 }
 
 /// Per-priority results of a strict-priority multiplexer analysis.
@@ -337,7 +345,7 @@ impl StaticPriorityMux {
     /// [`StaticPriorityMux::delay_bound`].
     pub fn delay_bound_via_curves(&self, priority: usize) -> Result<Duration, NcError> {
         let service = self.residual_service(priority)?;
-        bounds::delay_bound(&self.cumulative_bucket(priority, &service)?, &service)
+        deviation_via_curves(&self.cumulative_bucket(priority, &service)?, &service)
     }
 
     /// The worst-case backlog of the queues holding priorities ≤ p.

@@ -19,6 +19,7 @@ use ethernet::switch::{SchedulingPolicy, WrrUnit};
 use ethernet::Fabric;
 use rand::Rng;
 use shaping::{Classifier, PriorityQueues, Regulator, ReleaseDecision, TokenBucketShaper};
+use std::sync::OnceLock;
 use units::{DataSize, Duration, Instant};
 use workload::{MessageId, StationId, Workload};
 
@@ -34,7 +35,8 @@ pub struct Simulator {
     config: SimConfig,
     fabric: Fabric,
     faults: FaultModel,
-    plan: SimPlan,
+    /// Built once: by [`Simulator::with_faults`], or else by the first run.
+    plan: OnceLock<SimPlan>,
 }
 
 impl Simulator {
@@ -43,15 +45,7 @@ impl Simulator {
     /// switch.
     pub fn new(workload: Workload, config: SimConfig) -> Self {
         let fabric = Fabric::single_switch(workload.stations.len());
-        let faults = FaultModel::default();
-        let plan = SimPlan::build(&workload, &fabric, &faults);
-        Simulator {
-            workload,
-            config,
-            fabric,
-            faults,
-            plan,
-        }
+        Simulator::with_fabric(workload, config, fabric)
     }
 
     /// Creates a simulator over a cascaded multi-switch [`Fabric`]: frames
@@ -68,14 +62,12 @@ impl Simulator {
             workload.stations.len(),
             "fabric and workload disagree on the station count"
         );
-        let faults = FaultModel::default();
-        let plan = SimPlan::build(&workload, &fabric, &faults);
         Simulator {
             workload,
             config,
             fabric,
-            faults,
-            plan,
+            faults: FaultModel::default(),
+            plan: OnceLock::new(),
         }
     }
 
@@ -101,11 +93,17 @@ impl Simulator {
             );
         }
         self.faults = faults;
-        // Rebuild the plan: the fault model shapes the directed trunk list
+        // Build the plan now: the fault model shapes the directed trunk list
         // (failover backup ports), the failover fabric and the isolation
         // schedule.  A misconfigured failover panics here, at attach time.
-        self.plan = SimPlan::build(&self.workload, &self.fabric, &self.faults);
+        self.plan = OnceLock::from(SimPlan::build(&self.workload, &self.fabric, &self.faults));
         self
+    }
+
+    /// The run-invariant plan, built on first use.
+    fn plan(&self) -> &SimPlan {
+        self.plan
+            .get_or_init(|| SimPlan::build(&self.workload, &self.fabric, &self.faults))
     }
 
     /// The configuration the simulator will run with.
@@ -135,7 +133,7 @@ impl Simulator {
             &self.config,
             &self.fabric,
             &self.faults,
-            &self.plan,
+            self.plan(),
         )
         .execute()
     }
@@ -144,8 +142,8 @@ impl Simulator {
     /// different RNG seed.
     ///
     /// This is the campaign runner's per-run entry point: one `Simulator`
-    /// value (workload + base configuration + prebuilt `SimPlan`) can be
-    /// shared across worker threads — the type is `Send + Sync`, see the
+    /// value (workload + base configuration + its `SimPlan`, built once)
+    /// can be shared across worker threads — the type is `Send + Sync`, see the
     /// compile-time assertion below — and each run only overrides the seed.
     pub fn run_with_seed(&self, seed: u64) -> SimReport {
         let config = self.config.with_seed(seed);
@@ -154,7 +152,7 @@ impl Simulator {
             &config,
             &self.fabric,
             &self.faults,
-            &self.plan,
+            self.plan(),
         )
         .execute()
     }

@@ -1,8 +1,9 @@
 //! Documentation link checker: every relative Markdown link in
-//! `README.md` and `docs/*.md` must resolve to an existing file, and
-//! every `crates/<path>.rs:<line>` code reference in `docs/` must point
-//! inside a real file.  CI runs this test explicitly so broken
-//! references fail the build, not just a reader.
+//! `README.md` and `docs/*.md` must resolve to an existing file, every
+//! `crates/<path>.rs:<line>` code reference in `docs/` must point inside a
+//! real file, and a named reference `` `name` — `crates/<path>.rs:<line>` ``
+//! must point at a line that still holds `name`.  CI runs this test
+//! explicitly so broken references fail the build, not just a reader.
 
 use std::fs;
 use std::path::PathBuf;
@@ -92,6 +93,33 @@ fn relative_markdown_links_resolve() {
     );
 }
 
+/// `(name, path, line)` of every named code reference
+/// `` `name` — `crates/<path>:<line>` `` in `text`; either side of the dash
+/// may break the line.
+fn named_code_references(text: &str) -> Vec<(&str, &str, usize)> {
+    let mut anchors = Vec::new();
+    for (dash, _) in text.match_indices('—') {
+        let before = text[..dash].trim_end();
+        let after = text[dash + '—'.len_utf8()..].trim_start();
+        let (Some(before), Some(after)) =
+            (before.strip_suffix('`'), after.strip_prefix("`crates/"))
+        else {
+            continue;
+        };
+        let Some(name) = before.rfind('`').map(|open| &before[open + 1..]) else {
+            continue;
+        };
+        let target = after.split('`').next().unwrap_or(after);
+        let Some((path, line)) = target.rsplit_once(':') else {
+            continue;
+        };
+        if let (false, Ok(line)) = (name.contains('\n'), line.parse()) {
+            anchors.push((name, path, line));
+        }
+    }
+    anchors
+}
+
 #[test]
 fn code_line_references_point_into_real_files() {
     let root = repo_root();
@@ -125,6 +153,26 @@ fn code_line_references_point_into_real_files() {
                         ));
                     }
                 }
+            }
+        }
+        // A named reference must still point at its item: the last
+        // identifier of the name (`for_message` of
+        // `TokenBucket::for_message`) appears on the cited line.
+        for (name, path, line) in named_code_references(&text) {
+            let ident = name
+                .rsplit(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .find(|part| !part.is_empty())
+                .unwrap_or(name);
+            let doc_name = doc.strip_prefix(&root).unwrap_or(&doc).display();
+            let source = fs::read_to_string(root.join("crates").join(path)).unwrap_or_default();
+            if !source
+                .lines()
+                .nth(line.saturating_sub(1))
+                .is_some_and(|held| held.contains(ident))
+            {
+                broken.push(format!(
+                    "{doc_name}: `{name}` — crates/{path}:{line} does not hold `{ident}`"
+                ));
             }
         }
     }

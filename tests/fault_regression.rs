@@ -12,13 +12,27 @@
 //!    other dimension: byte-identical JSON across thread counts.
 //! 3. The sweep must be *sound*: every validated degraded stage holds its
 //!    degraded-mode bounds against the faulty simulation.
+//! 4. `--faults sweep` outputs are pinned too: the 40-scenario sweep, and
+//!    the 100-scenario token-bucket sweep with the 1553 stage on (the
+//!    shape of perfbench's `campaign_tb_faults`), each by the FNV-1a of
+//!    its pretty-printed outcome JSON.
 
 use campaign::{run_campaign, CampaignConfig, CampaignReport, FaultMode};
+use netcalc::EnvelopeModel;
 
 /// FNV-1a fingerprint of the pretty-printed seed-42 campaign outcome (40
 /// scenarios, no 1553 stage, no overrides) captured on the pre-fault
 /// pipeline.
 const PRE_FAULT_CAMPAIGN_JSON: u64 = 0x697b_be40_216d_c497;
+
+/// FNV-1a fingerprint of the pretty-printed seed-42 fault-sweep outcome
+/// (40 scenarios, no 1553 stage, no overrides).
+const FAULT_SWEEP_CAMPAIGN_JSON: u64 = 0x76ad_96db_880e_a611;
+
+/// FNV-1a fingerprint of the pretty-printed seed-42 token-bucket fault
+/// sweep with the 1553 stage (100 scenarios, envelopes forced to token
+/// buckets).
+const TB_FAULT_SWEEP_1553_CAMPAIGN_JSON: u64 = 0xbcec_07de_25f7_8d49;
 
 /// Plain byte-wise FNV-1a (the idiom the baseline was captured with).
 struct Fnv(u64);
@@ -50,6 +64,14 @@ fn seed42_campaign(threads: usize, faults: FaultMode) -> CampaignReport {
     })
 }
 
+/// FNV-1a of the pretty-printed outcome JSON.
+fn outcome_fingerprint(report: &CampaignReport) -> u64 {
+    let json = serde_json::to_string_pretty(&report.outcome).unwrap();
+    let mut hash = Fnv::new();
+    hash.push_str(&json);
+    hash.0
+}
+
 #[test]
 fn faults_off_campaign_json_is_byte_identical_to_pre_fault_pipeline() {
     let report = seed42_campaign(4, FaultMode::Off);
@@ -76,6 +98,33 @@ fn fault_sweep_is_byte_identical_across_thread_counts() {
         serde_json::to_string_pretty(&a.outcome).unwrap(),
         serde_json::to_string_pretty(&b.outcome).unwrap(),
         "fault sweep outcome depends on the thread count"
+    );
+}
+
+#[test]
+fn fault_sweep_campaign_json_is_pinned() {
+    let fingerprint = outcome_fingerprint(&seed42_campaign(4, FaultMode::Sweep));
+    assert_eq!(
+        fingerprint, FAULT_SWEEP_CAMPAIGN_JSON,
+        "--faults sweep campaign JSON drifted (got {fingerprint:#x})"
+    );
+}
+
+#[test]
+fn token_bucket_fault_sweep_with_1553_is_pinned() {
+    let report = run_campaign(CampaignConfig {
+        scenarios: 100,
+        master_seed: 42,
+        threads: 4,
+        with_1553: true,
+        envelope_override: Some(EnvelopeModel::TokenBucket),
+        policy_override: None,
+        faults: FaultMode::Sweep,
+    });
+    let fingerprint = outcome_fingerprint(&report);
+    assert_eq!(
+        fingerprint, TB_FAULT_SWEEP_1553_CAMPAIGN_JSON,
+        "token-bucket --with-1553 --faults sweep campaign JSON drifted (got {fingerprint:#x})"
     );
 }
 
