@@ -28,12 +28,12 @@
 
 use rtswitch_core::{
     analyze_port, compose_end_to_end, flow_ports, port_schedule, AnalysisError, Approach,
-    FabricPort, HopBound, MultiHopMessageBound, MultiHopReport, NetworkConfig, PolicyArm,
-    StageFlow,
+    FabricPort, HopBound, LeftoverCurve, MultiHopMessageBound, MultiHopReport, NetworkConfig,
+    PolicyArm, PortInputs, StageFlow, Walk,
 };
 
 use ethernet::{Fabric, SchedulingPolicy};
-use netcalc::{Curve, Envelope, EnvelopeModel, RateLatency, TokenBucket};
+use netcalc::{Envelope, EnvelopeModel, RateLatency, TokenBucket};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use units::{DataRate, DataSize, Duration};
@@ -320,8 +320,9 @@ pub struct PortFlowEntry {
     pub output: Envelope,
     /// The packetizer-corrected left-over rate-latency service.
     pub leftover: RateLatency,
-    /// The general left-over curve (staircase model only).
-    pub leftover_curve: Option<Curve>,
+    /// The general left-over curve (staircase model only), with how far
+    /// it is the curve on uncut operands.
+    pub leftover_curve: Option<LeftoverCurve>,
 }
 
 /// One cached port analysis: the flows crossing the port in registration
@@ -1282,54 +1283,16 @@ impl AdmissionEngine {
             .iter()
             .map(|&i| (i, tentative[i].spec.to_message_spec(MessageId(i))))
             .collect();
-        // Hop position of each touched flow at each of its ports.
-        let positions: BTreeMap<usize, BTreeMap<FabricPort, usize>> = touched
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    tentative[i]
-                        .path
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &p)| (p, k))
-                        .collect(),
-                )
-            })
-            .collect();
-
         let mut entries: BTreeMap<CurveKey, PortEntry> = BTreeMap::new();
         for &port in &order {
             if !dirty.contains(&port) {
                 continue;
             }
             let idxs = &port_flows[&port];
-            let stage_flows: Vec<StageFlow> = idxs
+            let (stage_flows, last_hop): (Vec<StageFlow>, Vec<bool>) = idxs
                 .iter()
-                .map(|&i| {
-                    let k = positions[&i][&port];
-                    let envelope = if k == 0 {
-                        specs[&i].arrival_envelope(self.model, self.config.link_rate)
-                    } else {
-                        let prev = tentative[i].path[k - 1];
-                        self.entry_at(&entries, prev)
-                            .expect("predecessor port is clean-cached or already recomputed")
-                            .per_flow[&tentative[i].id]
-                            .output
-                            .clone()
-                    };
-                    StageFlow {
-                        message: MessageId(i),
-                        envelope,
-                        priority: specs[&i].priority(),
-                        frame: specs[&i].frame_size(),
-                    }
-                })
-                .collect();
-            let last_hop: Vec<bool> = idxs
-                .iter()
-                .map(|&i| positions[&i][&port] + 1 == tentative[i].path.len())
-                .collect();
+                .map(|&i| self.stage_flow(tentative, &entries, i, &specs[&i], port))
+                .unzip();
             let analysis = analyze_port(
                 &stage_flows,
                 &last_hop,
@@ -1363,6 +1326,7 @@ impl AdmissionEngine {
         }
 
         // Recompose every flow whose path crosses the dirty closure.
+        let walk = Walk::new(&self.policy, &self.config, self.model);
         let mut bounds: BTreeMap<FlowId, MultiHopMessageBound> = BTreeMap::new();
         let flows_recomputed = touched.len();
         for &i in &touched {
@@ -1387,12 +1351,12 @@ impl AdmissionEngine {
             }
             let bound = compose_end_to_end(
                 &specs[&i],
-                t.path.len(),
+                t.path,
                 hops,
                 &leftovers,
                 &leftover_curves,
-                self.model,
-                &self.config,
+                &walk,
+                |k| self.port_inputs(tentative, &entries, t.path[k]),
             )?;
             bounds.insert(t.id, bound);
         }
@@ -1433,6 +1397,68 @@ impl AdmissionEngine {
                 recomputed_ports,
             },
         })
+    }
+
+    /// Flow `i` of `tentative` as it enters `port`, and whether `port` is
+    /// its last hop: at its first hop it carries its source envelope,
+    /// after that the output envelope of its previous hop (clean-cached or
+    /// already recomputed in `entries`).
+    fn stage_flow(
+        &self,
+        tentative: &[TentativeFlow<'_>],
+        entries: &BTreeMap<CurveKey, PortEntry>,
+        i: usize,
+        spec: &MessageSpec,
+        port: FabricPort,
+    ) -> (StageFlow, bool) {
+        let path = tentative[i].path;
+        let k = path
+            .iter()
+            .position(|&p| p == port)
+            .expect("a flow enters only the ports of its path");
+        let envelope = if k == 0 {
+            spec.arrival_envelope(self.model, self.config.link_rate)
+        } else {
+            self.entry_at(entries, path[k - 1])
+                .expect("predecessor port is clean-cached or already recomputed")
+                .per_flow[&tentative[i].id]
+                .output
+                .clone()
+        };
+        let flow = StageFlow {
+            message: MessageId(i),
+            envelope,
+            priority: spec.priority(),
+            frame: spec.frame_size(),
+        };
+        (flow, k + 1 == path.len())
+    }
+
+    /// The inputs of `port` as the re-analysis saw them, for analysing it
+    /// again on uncut curves: its flows in registration order, each with
+    /// its envelope there.
+    fn port_inputs(
+        &self,
+        tentative: &[TentativeFlow<'_>],
+        entries: &BTreeMap<CurveKey, PortEntry>,
+        port: FabricPort,
+    ) -> PortInputs {
+        let entry = self
+            .entry_at(entries, port)
+            .expect("every port of an active flow is cached or recomputed");
+        let (flows, last_hop) = entry
+            .flows
+            .iter()
+            .map(|id| {
+                let i = tentative
+                    .iter()
+                    .position(|t| t.id == *id)
+                    .expect("a port's flows are active");
+                let spec = tentative[i].spec.to_message_spec(MessageId(i));
+                self.stage_flow(tentative, entries, i, &spec, port)
+            })
+            .unzip();
+        PortInputs { flows, last_hop }
     }
 
     /// A port's entry during re-analysis: freshly recomputed if dirty,

@@ -187,15 +187,18 @@ fn print_runtime(runtime: &RuntimeStats) {
         runtime.busy_threads(),
         runtime.per_thread,
     );
-    let ops = &runtime.ops;
+    let (ops, horizon) = (&runtime.ops, &runtime.horizon);
     say!(
-        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope | {} deviations",
+        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope | {} deviations | {} cut ports | {} port fallbacks | {} path fallbacks",
         ops.convolve,
         ops.deconvolve,
         ops.leftover,
         ops.add,
         ops.sub_envelope,
         ops.horizontal_deviation + ops.vertical_deviation,
+        horizon.cut_ports,
+        horizon.port_fallbacks,
+        horizon.path_fallbacks,
     );
 }
 

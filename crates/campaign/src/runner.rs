@@ -174,6 +174,11 @@ pub struct RuntimeStats {
     /// counts, so it depends neither on the worker count nor on other work
     /// in the process; restored shards contribute nothing.
     pub ops: netcalc::counters::OpCounters,
+    /// What the staircase analysis's horizon cut did in this run's
+    /// scenarios: ports analysed on cut curves, and ports and paths
+    /// recomputed on uncut curves after a failed certificate.  Summed per
+    /// worker like `ops`.
+    pub horizon: rtswitch_core::HorizonCounters,
 }
 
 impl RuntimeStats {

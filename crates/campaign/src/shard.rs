@@ -44,6 +44,7 @@ use crate::runner::{
 use crate::space::Scenario;
 use netcalc::counters::OpCounters;
 use netcalc::EnvelopeModel;
+use rtswitch_core::HorizonCounters;
 use rtswitch_core::PolicyArm;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -782,13 +783,14 @@ fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<(), ShardError> {
 /// and worker `w` counts its scenarios in `per_thread[w]`, so a caller
 /// running several slices through one `per_thread` gets a load report
 /// that sums to the scenarios executed.  Each worker is a fresh thread, so
-/// its op-counter snapshot at the end is its own work and nobody else's.
+/// its op- and horizon-counter snapshots at the end are its own work and
+/// nobody else's.
 fn execute_in_id_order(
     config: &CampaignConfig,
     scenarios: &[Scenario],
     per_thread: &mut [usize],
     mut sink: impl FnMut(ScenarioResult),
-) -> OpCounters {
+) -> (OpCounters, HorizonCounters) {
     let workers = per_thread.len().min(scenarios.len());
     let next = AtomicUsize::new(0);
     let (sender, receiver) = mpsc::channel::<(usize, usize, ScenarioResult)>();
@@ -812,7 +814,7 @@ fn execute_in_id_order(
                             break;
                         }
                     }
-                    OpCounters::snapshot()
+                    (OpCounters::snapshot(), HorizonCounters::snapshot())
                 })
             })
             .collect();
@@ -828,13 +830,15 @@ fn execute_in_id_order(
             }
         }
         debug_assert_eq!(next_index, scenarios.len(), "a result was lost");
-        let mut ops = OpCounters::default();
+        let mut counts = (OpCounters::default(), HorizonCounters::default());
         for handle in handles {
-            ops += handle
+            let (ops, horizon) = handle
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            counts.0 += ops;
+            counts.1 += horizon;
         }
-        ops
+        counts
     })
 }
 
@@ -954,6 +958,7 @@ pub(crate) fn run_shards(
     let mut per_thread = vec![0usize; threads];
     let started = Instant::now();
     let mut ops = OpCounters::default();
+    let mut horizon = HorizonCounters::default();
     let mut executed_shards = 0usize;
 
     // Shards run sequentially — parallelism lives inside each shard's
@@ -966,11 +971,14 @@ pub(crate) fn run_shards(
         }
         let mut aggregate = StreamAggregate::new();
         let mut fingerprint = 0u64;
-        ops += execute_in_id_order(&base, &scenarios[start..end], &mut per_thread, |result| {
-            fingerprint = fingerprint.wrapping_add(result_fingerprint(&result));
-            aggregate.fold(&result);
-            keep(result);
-        });
+        let counts =
+            execute_in_id_order(&base, &scenarios[start..end], &mut per_thread, |result| {
+                fingerprint = fingerprint.wrapping_add(result_fingerprint(&result));
+                aggregate.fold(&result);
+                keep(result);
+            });
+        ops += counts.0;
+        horizon += counts.1;
         let state = ShardState {
             index,
             start,
@@ -1018,6 +1026,7 @@ pub(crate) fn run_shards(
                 0.0
             },
             ops,
+            horizon,
         },
         executed_shards,
         restored_shards,

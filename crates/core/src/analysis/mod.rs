@@ -2,6 +2,7 @@
 
 pub mod degraded;
 pub mod end_to_end;
+pub mod horizon;
 pub mod jitter;
 pub mod multi_hop;
 pub mod port;

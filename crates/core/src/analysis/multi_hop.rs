@@ -75,16 +75,22 @@
 //! ```
 
 use crate::analysis::end_to_end::AnalysisError;
-use crate::analysis::port::analyze_port;
+use crate::analysis::horizon::{
+    self, convolution_exact_until, deviation_is_exact, minorant_exact_until, HorizonEvent,
+    ALL_EXACT,
+};
+use crate::analysis::port::{analyze_port, LeftoverCurve, Port, UncutAggregates};
 use crate::analysis::stage::StageFlow;
 use crate::analysis::Approach;
 use crate::config::NetworkConfig;
-use ethernet::Fabric;
+use ethernet::{Fabric, SchedulingPolicy};
 use netcalc::{
     delay_bound, ArrivalBound, Curve, Envelope, EnvelopeModel, RateLatency, TokenBucket,
 };
 use serde::{Deserialize, Serialize};
 use shaping::TrafficClass;
+use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
 use units::Duration;
 use workload::{MessageId, MessageSpec, StationId, Workload};
@@ -338,8 +344,10 @@ pub fn analyze_multi_hop_with(
     let mut hop_records: Vec<Vec<HopBound>> = vec![Vec::new(); workload.messages.len()];
     let mut leftovers: Vec<Vec<RateLatency>> = vec![Vec::new(); workload.messages.len()];
     // The general left-over curves of the staircase model (empty under the
-    // token-bucket model).
-    let mut leftover_curves: Vec<Vec<Curve>> = vec![Vec::new(); workload.messages.len()];
+    // token-bucket model), and each port's inputs, which a message whose
+    // pay-bursts-only-once certificate fails analyses again without the cut.
+    let mut leftover_curves: Vec<Vec<LeftoverCurve>> = vec![Vec::new(); workload.messages.len()];
+    let mut port_inputs: BTreeMap<FabricPort, (Vec<StageFlow>, Vec<bool>)> = BTreeMap::new();
 
     for &port in &order {
         let flows_here = &port_flows[&port];
@@ -383,23 +391,34 @@ pub fn analyze_multi_hop_with(
             // by this element's delay bound; staircase extras shift left).
             envelope[msg] = pf.output.clone();
         }
+        if model == EnvelopeModel::Staircase {
+            port_inputs.insert(port, (stage_flows, last_hop));
+        }
     }
 
     // Compose the three end-to-end bounds per message.
+    let walk = Walk::new(&policy, config, model);
     let messages = workload
         .messages
         .iter()
         .enumerate()
         .map(|(msg, spec)| {
             let hops = std::mem::take(&mut hop_records[msg]);
+            let path = &paths[msg];
             compose_end_to_end(
                 spec,
-                paths[msg].len(),
+                path,
                 hops,
                 &leftovers[msg],
                 &leftover_curves[msg],
-                model,
-                config,
+                &walk,
+                |k| {
+                    let (flows, last_hop) = &port_inputs[&path[k]];
+                    PortInputs {
+                        flows: flows.clone(),
+                        last_hop: last_hop.clone(),
+                    }
+                },
             )
         })
         .collect::<Result<Vec<_>, AnalysisError>>()?;
@@ -498,23 +517,111 @@ pub fn port_schedule(
     (port_flows, order)
 }
 
+/// What every port of one analysis walk shares: the settings it analyses
+/// a port with, and the ports a failed pay-bursts-only-once certificate
+/// sent through again on uncut curves, kept for the walk's other messages.
+#[derive(Debug)]
+pub struct Walk<'a> {
+    policy: &'a SchedulingPolicy,
+    config: &'a NetworkConfig,
+    model: EnvelopeModel,
+    uncut: RefCell<BTreeMap<FabricPort, (PortInputs, UncutAggregates)>>,
+}
+
+impl<'a> Walk<'a> {
+    /// A walk analysing every port under `policy` and `model`.
+    pub fn new(
+        policy: &'a SchedulingPolicy,
+        config: &'a NetworkConfig,
+        model: EnvelopeModel,
+    ) -> Self {
+        Walk {
+            policy,
+            config,
+            model,
+            uncut: RefCell::new(BTreeMap::new()),
+        }
+    }
+
+    /// `message`'s left-over curve at `port` on uncut curves, summing the
+    /// port's uncut class aggregates from `inputs()` unless the walk
+    /// already did.
+    fn uncut_leftover(
+        &self,
+        port: FabricPort,
+        message: MessageId,
+        inputs: impl FnOnce() -> PortInputs,
+    ) -> Result<Curve, AnalysisError> {
+        let mut uncut = self.uncut.borrow_mut();
+        let name = port.to_string();
+        let (inputs, aggregates) = match uncut.entry(port) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let inputs = inputs();
+                let aggregates = self.port(port, &name, &inputs).uncut_aggregates()?;
+                entry.insert((inputs, aggregates))
+            }
+        };
+        let i = inputs
+            .flows
+            .iter()
+            .position(|f| f.message == message)
+            .expect("a message crosses every port of its path");
+        aggregates.leftover_curve(&self.port(port, &name, inputs), i)
+    }
+
+    /// `port` of the walk with the given inputs.
+    fn port<'p>(&'p self, port: FabricPort, name: &'p str, inputs: &'p PortInputs) -> Port<'p> {
+        Port {
+            flows: &inputs.flows,
+            last_hop: &inputs.last_hop,
+            policy: self.policy,
+            config: self.config,
+            ttechno: port.ttechno(self.config),
+            model: self.model,
+            name,
+        }
+    }
+}
+
+/// One port of a message's path as the walk analysed it: every flow
+/// crossing it, in the walk's order, each with its envelope there.
+#[derive(Debug, Clone)]
+pub struct PortInputs {
+    /// The flows crossing the port.
+    pub flows: Vec<StageFlow>,
+    /// Whether the port is each flow's final hop.
+    pub last_hop: Vec<bool>,
+}
+
 /// Composes one flow's end-to-end bounds from its per-hop results: the
 /// stage sum, the per-hop sum, and the pay-bursts-only-once convolution of
 /// the hop left-over curves, plus per-link propagation.
 ///
 /// `hops`, `leftovers` and (under the staircase model) `leftover_curves`
-/// are the flow's per-port results in traversal order — exactly what
-/// [`analyze_port`] yields hop by hop, whether the
-/// hops were freshly computed or served from an admission cache.
+/// are the flow's per-port results along `path` — exactly what
+/// [`analyze_port`] yields hop by hop, whether the hops were freshly
+/// computed or served from an admission cache.
+///
+/// The left-over curves come from horizon-cut curves.  When the
+/// pay-bursts-only-once deviation on them cannot be certified equal to the
+/// deviation on uncut curves, the flow's left-over curve at every hop whose
+/// curve is not wholly exact is rebuilt on uncut curves — from the port's
+/// uncut class aggregates, summed once per port and `walk` from the inputs
+/// `port_inputs(k)` returns for hop `k` — and the deviation is taken on
+/// those curves.  The from-scratch walk and the admission engine both
+/// compose through here, so their bounds agree bit for bit.
 pub fn compose_end_to_end(
     spec: &MessageSpec,
-    links: usize,
+    path: &[FabricPort],
     hops: Vec<HopBound>,
     leftovers: &[RateLatency],
-    leftover_curves: &[Curve],
-    model: EnvelopeModel,
-    config: &NetworkConfig,
+    leftover_curves: &[LeftoverCurve],
+    walk: &Walk<'_>,
+    mut port_inputs: impl FnMut(usize) -> PortInputs,
 ) -> Result<MultiHopMessageBound, AnalysisError> {
+    let (config, model) = (walk.config, walk.model);
+    let links = path.len();
     let propagation = config.propagation * links as u64;
     let stage_sum: Duration = hops.iter().map(|h| h.stage_delay).sum();
     let hop_sum: Duration = hops.iter().map(|h| h.flow_delay).sum();
@@ -522,11 +629,11 @@ pub fn compose_end_to_end(
     let network = leftovers[1..]
         .iter()
         .fold(leftovers[0], |acc, s| acc.concatenate(s));
-    let mut convolved =
-        delay_bound(&source_envelope, &network).map_err(|source| AnalysisError::Stage {
-            stage: format!("convolved path of {}", spec.name),
-            source,
-        })?;
+    let convolved_path = |source| AnalysisError::Stage {
+        stage: format!("convolved path of {}", spec.name),
+        source,
+    };
+    let mut convolved = delay_bound(&source_envelope, &network).map_err(convolved_path)?;
     if model == EnvelopeModel::Staircase {
         // Pay bursts only once on the general curves: convolve the
         // per-hop left-over curves and push the staircase source
@@ -538,18 +645,40 @@ pub fn compose_end_to_end(
         // the reported bound is their minimum (which also absorbs
         // float noise in the curve route on degenerate-staircase
         // flows).
-        let network_curve = leftover_curves[1..]
-            .iter()
-            .fold(leftover_curves[0].convex_minorant(), |acc, c| {
-                netcalc::minplus::convolve(&acc, &c.convex_minorant())
-            });
-        let source_curve = spec.arrival_envelope(model, config.link_rate).curve();
-        let h = netcalc::minplus::horizontal_deviation(&source_curve, &network_curve).map_err(
-            |source| AnalysisError::Stage {
-                stage: format!("convolved path of {}", spec.name),
-                source,
-            },
-        )?;
+        let source = spec.arrival_envelope(model, config.link_rate);
+        let source_curve = source.curve();
+        let (curve, exact) = network_curve(leftover_curves);
+        let mut h = netcalc::minplus::horizontal_deviation(&source_curve, &curve)
+            .map_err(convolved_path)?;
+        let certified = deviation_is_exact(
+            (&source_curve, ALL_EXACT),
+            (&curve, exact),
+            h,
+            &source.token_bucket(),
+            &network,
+        );
+        if !certified {
+            horizon::record(HorizonEvent::PathFallback);
+            let uncut = leftover_curves
+                .iter()
+                .enumerate()
+                .map(|(k, curve)| {
+                    if curve.exact_until == ALL_EXACT {
+                        Ok(curve.clone())
+                    } else {
+                        let curve = walk.uncut_leftover(path[k], spec.id, || port_inputs(k))?;
+                        Ok(LeftoverCurve {
+                            curve,
+                            exact_until: ALL_EXACT,
+                            grid_until: ALL_EXACT,
+                        })
+                    }
+                })
+                .collect::<Result<Vec<_>, AnalysisError>>()?;
+            let (curve, _) = network_curve(&uncut);
+            h = netcalc::minplus::horizontal_deviation(&source_curve, &curve)
+                .map_err(convolved_path)?;
+        }
         convolved = convolved.min(Duration::from_secs_f64_ceil(h));
         // The per-hop delays run on the *full* left-over hulls
         // while the convolution runs on their convex minorants, so
@@ -578,6 +707,30 @@ pub fn compose_end_to_end(
         total_bound,
         meets_deadline: total_bound <= spec.deadline,
     })
+}
+
+/// The pay-bursts-only-once network curve: the convolution of every hop's
+/// left-over curve's convex minorant, and how far it is the one uncut
+/// curves give.
+///
+/// Each minorant is exact along the hull edges both left-over curves keep
+/// ([`minorant_exact_until`]); a convolution of convex curves concatenates
+/// their segments in slope order, so it is exact along its segments no
+/// steeper than every operand's last exact one.
+fn network_curve(curves: &[LeftoverCurve]) -> (Curve, f64) {
+    let minorant = |k: usize| {
+        let m = curves[k].curve.convex_minorant();
+        let exact = minorant_exact_until(&m, &curves[k]);
+        (m, exact)
+    };
+    let (mut acc, mut exact) = minorant(0);
+    for k in 1..curves.len() {
+        let (m, m_exact) = minorant(k);
+        let conv = netcalc::minplus::convolve(&acc, &m);
+        exact = convolution_exact_until((&acc, exact), (&m, m_exact), &conv);
+        acc = conv;
+    }
+    (acc, exact)
 }
 
 #[cfg(test)]

@@ -16,13 +16,19 @@
 //! than by parallel maintenance of two implementations.
 
 use crate::analysis::end_to_end::AnalysisError;
+use crate::analysis::horizon::{
+    self, cut_enabled, cut_margin, deviation_is_exact, exact_prefix, exact_until, HorizonEvent,
+    ALL_EXACT, NOTHING_EXACT,
+};
 use crate::analysis::stage::{analyze_stage, mux_for_policy, StageFlow};
 use crate::config::NetworkConfig;
 use ethernet::SchedulingPolicy;
+use netcalc::curve::EPS;
 use netcalc::{
     delay_bound, minplus, Curve, Envelope, EnvelopeModel, Mux, NcError, RateLatency, ServiceBound,
     TokenBucket,
 };
+use std::borrow::Cow;
 use units::Duration;
 use workload::MessageId;
 
@@ -43,7 +49,24 @@ pub struct PortFlowAnalysis {
     pub leftover: RateLatency,
     /// The packetizer-corrected general left-over curve (staircase model
     /// only; `None` under the token-bucket model).
-    pub leftover_curve: Option<Curve>,
+    pub leftover_curve: Option<LeftoverCurve>,
+}
+
+/// A flow's general left-over curve at one port, computed on the port's
+/// horizon-cut curves, with how far it is the curve the uncut ones give.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LeftoverCurve {
+    /// The packetizer-corrected left-over curve.
+    pub curve: Curve,
+    /// The abscissa up to which `curve`'s breakpoints are, bit for bit,
+    /// those of the left-over curve on uncut curves (`f64::INFINITY`: the
+    /// whole curve is that one).
+    pub exact_until: f64,
+    /// The abscissa up to which the differences `β − cross` the curve is
+    /// the running minimum of are those of the uncut curves (at or past
+    /// `exact_until`).  Past `exact_until` the uncut curve's breakpoints
+    /// are then either `curve`'s own or at least `curve`'s value here.
+    pub grid_until: f64,
 }
 
 /// The complete analysis of one port: per-flow results in input order plus
@@ -66,6 +89,11 @@ pub struct PortAnalysis {
 /// `ttechno` is the port's relaying latency (zero at station uplinks);
 /// `port_name` labels errors.
 ///
+/// Under the staircase model the curves are cut at the port's horizon
+/// (see [`crate::analysis::horizon`]); a stage or per-hop bound whose
+/// certificate fails sends the whole port through again on uncut curves,
+/// so every bound is the uncut one.
+///
 /// This is the single code path behind both the from-scratch multi-hop walk
 /// and the admission engine's cache misses, so incremental re-analysis is
 /// byte-identical to a fresh
@@ -80,144 +108,426 @@ pub fn analyze_port(
     model: EnvelopeModel,
     port_name: &str,
 ) -> Result<PortAnalysis, AnalysisError> {
-    assert_eq!(flows.len(), last_hop.len(), "one last-hop flag per flow");
-    let stage = |source| AnalysisError::Stage {
-        stage: port_name.to_string(),
-        source,
+    let port = Port {
+        flows,
+        last_hop,
+        policy,
+        config,
+        ttechno,
+        model,
+        name: port_name,
     };
-    let mux = mux_for_policy(flows, policy, config.link_rate, ttechno).map_err(&stage)?;
-    // Under the staircase model every class's aggregate arrival curve is
-    // summed once, and both the stage bound and the left-over curves
-    // borrow it; the token-bucket model keeps the closed-form path.  A
-    // class's stage bound is refined only when a flow it sums carries a
-    // tighter-than-token-bucket curve.
-    let aggregates = match model {
-        EnvelopeModel::TokenBucket => Vec::new(),
-        EnvelopeModel::Staircase => class_aggregates(flows, &mux),
-    };
-    let refine: Vec<Option<&Curve>> = aggregates
-        .iter()
-        .map(|(curve, has_extra)| has_extra.then_some(curve))
-        .collect();
-    let stage_bounds = analyze_stage(flows, &mux, &refine).map_err(&stage)?;
-    let bases: Vec<Result<RateLatency, NcError>> = (0..mux.class_count())
-        .map(|class| leftover_base(flows, class, &mux))
-        .collect();
-    let totals = queue_set_totals(flows, &mux);
-    let port_curves = match model {
-        EnvelopeModel::TokenBucket => None,
-        EnvelopeModel::Staircase => {
-            Some(leftover_curves(flows, &mux, &bases, &aggregates).map_err(&stage)?)
+    if model == EnvelopeModel::Staircase && cut_enabled() {
+        if let Some(analysis) = port.analyze(true)? {
+            return Ok(analysis);
         }
-    };
-
-    let mut results = Vec::with_capacity(flows.len());
-    for (i, flow) in flows.iter().enumerate() {
-        let unstable_port = || AnalysisError::Stage {
-            stage: port_name.to_string(),
-            source: NcError::Unstable {
-                context: format!("left-over service of {} at {port_name}", flow.message),
-                // The saturating quantity is the port's aggregate demand
-                // (the interfering traffic plus the flow itself), not the
-                // flow's own rate.
-                demand_bps: flows
-                    .iter()
-                    .map(|f| f.envelope.rate())
-                    .sum::<units::DataRate>()
-                    .bps(),
-                capacity_bps: config.link_rate.bps(),
-            },
-        };
-        // Blind multiplexing against the rest of the flow's queue set: its
-        // total minus the flow's own bucket (integer sums, so exact).
-        let own = clamp(&mux, flow.priority);
-        let bucket = flow.envelope.token_bucket();
-        let cross = TokenBucket::new(
-            totals[own].burst() - bucket.burst(),
-            totals[own].rate() - bucket.rate(),
-        );
-        let mut leftover = bases[own]
-            .as_ref()
-            .ok()
-            .and_then(|base| base.leftover(&cross))
-            .ok_or_else(unstable_port)?;
-        // Store-and-forward packetizer: a frame cannot enter the next hop's
-        // service before it is *fully* received, so the fluid left-over
-        // curve of every non-final hop must give up one maximum frame of
-        // the flow — `[β − l]⁺`, i.e. `l/R` of extra latency (Le Boudec &
-        // Thiran §1.7.4).  Without this term the convolved bound would pay
-        // the flow's own serialization only once even though
-        // store-and-forward pays it per link.
-        let is_last = last_hop[i];
-        let frame = flow.frame;
-        if !is_last {
-            leftover = RateLatency::new(
-                leftover.rate(),
-                leftover.latency() + leftover.rate().transmission_time(frame),
-            );
-        }
-        let (flow_delay, leftover_curve) = match model {
-            EnvelopeModel::TokenBucket => (delay_bound(&bucket, &leftover).map_err(&stage)?, None),
-            EnvelopeModel::Staircase => {
-                // The general blind-multiplexing left-over curve against the
-                // staircase cross traffic, same packetizer correction, same
-                // candidate-exact deviation.
-                let mut lo_curve = port_curves.as_ref().expect("staircase model")[i].clone();
-                if !is_last {
-                    lo_curve = lo_curve
-                        .saturating_sub_const(frame.as_f64_bits())
-                        .expect("frame sizes are finite and non-negative");
-                }
-                let h = minplus::horizontal_deviation(&flow.envelope.effective_curve(), &lo_curve)
-                    .map_err(&stage)?;
-                (Duration::from_secs_f64_ceil(h), Some(lo_curve))
-            }
-        };
-        let stage_bound = &stage_bounds[i].1;
-        results.push(PortFlowAnalysis {
-            message: flow.message,
-            stage_delay: stage_bound.delay,
-            flow_delay,
-            output: stage_bound.output.clone(),
-            leftover,
-            leftover_curve,
-        });
+        horizon::record(HorizonEvent::PortFallback);
     }
-    // The aggregate envelope is diagnostic (port occupancy in admission
-    // snapshots); it feeds no bound, so deriving it here cannot perturb the
-    // byte-identity of the analysis results.
-    let aggregate = TokenBucket::aggregate_all(flows.iter().map(|f| f.envelope.token_bucket()));
-    Ok(PortAnalysis {
-        aggregate,
-        flows: results,
-    })
+    Ok(port
+        .analyze(false)?
+        .expect("an analysis on uncut curves needs no certificate"))
 }
 
-/// The aggregate arrival curve of every class of `mux`, each flow's
-/// effective curve added exactly once, with whether any flow it sums
-/// carries a constraint tighter than its token bucket.
+/// One port's inputs, as [`analyze_port`] takes them.
+pub(crate) struct Port<'a> {
+    pub(crate) flows: &'a [StageFlow],
+    pub(crate) last_hop: &'a [bool],
+    pub(crate) policy: &'a SchedulingPolicy,
+    pub(crate) config: &'a NetworkConfig,
+    pub(crate) ttechno: Duration,
+    pub(crate) model: EnvelopeModel,
+    pub(crate) name: &'a str,
+}
+
+impl Port<'_> {
+    /// The port's analysis, on horizon-cut curves when `cut` is set;
+    /// `None` when a certificate fails (only on cut curves).  An error is
+    /// the same with and without the cut: every error condition compares
+    /// long-term rates or closed forms, which the cut leaves alone.
+    pub(crate) fn analyze(&self, cut: bool) -> Result<Option<PortAnalysis>, AnalysisError> {
+        let flows = self.flows;
+        assert_eq!(
+            flows.len(),
+            self.last_hop.len(),
+            "one last-hop flag per flow"
+        );
+        let stage = |source| AnalysisError::Stage {
+            stage: self.name.to_string(),
+            source,
+        };
+        let mux = mux_for_policy(flows, self.policy, self.config.link_rate, self.ttechno)
+            .map_err(&stage)?;
+        let staircase = self.model == EnvelopeModel::Staircase;
+        let bases: Vec<Result<RateLatency, NcError>> = (0..mux.class_count())
+            .map(|class| leftover_base(flows, class, &mux))
+            .collect();
+        let totals = queue_set_totals(flows, &mux);
+        let leftovers = leftover_services(flows, self.last_hop, &mux, &bases, &totals);
+
+        // The horizon cut: each staircase ends at its first riser top past
+        // the port's horizon and continues at its long-term rate.
+        let horizon = (cut && staircase)
+            .then(|| port_horizon(flows, &leftovers))
+            .flatten();
+        let cuts: Vec<Option<Curve>> = if staircase {
+            flows
+                .iter()
+                .map(|f| horizon.and_then(|w| f.envelope.extra()?.horizon_cut(w)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        if cuts.iter().any(Option::is_some) {
+            horizon::record(HorizonEvent::CutPort);
+        }
+        let curves: Vec<Cow<'_, Curve>> = flows
+            .iter()
+            .zip(&cuts)
+            .map(|(f, cut)| match cut {
+                Some(curve) => Cow::Borrowed(curve),
+                None => f.envelope.effective_curve(),
+            })
+            .collect();
+
+        // Under the staircase model every class's aggregate arrival curve
+        // is summed once, and both the stage bound and the left-over curves
+        // borrow it; the token-bucket model keeps the closed-form path.  A
+        // class's stage bound is refined only when a flow it sums carries a
+        // tighter-than-token-bucket curve.
+        let aggregates = match self.model {
+            EnvelopeModel::TokenBucket => Vec::new(),
+            EnvelopeModel::Staircase => class_aggregates(flows, &mux, &curves, &cuts),
+        };
+        let refine: Vec<Option<&Curve>> = aggregates
+            .iter()
+            .map(|a| a.has_extra.then_some(&a.curve))
+            .collect();
+        let stage_bounds = analyze_stage(flows, &mux, &refine).map_err(&stage)?;
+        let stage_exact = aggregates.iter().enumerate().all(|(class, aggregate)| {
+            let delay = flows
+                .iter()
+                .zip(&stage_bounds)
+                .find(|(f, _)| clamp(&mux, f.priority) == class)
+                .map(|(_, (_, bound))| bound.delay);
+            match (aggregate.has_extra, delay) {
+                (true, Some(delay)) => refinement_is_exact(aggregate, &mux, class, &totals, delay),
+                _ => true,
+            }
+        });
+        if !stage_exact {
+            return Ok(None);
+        }
+        let port_curves = match self.model {
+            EnvelopeModel::TokenBucket => None,
+            EnvelopeModel::Staircase => Some(
+                leftover_curves(flows, &mux, &bases, &totals, &aggregates, &curves)
+                    .map_err(&stage)?,
+            ),
+        };
+
+        let mut results = Vec::with_capacity(flows.len());
+        for (i, flow) in flows.iter().enumerate() {
+            let unstable_port = || AnalysisError::Stage {
+                stage: self.name.to_string(),
+                source: NcError::Unstable {
+                    context: format!("left-over service of {} at {}", flow.message, self.name),
+                    // The saturating quantity is the port's aggregate demand
+                    // (the interfering traffic plus the flow itself), not
+                    // the flow's own rate.
+                    demand_bps: flows
+                        .iter()
+                        .map(|f| f.envelope.rate())
+                        .sum::<units::DataRate>()
+                        .bps(),
+                    capacity_bps: self.config.link_rate.bps(),
+                },
+            };
+            let leftover = leftovers[i].ok_or_else(unstable_port)?;
+            let bucket = flow.envelope.token_bucket();
+            let (flow_delay, leftover_curve) = match self.model {
+                EnvelopeModel::TokenBucket => {
+                    (delay_bound(&bucket, &leftover).map_err(&stage)?, None)
+                }
+                EnvelopeModel::Staircase => {
+                    // The general blind-multiplexing left-over curve
+                    // against the staircase cross traffic, same packetizer
+                    // correction, same candidate-exact deviation.
+                    let port_curve = &port_curves.as_ref().expect("staircase model")[i];
+                    let lo = if self.last_hop[i] {
+                        port_curve.clone()
+                    } else {
+                        let curve = packetize(&port_curve.curve, flow);
+                        LeftoverCurve {
+                            exact_until: exact_until(&curve, port_curve.exact_until),
+                            grid_until: port_curve.grid_until,
+                            curve,
+                        }
+                    };
+                    let own = flow.envelope.effective_curve();
+                    let h = minplus::horizontal_deviation(&own, &lo.curve).map_err(&stage)?;
+                    let own = (own.as_ref(), ALL_EXACT);
+                    if !deviation_is_exact(own, (&lo.curve, lo.exact_until), h, &bucket, &leftover)
+                    {
+                        return Ok(None);
+                    }
+                    (Duration::from_secs_f64_ceil(h), Some(lo))
+                }
+            };
+            let stage_bound = &stage_bounds[i].1;
+            results.push(PortFlowAnalysis {
+                message: flow.message,
+                stage_delay: stage_bound.delay,
+                flow_delay,
+                output: stage_bound.output.clone(),
+                leftover,
+                leftover_curve,
+            });
+        }
+        // The aggregate envelope is diagnostic (port occupancy in admission
+        // snapshots); it feeds no bound, so deriving it here cannot perturb
+        // the byte-identity of the analysis results.
+        let aggregate = TokenBucket::aggregate_all(flows.iter().map(|f| f.envelope.token_bucket()));
+        Ok(Some(PortAnalysis {
+            aggregate,
+            flows: results,
+        }))
+    }
+}
+
+/// A port's class aggregates on uncut curves: what a failed
+/// pay-bursts-only-once certificate needs to rebuild single flows'
+/// left-over curves without analysing the whole port again.
+#[derive(Debug)]
+pub(crate) struct UncutAggregates {
+    mux: Mux,
+    bases: Vec<Result<RateLatency, NcError>>,
+    aggregates: Vec<ClassAggregate>,
+}
+
+impl Port<'_> {
+    /// The port's class aggregates on uncut curves, summed as
+    /// [`Port::analyze`] sums them without the cut.
+    pub(crate) fn uncut_aggregates(&self) -> Result<UncutAggregates, AnalysisError> {
+        let mux = mux_for_policy(self.flows, self.policy, self.config.link_rate, self.ttechno)
+            .map_err(|source| AnalysisError::Stage {
+                stage: self.name.to_string(),
+                source,
+            })?;
+        let bases = (0..mux.class_count())
+            .map(|class| leftover_base(self.flows, class, &mux))
+            .collect();
+        let curves: Vec<Cow<'_, Curve>> = self
+            .flows
+            .iter()
+            .map(|f| f.envelope.effective_curve())
+            .collect();
+        let aggregates = class_aggregates(self.flows, &mux, &curves, &vec![None; curves.len()]);
+        Ok(UncutAggregates {
+            mux,
+            bases,
+            aggregates,
+        })
+    }
+}
+
+impl UncutAggregates {
+    /// Flow `i`'s packetizer-corrected left-over curve on uncut curves,
+    /// bit for bit the one [`Port::analyze`] derives without the cut.
+    pub(crate) fn leftover_curve(&self, port: &Port<'_>, i: usize) -> Result<Curve, AnalysisError> {
+        let flow = &port.flows[i];
+        let own = clamp(&self.mux, flow.priority);
+        let stage = |source| AnalysisError::Stage {
+            stage: port.name.to_string(),
+            source,
+        };
+        let base = self.bases[own].clone().map_err(stage)?.curve();
+        let (_, curve) = flow_leftover(
+            &base,
+            &self.aggregates[own].curve,
+            &flow.envelope.effective_curve(),
+        )
+        .map_err(stage)?;
+        Ok(if port.last_hop[i] {
+            curve
+        } else {
+            packetize(&curve, flow)
+        })
+    }
+}
+
+/// A flow's cross traffic — its class `aggregate` less its own `curve` —
+/// and its general left-over curve on `base` against that cross traffic.
+fn flow_leftover(
+    base: &Curve,
+    aggregate: &Curve,
+    curve: &Curve,
+) -> Result<(Curve, Curve), NcError> {
+    let cross = aggregate.sub_envelope(curve);
+    let leftover = minplus::leftover(base, &cross)?;
+    Ok((cross, leftover))
+}
+
+/// The store-and-forward packetizer correction `[β − l]⁺` of a left-over
+/// curve at a flow's non-final hop.
+fn packetize(curve: &Curve, flow: &StageFlow) -> Curve {
+    curve
+        .saturating_sub_const(flow.frame.as_f64_bits())
+        .expect("frame sizes are finite and non-negative")
+}
+
+/// Each flow's packetizer-corrected rate-latency left-over service, `None`
+/// when the rest of its queue set saturates the port.
+///
+/// Blind multiplexing against the rest of the flow's queue set: its total
+/// minus the flow's own bucket (integer sums, so exact).  Store-and-forward
+/// packetizer: a frame cannot enter the next hop's service before it is
+/// *fully* received, so the fluid left-over curve of every non-final hop
+/// must give up one maximum frame of the flow — `[β − l]⁺`, i.e. `l/R` of
+/// extra latency (Le Boudec & Thiran §1.7.4).  Without this term the
+/// convolved bound would pay the flow's own serialization only once even
+/// though store-and-forward pays it per link.
+fn leftover_services(
+    flows: &[StageFlow],
+    last_hop: &[bool],
+    mux: &Mux,
+    bases: &[Result<RateLatency, NcError>],
+    totals: &[TokenBucket],
+) -> Vec<Option<RateLatency>> {
+    flows
+        .iter()
+        .zip(last_hop)
+        .map(|(flow, &is_last)| {
+            let own = clamp(mux, flow.priority);
+            let leftover = bases[own]
+                .as_ref()
+                .ok()?
+                .leftover(&cross_bucket(flow, &totals[own]))?;
+            Some(if is_last {
+                leftover
+            } else {
+                RateLatency::new(
+                    leftover.rate(),
+                    leftover.latency() + leftover.rate().transmission_time(flow.frame),
+                )
+            })
+        })
+        .collect()
+}
+
+/// The token bucket of a flow's cross traffic: its queue set's `total`
+/// minus its own bucket.
+fn cross_bucket(flow: &StageFlow, total: &TokenBucket) -> TokenBucket {
+    let bucket = flow.envelope.token_bucket();
+    TokenBucket::new(total.burst() - bucket.burst(), total.rate() - bucket.rate())
+}
+
+/// The port's horizon ([`horizon::horizon`]) from the largest per-flow
+/// token-bucket delay through its left-over service and the latest second
+/// riser top, or `None` when a left-over service does not exist (the port
+/// then fails either way).
+fn port_horizon(flows: &[StageFlow], leftovers: &[Option<RateLatency>]) -> Option<f64> {
+    let mut longest = Duration::ZERO;
+    let mut second_top = 0.0f64;
+    for (flow, leftover) in flows.iter().zip(leftovers) {
+        let delay = delay_bound(&flow.envelope.token_bucket(), leftover.as_ref()?).ok()?;
+        longest = longest.max(delay);
+        let top = flow.envelope.extra().and_then(|curve| curve.riser_top(2));
+        second_top = second_top.max(top.unwrap_or(0.0));
+    }
+    Some(horizon::horizon(longest.as_secs_f64(), second_top))
+}
+
+/// One class's aggregate arrival curve (see [`class_aggregates`]).
+#[derive(Debug)]
+struct ClassAggregate {
+    /// The sum of the class's curves, cut ones included.
+    curve: Curve,
+    /// Whether any flow it sums carries a tighter-than-token-bucket curve.
+    has_extra: bool,
+    /// How far `curve` is the sum of the uncut curves.
+    exact_until: f64,
+}
+
+/// The aggregate arrival curve of every class of `mux`, each flow's curve
+/// (`curves`, cut where `cuts` holds the cut) added exactly once.
 ///
 /// A class sums the flows its closed form sums: every flow under FCFS, the
 /// levels `q ≤ p` under strict priority (accumulated from
 /// [`Curve::zero`] level by level), the class's own flows under WRR.
 /// Within a class flows are added in input order, so every sum is
-/// reproducible bit for bit.
-fn class_aggregates(flows: &[StageFlow], mux: &Mux) -> Vec<(Curve, bool)> {
+/// reproducible bit for bit.  Before the first cut it sums, the sum's grid
+/// and values are those of the uncut sum.
+fn class_aggregates(
+    flows: &[StageFlow],
+    mux: &Mux,
+    curves: &[Cow<'_, Curve>],
+    cuts: &[Option<Curve>],
+) -> Vec<ClassAggregate> {
     let classes = mux.class_count();
     let cumulative = matches!(mux, Mux::StaticPriority(_));
-    let mut acc = (Curve::zero(), false);
+    let mut acc = (Curve::zero(), false, ALL_EXACT);
     let mut aggregates = Vec::with_capacity(classes);
     for class in 0..classes {
         if !cumulative {
-            acc = (Curve::zero(), false);
+            acc = (Curve::zero(), false, ALL_EXACT);
         }
-        for f in flows.iter().filter(|f| clamp(mux, f.priority) == class) {
-            acc.0 = acc.0.add(&f.envelope.effective_curve());
+        for (i, f) in flows.iter().enumerate() {
+            if clamp(mux, f.priority) != class {
+                continue;
+            }
+            acc.0 = acc.0.add(&curves[i]);
             acc.1 |= f.envelope.has_extra();
+            if let Some(cut) = &cuts[i] {
+                let end = cut.points().last().expect("a curve has breakpoints").0;
+                acc.2 = acc.2.min(end);
+            }
         }
-        aggregates.push(acc.clone());
+        // Past the first cut the sums differ; the breakpoint at the cut
+        // itself is a riser top in both, but only its left neighbourhood
+        // is known equal, so exactness stops before it.
+        let first_cut = acc.2;
+        let exact_until = if first_cut == ALL_EXACT {
+            ALL_EXACT
+        } else {
+            exact_prefix(&acc.0, |&(x, _)| x < first_cut)
+        };
+        aggregates.push(ClassAggregate {
+            curve: acc.0.clone(),
+            has_extra: acc.1,
+            exact_until,
+        });
     }
     aggregates
+}
+
+/// The certificate of one class's stage refinement
+/// `min(closed, ⌈h(aggregate, β)⌉)` = `delay`, computed on the cut
+/// aggregate: the deviation is at least `delay − 1 ns`.  An unstable
+/// deviation falls back to the closed form with or without the cut.
+fn refinement_is_exact(
+    aggregate: &ClassAggregate,
+    mux: &Mux,
+    class: usize,
+    totals: &[TokenBucket],
+    delay: Duration,
+) -> bool {
+    if aggregate.exact_until == ALL_EXACT {
+        return true;
+    }
+    let Ok(server) = mux.residual_service(class) else {
+        return true;
+    };
+    if aggregate.curve.long_term_rate() > server.rate().as_f64_bps() + EPS {
+        return true;
+    }
+    let h_floor = delay.as_secs_f64() - 1e-9;
+    deviation_is_exact(
+        (&aggregate.curve, aggregate.exact_until),
+        (&server.curve(), ALL_EXACT),
+        h_floor,
+        &totals[class],
+        &server,
+    )
 }
 
 /// Clamps a flow's priority to the queues `mux` serves, like the traffic
@@ -282,26 +592,58 @@ fn leftover_base(flows: &[StageFlow], class: usize, mux: &Mux) -> Result<RateLat
 /// served flow's deviation can only shrink.
 ///
 /// Each flow's cross traffic is its class's aggregate from
-/// [`class_aggregates`] minus its own envelope ([`Curve::sub_envelope`]),
-/// so a port costs one subtraction and one left-over per flow.
+/// [`class_aggregates`] minus its own curve ([`Curve::sub_envelope`]), so a
+/// port costs one subtraction and one left-over per flow.
+///
+/// A left-over curve is the right-to-left running minimum of `β − cross`.
+/// Past the cross traffic's exact part that difference stays above the
+/// line `β_{R,T} − γ_{cross}` with or without the cut, so a hull value
+/// below that line's value there comes from the exact part: those
+/// breakpoints are exact.
 fn leftover_curves(
     flows: &[StageFlow],
     mux: &Mux,
     bases: &[Result<RateLatency, NcError>],
-    aggregates: &[(Curve, bool)],
-) -> Result<Vec<Curve>, NcError> {
+    totals: &[TokenBucket],
+    aggregates: &[ClassAggregate],
+    curves: &[Cow<'_, Curve>],
+) -> Result<Vec<LeftoverCurve>, NcError> {
     let mut base_curves: Vec<Option<Curve>> = vec![None; bases.len()];
     flows
         .iter()
-        .map(|f| {
+        .enumerate()
+        .map(|(i, f)| {
             let own = clamp(mux, f.priority);
+            let base = bases[own].clone()?;
             if base_curves[own].is_none() {
-                base_curves[own] = Some(bases[own].clone()?.curve());
+                base_curves[own] = Some(base.curve());
             }
-            let cross = aggregates[own]
-                .0
-                .sub_envelope(&f.envelope.effective_curve());
-            minplus::leftover(base_curves[own].as_ref().expect("just filled"), &cross)
+            let aggregate = &aggregates[own];
+            let base_curve = base_curves[own].as_ref().expect("just filled");
+            let (cross, curve) = flow_leftover(base_curve, &aggregate.curve, &curves[i])?;
+            // A flow alone in its queue set has no cross traffic, cut or not.
+            let bucket = cross_bucket(f, &totals[own]);
+            let cross_until = if bucket.burst().is_zero() && bucket.rate().is_zero() {
+                ALL_EXACT
+            } else {
+                exact_until(&cross, aggregate.exact_until)
+            };
+            let exact_until = if cross_until == ALL_EXACT || cross_until == NOTHING_EXACT {
+                cross_until
+            } else {
+                // Past the cross traffic's exact part, the uncut difference
+                // stays above the cut one, whose running minimum from there
+                // on is the cut hull's value there.
+                let hull = curve.eval(cross_until);
+                exact_prefix(&curve, |&(x, y)| {
+                    x <= cross_until && y < hull - cut_margin(hull)
+                })
+            };
+            Ok(LeftoverCurve {
+                curve,
+                exact_until,
+                grid_until: cross_until,
+            })
         })
         .collect()
 }

@@ -57,12 +57,13 @@ pub use analysis::degraded::{
     DegradedReport,
 };
 pub use analysis::end_to_end::{analyze, AnalysisError, AnalysisReport, MessageBound};
+pub use analysis::horizon::HorizonCounters;
 pub use analysis::jitter::{jitter_bounds, JitterBound};
 pub use analysis::multi_hop::{
     analyze_multi_hop, analyze_multi_hop_with, compose_end_to_end, flow_ports, port_schedule,
-    FabricPort, HopBound, MultiHopMessageBound, MultiHopReport,
+    FabricPort, HopBound, MultiHopMessageBound, MultiHopReport, PortInputs, Walk,
 };
-pub use analysis::port::{analyze_port, PortAnalysis, PortFlowAnalysis};
+pub use analysis::port::{analyze_port, LeftoverCurve, PortAnalysis, PortFlowAnalysis};
 pub use analysis::stage::StageFlow;
 pub use analysis::{Approach, PolicyArm};
 pub use compare1553::{

@@ -478,6 +478,60 @@ impl Curve {
         Curve::simplified(points, self.final_slope)
     }
 
+    /// The curve cut at `horizon` seconds: its breakpoints up to its first
+    /// riser top strictly past the horizon, continued along the line of
+    /// the final slope.  `None` when no riser top lies past the horizon
+    /// before the last breakpoint: the curve already continues along that
+    /// line there.
+    ///
+    /// A riser top is a breakpoint after the origin from which that line
+    /// stays on or above every later breakpoint (within [`EPS`]).  On a
+    /// staircase the riser tops are where the curve touches its token
+    /// bucket `b + r·t`: the line from one passes through every later riser
+    /// top, so the cut curve lies on or above the original everywhere,
+    /// stays at or below the bucket, and equals the original breakpoint for
+    /// breakpoint before the cut.  The same holds for a staircase shifted
+    /// by [`Envelope::delayed`](crate::Envelope::delayed), whose riser tops
+    /// touch the inflated bucket.
+    pub fn horizon_cut(&self, horizon: f64) -> Option<Curve> {
+        let &k = self
+            .riser_tops()
+            .iter()
+            .find(|&&k| self.points[k].0 > horizon)?;
+        let points = simplify_points(self.points[..=k].to_vec(), self.final_slope);
+        Some(Curve::from_simplified_parts(points, self.final_slope))
+    }
+
+    /// The abscissa of the curve's `n`-th riser top (see
+    /// [`Curve::horizon_cut`]; the first is `n = 1`), `None` when it has
+    /// fewer before its last breakpoint.
+    pub fn riser_top(&self, n: usize) -> Option<f64> {
+        let k = *self.riser_tops().get(n.checked_sub(1)?)?;
+        Some(self.points[k].0)
+    }
+
+    /// The indices of the riser tops before the last breakpoint, ascending;
+    /// of consecutive qualifying breakpoints (a top that follows the bucket
+    /// for a while, as a delayed staircase's do) only the first counts.
+    fn riser_tops(&self) -> Vec<usize> {
+        let points = &self.points;
+        let offset = |&(x, y): &(f64, f64)| y - self.final_slope * x;
+        let last = points.len() - 1;
+        // Walk back from the last breakpoint, keeping the highest offset
+        // `y − r·x` of the breakpoints after `k`: the line from `k` stays
+        // above them iff `k`'s offset reaches that maximum.
+        let mut later = offset(&points[last]);
+        let mut qualifies = vec![false; last];
+        for k in (1..last).rev() {
+            let here = offset(&points[k]);
+            qualifies[k] = here + EPS >= later;
+            later = later.max(here);
+        }
+        (1..last)
+            .filter(|&k| qualifies[k] && !qualifies[k - 1])
+            .collect()
+    }
+
     /// The greatest convex function below the curve (the lower convex
     /// hull of its graph, tail ray included).
     ///

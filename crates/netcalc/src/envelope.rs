@@ -184,12 +184,31 @@ impl Envelope {
                 let shifted = curve.shift_left(delay.as_secs_f64())?;
                 // Re-intersect with the inflated token bucket so float
                 // noise in the shift can never exceed the affine summary.
-                Some(shifted.min(&tb.curve()))
+                // When the shifted curve already lies within the bucket, the
+                // intersection would return its breakpoints unchanged.
+                Some(if within_bucket(&shifted, &tb) {
+                    shifted
+                } else {
+                    shifted.min(&tb.curve())
+                })
             }
             None => None,
         };
         Ok(Envelope { tb, extra })
     }
+}
+
+/// `true` when `shifted.min(&tb.curve())` would return `shifted` bit for
+/// bit: every breakpoint at or below the bucket line `b + r·x` (evaluated
+/// as the minimum kernel evaluates it), a final slope at most `r` (so no
+/// crossing in the tail), and consecutive abscissas at least the `1e-12`
+/// apart that the kernel's grid merge keeps.
+fn within_bucket(shifted: &Curve, tb: &TokenBucket) -> bool {
+    let (burst, rate) = (tb.burst().as_f64_bits(), tb.rate().as_f64_bps());
+    let points = shifted.points();
+    shifted.final_slope() <= rate
+        && points.iter().all(|&(x, y)| y <= burst + rate * x)
+        && points.windows(2).all(|w| w[1].0 - w[0].0 >= 1e-12)
 }
 
 impl From<TokenBucket> for Envelope {

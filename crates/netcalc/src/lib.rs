@@ -683,6 +683,89 @@ mod proptests {
             }
         }
 
+        /// The horizon cut of a staircase, delayed or not, keeps the
+        /// curve's breakpoints up to its cut bit for bit, continues at the
+        /// staircase's long-term rate (within one bit per second of the
+        /// token bucket's), and lies on or above the uncut curve — and at
+        /// or below the token bucket — at every breakpoint of either curve.
+        #[test]
+        fn horizon_cut_keeps_the_prefix_and_bounds_the_staircase(
+            bytes in 64u64..1_500,
+            period_ms in 1u64..200,
+            capacity_mbps in 10u64..1_000,
+            delay_us in 0u64..20_000,
+            horizon_steps in 1u64..20,
+        ) {
+            let length = DataSize::from_bytes(bytes);
+            let period = Duration::from_millis(period_ms);
+            let staircase = Envelope::staircase(length, period, DataRate::from_mbps(capacity_mbps));
+            let delay = Duration::from_micros(delay_us.saturating_sub(10_000));
+            let env = staircase.delayed(delay).unwrap();
+            let Some(uncut) = env.extra() else {
+                return Ok(());
+            };
+            let horizon = horizon_steps as f64 * period.as_secs_f64() / 2.0;
+            let Some(cut) = uncut.horizon_cut(horizon) else {
+                // No riser top past the horizon before the staircase ends.
+                let tops = (1..uncut.points().len()).map_while(|n| uncut.riser_top(n));
+                prop_assert!(tops.into_iter().all(|x| x <= horizon));
+                return Ok(());
+            };
+            let (cp, up) = (cut.points(), uncut.points());
+            prop_assert!(cp.len() < up.len(), "the cut dropped no breakpoint");
+            prop_assert!(cp.last().unwrap().0 > horizon, "cut before the horizon");
+            for (k, (c, u)) in cp.iter().zip(up).enumerate() {
+                prop_assert!(c.0.to_bits() == u.0.to_bits() && c.1.to_bits() == u.1.to_bits(),
+                    "breakpoint {k} changed: {c:?} vs {u:?}");
+            }
+            prop_assert_eq!(cut.final_slope().to_bits(), uncut.final_slope().to_bits());
+            let bucket = env.token_bucket().curve();
+            prop_assert!((bucket.final_slope() - cut.final_slope()).abs() <= 1.0);
+            for &(x, _) in cp.iter().chain(up) {
+                let (c, u, b) = (cut.eval(x), uncut.eval(x), bucket.eval(x));
+                prop_assert!(c + curve::EPS >= u, "cut below the staircase at {x}: {c} < {u}");
+                prop_assert!(c <= b + curve::EPS, "cut above the bucket at {x}: {c} > {b}");
+            }
+        }
+
+        /// `Envelope::delayed` returns exactly the shifted curve's minimum
+        /// with the inflated bucket, whether it takes the intersection or
+        /// skips it: delays land riser tops on, below and (by the bucket's
+        /// rounded-down inflation) just above the bucket line.
+        #[test]
+        fn delayed_matches_the_bucket_intersection_bit_for_bit(
+            bytes in 64u64..1_500,
+            period_ms in 1u64..200,
+            capacity_mbps in 10u64..1_000,
+            steps in 0u64..40,
+            offset_ns in 0u64..3,
+            twice in 0u64..2,
+        ) {
+            let length = DataSize::from_bytes(bytes);
+            let period = Duration::from_millis(period_ms);
+            let peak = DataRate::from_mbps(capacity_mbps);
+            let mut env = Envelope::staircase(length, period, peak);
+            // Delays at quarter periods, give or take a nanosecond, and a
+            // second hop on top of the first.
+            let delay = Duration::from_nanos(steps * period.as_nanos() / 4 + offset_ns);
+            for _ in 0..=twice {
+                let Some(extra) = env.extra().cloned() else {
+                    return Ok(());
+                };
+                let out = env.delayed(delay).unwrap();
+                let shifted = extra.shift_left(delay.as_secs_f64()).unwrap();
+                let reference = shifted.min(&out.token_bucket().curve());
+                let got = out.extra().expect("a staircase stays a staircase");
+                prop_assert_eq!(got.final_slope().to_bits(), reference.final_slope().to_bits());
+                prop_assert_eq!(got.points().len(), reference.points().len());
+                for (g, r) in got.points().iter().zip(reference.points()) {
+                    prop_assert!(g.0.to_bits() == r.0.to_bits() && g.1.to_bits() == r.1.to_bits(),
+                        "{g:?} vs {r:?}");
+                }
+                env = out;
+            }
+        }
+
         /// Horizon truncation is sound: a staircase envelope represents
         /// `steps` steps exactly and continues with the average rate beyond
         /// them, so it reads `(k + 1)·burst` at every step instant `k·T`
