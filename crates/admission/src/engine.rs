@@ -316,8 +316,9 @@ pub struct PortFlowEntry {
     pub stage_delay: Duration,
     /// The flow's own left-over delay at the port.
     pub flow_delay: Duration,
-    /// The flow's envelope *after* the port.
-    pub output: Envelope,
+    /// The flow's envelope *after* the port; `None` at its last hop, where
+    /// no port reads it.
+    pub output: Option<Envelope>,
     /// The packetizer-corrected left-over rate-latency service.
     pub leftover: RateLatency,
     /// The general left-over curve (staircase model only), with how far
@@ -1424,6 +1425,7 @@ impl AdmissionEngine {
                 .per_flow[&tentative[i].id]
                 .output
                 .clone()
+                .expect("a flow's port before its last hop keeps its output envelope")
         };
         let flow = StageFlow {
             message: MessageId(i),

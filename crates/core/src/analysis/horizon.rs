@@ -20,6 +20,7 @@
 
 use crate::analysis::port::LeftoverCurve;
 use netcalc::curve::EPS;
+use netcalc::minplus::tail_bound;
 use netcalc::{Curve, RateLatency, TokenBucket};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -111,9 +112,11 @@ pub(crate) fn record(event: HorizonEvent) {
     });
 }
 
-/// `false` inside `without_cut` (tests only): the walk then runs on uncut
-/// curves.
-pub(crate) fn cut_enabled() -> bool {
+/// `true` unless inside `without_cut` (tests only): the horizon cut, the
+/// deviations' early exit and the fused left-over pass are on.  Inside
+/// `without_cut` the walk runs on uncut curves, evaluates every deviation
+/// candidate and materialises every flow's cross traffic.
+pub(crate) fn shortcuts() -> bool {
     #[cfg(test)]
     if CUT_DISABLED.with(Cell::get) {
         return false;
@@ -121,7 +124,20 @@ pub(crate) fn cut_enabled() -> bool {
     true
 }
 
-/// Runs `f` with the horizon cut switched off on this thread.
+/// The token bucket over a deviation's arrival curve and the rate-latency
+/// curve under its service curve, for the deviation to stop on
+/// ([`netcalc::minplus::horizontal_deviation`]); `None` inside
+/// `without_cut`.
+pub(crate) fn early_exit<'a>(
+    bucket: &'a TokenBucket,
+    server: &'a RateLatency,
+) -> Option<(&'a TokenBucket, &'a RateLatency)> {
+    shortcuts().then_some((bucket, server))
+}
+
+/// Runs `f` with the horizon cut, the deviations' early exit and the fused
+/// left-over pass switched off on this thread: the plain, uncut,
+/// exhaustive walk.
 #[cfg(test)]
 pub(crate) fn without_cut<R>(f: impl FnOnce() -> R) -> R {
     CUT_DISABLED.with(|d| d.set(true));
@@ -171,7 +187,8 @@ fn last_of(points: &[(f64, f64)], len: usize) -> f64 {
 /// Every deviation candidate before `t_L` is evaluated on exact breakpoints
 /// in both computations, and both computations share those candidates.
 /// Every candidate at or past `t_L`, in either computation, is at most
-/// the closed form `T + (b + r·t_L + ε)/R − t_L` (decreasing in `t_L`).
+/// the closed form [`tail_bound`] `T + (b + r·t_L + ε)/R − t_L`
+/// (decreasing in `t_L`).
 /// When that tail bound is below `h_floor`, the maximum is attained before
 /// `t_L` in both computations, on the same values.
 pub(crate) fn deviation_is_exact(
@@ -202,25 +219,6 @@ pub(crate) fn deviation_is_exact(
         return false;
     }
     tail_bound(bucket, server, t_late) < h_floor - 1e-12
-}
-
-/// The largest delay any deviation candidate at or past `t` can carry when
-/// the arrival curve lies under `bucket` and the service curve above
-/// `server`: `T + (b + r·t + ε)/R − t`, or infinity when that is not
-/// decreasing in `t`.
-///
-/// `ε` covers the deviation's own tolerance (its inverse stops within
-/// [`EPS`] of the ordinate it looks for) and the float rounding of curves
-/// summed from many breakpoints.
-fn tail_bound(bucket: &TokenBucket, server: &RateLatency, t: f64) -> f64 {
-    let (b, r) = (bucket.burst().as_f64_bits(), bucket.rate().as_f64_bps());
-    let (rate, latency) = (server.rate().as_f64_bps(), server.latency().as_secs_f64());
-    let relative = 1e-9;
-    if rate <= 0.0 || r / rate + relative >= 1.0 {
-        return f64::INFINITY;
-    }
-    let slack = 16.0 * EPS + relative * (b + rate * t);
-    latency + (b + r * t + slack) / rate - t
 }
 
 /// How far below a cut curve's value `y` an uncut curve computed from

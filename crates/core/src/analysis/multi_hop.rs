@@ -389,7 +389,10 @@ pub fn analyze_multi_hop_with(
             // Propagate: the envelope entering the next hop is the output
             // envelope of this one (min-plus deconvolution, burst inflated
             // by this element's delay bound; staircase extras shift left).
-            envelope[msg] = pf.output.clone();
+            // A last hop has none, and nothing reads the envelope after it.
+            if let Some(output) = &pf.output {
+                envelope[msg] = output.clone();
+            }
         }
         if model == EnvelopeModel::Staircase {
             port_inputs.insert(port, (stage_flows, last_hop));
@@ -646,15 +649,16 @@ pub fn compose_end_to_end(
         // float noise in the curve route on degenerate-staircase
         // flows).
         let source = spec.arrival_envelope(model, config.link_rate);
-        let source_curve = source.curve();
+        let (source_curve, source_bucket) = (source.curve(), source.token_bucket());
+        let tail = horizon::early_exit(&source_bucket, &network);
         let (curve, exact) = network_curve(leftover_curves);
-        let mut h = netcalc::minplus::horizontal_deviation(&source_curve, &curve)
+        let mut h = netcalc::minplus::horizontal_deviation(&source_curve, &curve, tail)
             .map_err(convolved_path)?;
         let certified = deviation_is_exact(
             (&source_curve, ALL_EXACT),
             (&curve, exact),
             h,
-            &source.token_bucket(),
+            &source_bucket,
             &network,
         );
         if !certified {
@@ -676,7 +680,7 @@ pub fn compose_end_to_end(
                 })
                 .collect::<Result<Vec<_>, AnalysisError>>()?;
             let (curve, _) = network_curve(&uncut);
-            h = netcalc::minplus::horizontal_deviation(&source_curve, &curve)
+            h = netcalc::minplus::horizontal_deviation(&source_curve, &curve, tail)
                 .map_err(convolved_path)?;
         }
         convolved = convolved.min(Duration::from_secs_f64_ceil(h));

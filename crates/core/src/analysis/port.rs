@@ -17,8 +17,8 @@
 
 use crate::analysis::end_to_end::AnalysisError;
 use crate::analysis::horizon::{
-    self, cut_enabled, cut_margin, deviation_is_exact, exact_prefix, exact_until, HorizonEvent,
-    ALL_EXACT, NOTHING_EXACT,
+    self, cut_margin, deviation_is_exact, exact_prefix, exact_until, HorizonEvent, ALL_EXACT,
+    NOTHING_EXACT,
 };
 use crate::analysis::stage::{analyze_stage, mux_for_policy, StageFlow};
 use crate::config::NetworkConfig;
@@ -43,8 +43,9 @@ pub struct PortFlowAnalysis {
     /// service at this port (the per-hop-sum term).
     pub flow_delay: Duration,
     /// The flow's arrival envelope *after* the port — the envelope it
-    /// presents to the next hop.
-    pub output: Envelope,
+    /// presents to the next hop; `None` at its last hop, where no hop
+    /// reads it.
+    pub output: Option<Envelope>,
     /// The packetizer-corrected left-over rate-latency service curve.
     pub leftover: RateLatency,
     /// The packetizer-corrected general left-over curve (staircase model
@@ -117,7 +118,7 @@ pub fn analyze_port(
         model,
         name: port_name,
     };
-    if model == EnvelopeModel::Staircase && cut_enabled() {
+    if model == EnvelopeModel::Staircase && horizon::shortcuts() {
         if let Some(analysis) = port.analyze(true)? {
             return Ok(analysis);
         }
@@ -161,18 +162,30 @@ impl Port<'_> {
         let bases: Vec<Result<RateLatency, NcError>> = (0..mux.class_count())
             .map(|class| leftover_base(flows, class, &mux))
             .collect();
-        let totals = queue_set_totals(flows, &mux);
+        let totals: Vec<TokenBucket> = (0..mux.class_count())
+            .map(|class| mux.class_bucket(class))
+            .collect();
         let leftovers = leftover_services(flows, self.last_hop, &mux, &bases, &totals);
 
         // The horizon cut: each staircase ends at its first riser top past
-        // the port's horizon and continues at its long-term rate.
+        // the port's horizon and continues at its long-term rate.  Each
+        // flow's riser tops serve both the horizon and its cut.
+        let tops: Vec<Vec<f64>> = if cut && staircase {
+            flows
+                .iter()
+                .map(|f| f.envelope.extra().map_or_else(Vec::new, Curve::riser_tops))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let horizon = (cut && staircase)
-            .then(|| port_horizon(flows, &leftovers))
+            .then(|| port_horizon(flows, &leftovers, &tops))
             .flatten();
         let cuts: Vec<Option<Curve>> = if staircase {
             flows
                 .iter()
-                .map(|f| horizon.and_then(|w| f.envelope.extra()?.horizon_cut(w)))
+                .enumerate()
+                .map(|(i, f)| horizon.and_then(|w| f.envelope.extra()?.horizon_cut(&tops[i], w)))
                 .collect()
         } else {
             Vec::new()
@@ -202,7 +215,7 @@ impl Port<'_> {
             .iter()
             .map(|a| a.has_extra.then_some(&a.curve))
             .collect();
-        let stage_bounds = analyze_stage(flows, &mux, &refine).map_err(&stage)?;
+        let stage_bounds = analyze_stage(flows, &mux, &refine, self.last_hop).map_err(&stage)?;
         let stage_exact = aggregates.iter().enumerate().all(|(class, aggregate)| {
             let delay = flows
                 .iter()
@@ -226,7 +239,7 @@ impl Port<'_> {
         };
 
         let mut results = Vec::with_capacity(flows.len());
-        for (i, flow) in flows.iter().enumerate() {
+        for ((i, flow), (_, stage_bound)) in flows.iter().enumerate().zip(stage_bounds) {
             let unstable_port = || AnalysisError::Stage {
                 stage: self.name.to_string(),
                 source: NcError::Unstable {
@@ -264,7 +277,8 @@ impl Port<'_> {
                         }
                     };
                     let own = flow.envelope.effective_curve();
-                    let h = minplus::horizontal_deviation(&own, &lo.curve).map_err(&stage)?;
+                    let tail = horizon::early_exit(&bucket, &leftover);
+                    let h = minplus::horizontal_deviation(&own, &lo.curve, tail).map_err(&stage)?;
                     let own = (own.as_ref(), ALL_EXACT);
                     if !deviation_is_exact(own, (&lo.curve, lo.exact_until), h, &bucket, &leftover)
                     {
@@ -273,12 +287,11 @@ impl Port<'_> {
                     (Duration::from_secs_f64_ceil(h), Some(lo))
                 }
             };
-            let stage_bound = &stage_bounds[i].1;
             results.push(PortFlowAnalysis {
                 message: flow.message,
                 stage_delay: stage_bound.delay,
                 flow_delay,
-                output: stage_bound.output.clone(),
+                output: stage_bound.output,
                 leftover,
                 leftover_curve,
             });
@@ -341,12 +354,9 @@ impl UncutAggregates {
             source,
         };
         let base = self.bases[own].clone().map_err(stage)?.curve();
-        let (_, curve) = flow_leftover(
-            &base,
-            &self.aggregates[own].curve,
-            &flow.envelope.effective_curve(),
-        )
-        .map_err(stage)?;
+        let aggregate = &self.aggregates[own];
+        let (curve, _) =
+            flow_leftover(&base, aggregate, &flow.envelope.effective_curve()).map_err(stage)?;
         Ok(if port.last_hop[i] {
             curve
         } else {
@@ -355,16 +365,31 @@ impl UncutAggregates {
     }
 }
 
-/// A flow's cross traffic — its class `aggregate` less its own `curve` —
-/// and its general left-over curve on `base` against that cross traffic.
+/// A flow's general left-over curve on `base` against its cross traffic —
+/// its class `aggregate` less its own `curve` — in one fused pass
+/// ([`minplus::leftover_within`]), and how far that cross traffic is the
+/// one uncut curves give.
+///
+/// Inside `without_cut` nothing is cut, and the cross traffic is
+/// materialised before its left-over is taken, as the plain two-step
+/// pass does.
 fn flow_leftover(
     base: &Curve,
-    aggregate: &Curve,
+    aggregate: &ClassAggregate,
     curve: &Curve,
-) -> Result<(Curve, Curve), NcError> {
-    let cross = aggregate.sub_envelope(curve);
-    let leftover = minplus::leftover(base, &cross)?;
-    Ok((cross, leftover))
+) -> Result<(Curve, f64), NcError> {
+    if !horizon::shortcuts() {
+        let cross = aggregate.curve.sub_envelope(curve);
+        return Ok((minplus::leftover(base, &cross)?, ALL_EXACT));
+    }
+    let until = aggregate.exact_until;
+    let (leftover, cross_until) = minplus::leftover_within(base, &aggregate.curve, curve, until)?;
+    let cross_until = if until == ALL_EXACT {
+        ALL_EXACT
+    } else {
+        cross_until
+    };
+    Ok((leftover, cross_until))
 }
 
 /// The store-and-forward packetizer correction `[β − l]⁺` of a left-over
@@ -423,16 +448,19 @@ fn cross_bucket(flow: &StageFlow, total: &TokenBucket) -> TokenBucket {
 
 /// The port's horizon ([`horizon::horizon`]) from the largest per-flow
 /// token-bucket delay through its left-over service and the latest second
-/// riser top, or `None` when a left-over service does not exist (the port
-/// then fails either way).
-fn port_horizon(flows: &[StageFlow], leftovers: &[Option<RateLatency>]) -> Option<f64> {
+/// riser top (`tops` holds each flow's riser tops), or `None` when a
+/// left-over service does not exist (the port then fails either way).
+fn port_horizon(
+    flows: &[StageFlow],
+    leftovers: &[Option<RateLatency>],
+    tops: &[Vec<f64>],
+) -> Option<f64> {
     let mut longest = Duration::ZERO;
     let mut second_top = 0.0f64;
-    for (flow, leftover) in flows.iter().zip(leftovers) {
+    for ((flow, leftover), tops) in flows.iter().zip(leftovers).zip(tops) {
         let delay = delay_bound(&flow.envelope.token_bucket(), leftover.as_ref()?).ok()?;
         longest = longest.max(delay);
-        let top = flow.envelope.extra().and_then(|curve| curve.riser_top(2));
-        second_top = second_top.max(top.unwrap_or(0.0));
+        second_top = second_top.max(tops.get(1).copied().unwrap_or(0.0));
     }
     Some(horizon::horizon(longest.as_secs_f64(), second_top))
 }
@@ -536,34 +564,8 @@ fn clamp(mux: &Mux, priority: usize) -> usize {
     priority.min(mux.class_count().saturating_sub(1))
 }
 
-/// The token-bucket total of every class's queue set: the flows a flow of
-/// that class is blind-multiplexed with, itself included.
-///
-/// * **FCFS** — every flow at the port.
-/// * **Strict priority** — the flows of the same or higher priority
-///   (levels `q ≤ p`).
-/// * **WRR** — the flows of the *same class* (the class queue is one FIFO,
-///   so the arbitrary-multiplexing residual applies within it).
-///
-/// Bursts and rates are integers, so each total is exact in any summation
-/// order.
-fn queue_set_totals(flows: &[StageFlow], mux: &Mux) -> Vec<TokenBucket> {
-    let empty = TokenBucket::new(units::DataSize::ZERO, units::DataRate::ZERO);
-    let mut totals = vec![empty; mux.class_count()];
-    for f in flows {
-        let class = clamp(mux, f.priority);
-        totals[class] = totals[class].aggregate(&f.envelope.token_bucket());
-    }
-    if matches!(mux, Mux::StaticPriority(_)) {
-        for class in 1..totals.len() {
-            totals[class] = totals[class].aggregate(&totals[class - 1]);
-        }
-    }
-    totals
-}
-
 /// The service a flow of `class` is blind-multiplexed on against the rest
-/// of its queue set ([`queue_set_totals`]): `β_{C,t}` under FCFS,
+/// of its queue set ([`Mux::class_bucket`]): `β_{C,t}` under FCFS,
 /// `β_{C, t + l/C}` with `l` the largest lower-priority burst under strict
 /// priority (non-preemptive blocking), the class's quantum-share residual
 /// ([`netcalc::WrrMux::residual_service`]) under WRR.
@@ -592,8 +594,9 @@ fn leftover_base(flows: &[StageFlow], class: usize, mux: &Mux) -> Result<RateLat
 /// served flow's deviation can only shrink.
 ///
 /// Each flow's cross traffic is its class's aggregate from
-/// [`class_aggregates`] minus its own curve ([`Curve::sub_envelope`]), so a
-/// port costs one subtraction and one left-over per flow.
+/// [`class_aggregates`] minus its own curve, and its left-over curve is
+/// taken in the same fused pass ([`flow_leftover`]), so a port costs one
+/// subtraction and one left-over per flow.
 ///
 /// A left-over curve is the right-to-left running minimum of `β − cross`.
 /// Past the cross traffic's exact part that difference stays above the
@@ -618,15 +621,14 @@ fn leftover_curves(
             if base_curves[own].is_none() {
                 base_curves[own] = Some(base.curve());
             }
-            let aggregate = &aggregates[own];
             let base_curve = base_curves[own].as_ref().expect("just filled");
-            let (cross, curve) = flow_leftover(base_curve, &aggregate.curve, &curves[i])?;
+            let (curve, cross_until) = flow_leftover(base_curve, &aggregates[own], &curves[i])?;
             // A flow alone in its queue set has no cross traffic, cut or not.
             let bucket = cross_bucket(f, &totals[own]);
             let cross_until = if bucket.burst().is_zero() && bucket.rate().is_zero() {
                 ALL_EXACT
             } else {
-                exact_until(&cross, aggregate.exact_until)
+                cross_until
             };
             let exact_until = if cross_until == ALL_EXACT || cross_until == NOTHING_EXACT {
                 cross_until
@@ -691,7 +693,10 @@ mod tests {
         // The eight staircase flows with a 16 µs relaying latency.
         let (config, flows) = eight_staircase_flows();
         let last_hop: Vec<bool> = (0..flows.len()).map(|i| i % 2 == 0).collect();
-        for policy in &policies() {
+        // Every class with a flow is refined: one class under FCFS, three
+        // under strict priority and WRR (the flows sit at priorities 0–2).
+        let refined_classes = [1, 3, 3];
+        for (policy, refined) in policies().iter().zip(refined_classes) {
             let before = OpCounters::snapshot();
             let analysis = analyze_port(
                 &flows,
@@ -707,16 +712,23 @@ mod tests {
             assert!(analysis.flows.iter().all(|f| f.leftover_curve.is_some()));
             // One aggregation serves the stage bound and the left-over
             // curves: one `add` per flow, then one subtraction and one
-            // left-over per flow.
+            // left-over per flow; one deviation per refined class and one
+            // per flow; one output envelope (its bucket intersection a
+            // `combine`) per flow that goes on to a next hop.
             assert_eq!(
                 (
                     after.add - before.add,
                     after.leftover - before.leftover,
                     after.sub_envelope - before.sub_envelope,
+                    after.horizontal_deviation - before.horizontal_deviation,
+                    after.combine - before.combine,
                 ),
-                (8, 8, 8),
+                (8, 8, 8, refined + 8, 4),
                 "{policy:?}"
             );
+            for (flow, &is_last) in analysis.flows.iter().zip(&last_hop) {
+                assert_eq!(flow.output.is_none(), is_last, "{policy:?}");
+            }
         }
     }
 

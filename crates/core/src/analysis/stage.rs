@@ -1,6 +1,7 @@
 //! Analysis of one multiplexing stage (a station uplink or a switch output
 //! port), generic over the unified [`SchedulingPolicy`].
 
+use crate::analysis::horizon;
 use ethernet::{SchedulingPolicy, WrrUnit};
 use netcalc::{Curve, Envelope, Mux, NcError, WrrAccounting};
 use serde::{Deserialize, Serialize};
@@ -68,13 +69,15 @@ pub(crate) struct StageBound {
     /// relaying latency).
     pub delay: Duration,
     /// The flow's arrival envelope after the stage (token-bucket summary
-    /// inflated by the stage delay, extra curve shifted left by it).
-    pub output: Envelope,
+    /// inflated by the stage delay, extra curve shifted left by it);
+    /// `None` at the flow's last hop, where no hop reads it.
+    pub output: Option<Envelope>,
 }
 
 /// Analyses one stage: every flow's bound is its class's
-/// [`Mux::delay_bound`], and its output envelope is its input envelope
-/// delayed by that bound.
+/// [`Mux::delay_bound`], and, unless the stage is the flow's last hop
+/// (`last_hop`), its output envelope is its input envelope delayed by that
+/// bound.
 ///
 /// `mux` is the stage's stable multiplexer loaded with `flows`
 /// ([`mux_for_policy`]).  `aggregates[c]`, when present, is the aggregate
@@ -85,22 +88,29 @@ pub(crate) fn analyze_stage(
     flows: &[StageFlow],
     mux: &Mux,
     aggregates: &[Option<&Curve>],
+    last_hop: &[bool],
 ) -> Result<Vec<(MessageId, StageBound)>, NcError> {
     let classes = mux.class_count();
     let mut class_delay: Vec<Option<Duration>> = vec![None; classes];
     flows
         .iter()
-        .map(|flow| {
+        .zip(last_hop)
+        .map(|(flow, &is_last)| {
             let class = flow.priority.min(classes.saturating_sub(1));
             let delay = match class_delay[class] {
                 Some(delay) => delay,
                 None => {
-                    let delay = mux.delay_bound(class, aggregates.get(class).copied().flatten())?;
+                    let aggregate = aggregates.get(class).copied().flatten();
+                    let delay = mux.delay_bound(class, aggregate, horizon::shortcuts())?;
                     class_delay[class] = Some(delay);
                     delay
                 }
             };
-            let output = flow.envelope.delayed(delay)?;
+            let output = if is_last {
+                None
+            } else {
+                Some(flow.envelope.delayed(delay)?)
+            };
             Ok((flow.message, StageBound { delay, output }))
         })
         .collect()
@@ -129,13 +139,14 @@ mod tests {
     }
 
     /// Loads `flows` into the policy's mux at 10 Mbps and analyses the
-    /// stage on closed forms.
+    /// stage on closed forms, no flow at its last hop.
     fn stage(
         flows: &[StageFlow],
         policy: &SchedulingPolicy,
         ttechno: Duration,
     ) -> Result<Vec<(MessageId, StageBound)>, NcError> {
-        analyze_stage(flows, &mux_for_policy(flows, policy, c10(), ttechno)?, &[])
+        let mux = mux_for_policy(flows, policy, c10(), ttechno)?;
+        analyze_stage(flows, &mux, &[], &vec![false; flows.len()])
     }
 
     fn fcfs() -> SchedulingPolicy {
@@ -167,8 +178,9 @@ mod tests {
         assert_eq!(d0, Duration::from_micros(976));
         // Output bursts are inflated.
         for (i, (_, bound)) in result.iter().enumerate() {
-            assert!(bound.output.burst() >= flows[i].envelope.burst());
-            assert_eq!(bound.output.rate(), flows[i].envelope.rate());
+            let output = bound.output.as_ref().unwrap();
+            assert!(output.burst() >= flows[i].envelope.burst());
+            assert_eq!(output.rate(), flows[i].envelope.rate());
         }
     }
 
@@ -198,7 +210,7 @@ mod tests {
         assert_eq!(result.len(), 3);
         for (i, (_, bound)) in result.iter().enumerate() {
             assert!(bound.delay > Duration::ZERO);
-            assert!(bound.output.burst() >= flows[i].envelope.burst());
+            assert!(bound.output.as_ref().unwrap().burst() >= flows[i].envelope.burst());
         }
     }
 

@@ -27,7 +27,8 @@ pub(crate) struct Scratch {
     pub(crate) xs: Vec<f64>,
     /// Interior-crossing abscissas of the min/max combine.
     pub(crate) crossings: Vec<f64>,
-    /// Fold accumulator breakpoints (general convolution).
+    /// Fold accumulator breakpoints (general convolution), or the cross
+    /// traffic of the fused left-over pass.
     pub(crate) acc: Vec<(f64, f64)>,
     /// Current family-member breakpoints (convolution) or hull (leftover).
     pub(crate) member: Vec<(f64, f64)>,

@@ -326,14 +326,14 @@ impl Curve {
     /// difference non-decreasing (true whenever `other` is one of the
     /// summands of `self`); float noise is clamped to keep the result a
     /// valid curve.  Runs a two-pointer merge of both breakpoint grids on
-    /// the thread-local scratch.
+    /// the thread-local scratch.  [`crate::minplus::leftover_within`]
+    /// runs the same kernel without materialising the difference.
     pub fn sub_envelope(&self, other: &Curve) -> Curve {
         record_op(OpKind::SubEnvelope);
         with_scratch(|s| {
             let final_slope = sub_envelope_points_into(
                 (&self.points, self.final_slope),
                 (&other.points, other.final_slope),
-                &mut s.xs,
                 &mut s.work,
             );
             Curve::from_simplified_parts(s.work.clone(), final_slope)
@@ -480,9 +480,10 @@ impl Curve {
 
     /// The curve cut at `horizon` seconds: its breakpoints up to its first
     /// riser top strictly past the horizon, continued along the line of
-    /// the final slope.  `None` when no riser top lies past the horizon
-    /// before the last breakpoint: the curve already continues along that
-    /// line there.
+    /// the final slope.  `tops` are the curve's riser tops
+    /// ([`Curve::riser_tops`]).  `None` when no riser top lies past the
+    /// horizon before the last breakpoint: the curve already continues
+    /// along that line there.
     ///
     /// A riser top is a breakpoint after the origin from which that line
     /// stays on or above every later breakpoint (within [`EPS`]).  On a
@@ -493,27 +494,18 @@ impl Curve {
     /// breakpoint before the cut.  The same holds for a staircase shifted
     /// by [`Envelope::delayed`](crate::Envelope::delayed), whose riser tops
     /// touch the inflated bucket.
-    pub fn horizon_cut(&self, horizon: f64) -> Option<Curve> {
-        let &k = self
-            .riser_tops()
-            .iter()
-            .find(|&&k| self.points[k].0 > horizon)?;
+    pub fn horizon_cut(&self, tops: &[f64], horizon: f64) -> Option<Curve> {
+        let &top = tops.iter().find(|&&x| x > horizon)?;
+        let k = self.points.partition_point(|&(x, _)| x < top);
         let points = simplify_points(self.points[..=k].to_vec(), self.final_slope);
         Some(Curve::from_simplified_parts(points, self.final_slope))
     }
 
-    /// The abscissa of the curve's `n`-th riser top (see
-    /// [`Curve::horizon_cut`]; the first is `n = 1`), `None` when it has
-    /// fewer before its last breakpoint.
-    pub fn riser_top(&self, n: usize) -> Option<f64> {
-        let k = *self.riser_tops().get(n.checked_sub(1)?)?;
-        Some(self.points[k].0)
-    }
-
-    /// The indices of the riser tops before the last breakpoint, ascending;
-    /// of consecutive qualifying breakpoints (a top that follows the bucket
-    /// for a while, as a delayed staircase's do) only the first counts.
-    fn riser_tops(&self) -> Vec<usize> {
+    /// The abscissas of the curve's riser tops (see [`Curve::horizon_cut`])
+    /// before its last breakpoint, ascending; of consecutive qualifying
+    /// breakpoints (a top that follows the bucket for a while, as a delayed
+    /// staircase's do) only the first counts.
+    pub fn riser_tops(&self) -> Vec<f64> {
         let points = &self.points;
         let offset = |&(x, y): &(f64, f64)| y - self.final_slope * x;
         let last = points.len() - 1;
@@ -529,6 +521,7 @@ impl Curve {
         }
         (1..last)
             .filter(|&k| qualifies[k] && !qualifies[k - 1])
+            .map(|k| points[k].0)
             .collect()
     }
 
@@ -636,7 +629,7 @@ fn is_simplified(points: &[(f64, f64)], final_slope: f64) -> bool {
 /// negative.
 pub(crate) fn clamp_nonneg(raw: &[(f64, f64)], final_slope: f64) -> Curve {
     let mut out = Vec::with_capacity(raw.len() + 1);
-    clamp_nonneg_into(raw, final_slope, &mut out);
+    clamp_nonneg_into(raw.iter().copied(), final_slope, &mut out);
     Curve::new(out, final_slope).expect("clamped non-decreasing breakpoints form a valid curve")
 }
 
@@ -695,49 +688,81 @@ pub(crate) fn simplify_points_in_place(points: &mut Vec<(f64, f64)>, final_slope
     let mut w = 0usize;
     for r in 0..points.len() {
         let p = points[r];
-        if w > 0 {
-            let last = points[w - 1];
-            if p.0 - last.0 < 1e-15 {
-                // Near-duplicate abscissa: keep the later ordinate.
-                points[w - 1] = (last.0, p.1);
-                continue;
-            }
-        }
-        while w >= 2 && collinear_mid(points[w - 2], points[w - 1], p) {
-            w -= 1;
-        }
-        points[w] = p;
-        w += 1;
-    }
-    while w >= 2 && collinear_tail(points[w - 2], points[w - 1], final_slope) {
-        w -= 1;
+        w = simplify_step(points, w, p);
     }
     points.truncate(w);
+    trim_collinear_tail(points, final_slope);
 }
 
-/// Clamps a non-decreasing raw breakpoint list whose leading ordinates may
-/// be negative at zero, with the level crossing inserted as an exact
-/// breakpoint (in the linear tail too, when the whole list is negative but
-/// the final slope eventually reaches zero).  Writes the clamped breakpoints
-/// into `out` (cleared first) and simplifies them in place; the caller owns
-/// turning `out` into a [`Curve`].
-pub(crate) fn clamp_nonneg_into(raw: &[(f64, f64)], final_slope: f64, out: &mut Vec<(f64, f64)>) {
+/// [`simplify_points_in_place`] one breakpoint at a time: appends `p` to
+/// the simplified list `out`, so a kernel can simplify its breakpoints as
+/// it produces them.  Finish with [`trim_collinear_tail`].
+pub(crate) fn push_simplified(out: &mut Vec<(f64, f64)>, p: (f64, f64)) {
+    let w = out.len();
+    out.push(p);
+    let w = simplify_step(out, w, p);
+    out.truncate(w);
+}
+
+/// One step of breakpoint simplification: adds `p` to the simplified
+/// prefix `points[..w]` (with room at `w`) and returns the prefix's new
+/// length.
+fn simplify_step(points: &mut [(f64, f64)], mut w: usize, p: (f64, f64)) -> usize {
+    if w > 0 {
+        let last = points[w - 1];
+        if p.0 - last.0 < 1e-15 {
+            // Near-duplicate abscissa: keep the later ordinate.
+            points[w - 1] = (last.0, p.1);
+            return w;
+        }
+    }
+    while w >= 2 && collinear_mid(points[w - 2], points[w - 1], p) {
+        w -= 1;
+    }
+    points[w] = p;
+    w + 1
+}
+
+/// Drops the trailing breakpoints collinear with the final slope.
+pub(crate) fn trim_collinear_tail(points: &mut Vec<(f64, f64)>, final_slope: f64) {
+    while points.len() >= 2
+        && collinear_tail(
+            points[points.len() - 2],
+            points[points.len() - 1],
+            final_slope,
+        )
+    {
+        points.pop();
+    }
+}
+
+/// Clamps a non-decreasing raw breakpoint sequence whose leading ordinates
+/// may be negative at zero, with the level crossing inserted as an exact
+/// breakpoint (in the linear tail too, when the whole sequence is negative
+/// but the final slope eventually reaches zero).  Writes the clamped
+/// breakpoints into `out` (cleared first), simplified as they are
+/// produced; the caller owns turning `out` into a [`Curve`].
+pub(crate) fn clamp_nonneg_into(
+    raw: impl IntoIterator<Item = (f64, f64)>,
+    final_slope: f64,
+    out: &mut Vec<(f64, f64)>,
+) {
     out.clear();
     let mut prev: Option<(f64, f64)> = None;
-    for &(x, y) in raw {
+    for (x, y) in raw {
         if let Some((px, py)) = prev {
             if py < 0.0 && y > 0.0 {
-                out.push((px + (0.0 - py) * (x - px) / (y - py), 0.0));
+                push_simplified(out, (px + (0.0 - py) * (x - px) / (y - py), 0.0));
             }
         }
-        out.push((x, y.max(0.0)));
+        push_simplified(out, (x, y.max(0.0)));
         prev = Some((x, y));
     }
-    let (last_x, last_y) = *raw.last().expect("non-empty raw breakpoints");
+    let (last_x, last_y) = prev.expect("non-empty raw breakpoints");
     if last_y < 0.0 && final_slope > 0.0 {
-        out.push((last_x - last_y / final_slope, 0.0));
+        push_simplified(out, (last_x - last_y / final_slope, 0.0));
     }
-    simplify_points_in_place(out, final_slope);
+    trim_collinear_tail(out, final_slope);
 }
 
 /// Scale-aware tolerance for deduplicating two nearby candidate abscissas
@@ -754,11 +779,13 @@ pub(crate) fn candidate_eps(a: f64, b: f64) -> f64 {
 /// A forward-only evaluation cursor over a breakpoint list: bitwise mirror
 /// of [`eval_points`] for non-decreasing query sequences, advancing a
 /// remembered segment index instead of binary-searching per query.  Every
-/// branch (exact hit, linear tail, interior interpolation) performs the
-/// identical float arithmetic on the identical operands.
+/// branch (exact hit, linear tail, interior interpolation) yields the bits
+/// of the identical float arithmetic on the identical operands; on a flat
+/// segment that is `y0 + 0.0`, taken without the division.
 pub(crate) struct CurveCursor<'a> {
     points: &'a [(f64, f64)],
     final_slope: f64,
+    last: (f64, f64),
     seg: usize,
 }
 
@@ -768,6 +795,7 @@ impl<'a> CurveCursor<'a> {
         CurveCursor {
             points,
             final_slope,
+            last: *points.last().expect("curve has at least one point"),
             seg: 0,
         }
     }
@@ -776,7 +804,7 @@ impl<'a> CurveCursor<'a> {
     /// sorted grids); the cursor only ever advances.
     pub(crate) fn eval(&mut self, t: f64) -> f64 {
         let t = t.max(0.0);
-        let (last_x, last_y) = *self.points.last().expect("curve has at least one point");
+        let (last_x, last_y) = self.last;
         if t >= last_x {
             return last_y + self.final_slope * (t - last_x);
         }
@@ -791,6 +819,12 @@ impl<'a> CurveCursor<'a> {
         }
         // seg >= 1 because points[0].0 == 0.0 <= t < points[seg].0.
         let (x0, y0) = self.points[self.seg - 1];
+        if y1 == y0 {
+            // A flat segment: the interpolation below evaluates to exactly
+            // `y0 + 0.0` (a zero rise times a positive fraction), without
+            // its division.
+            return y0 + 0.0;
+        }
         y0 + (y1 - y0) * (t - x0) / (x1 - x0)
     }
 }
@@ -914,14 +948,22 @@ pub(crate) fn merged_xs_concat_sort_into(a: &[(f64, f64)], b: &[(f64, f64)], xs:
 }
 
 /// Two-pointer [`merged_xs_concat_sort_into`]: the union of two
-/// *individually sorted* breakpoint lists' abscissas without the sort.
-/// Ties take the first list's element first (what the stable sort of the
-/// concatenation did) and the keep-first `1e-12` dedup is applied against
-/// the last kept value (what `Vec::dedup_by` did), so the output is
-/// element-for-element identical.
+/// *individually sorted* breakpoint lists' abscissas without the sort,
+/// written into `xs` ([`for_each_merged_x`]).
 pub(crate) fn merged_xs_two_pointer_into(a: &[(f64, f64)], b: &[(f64, f64)], xs: &mut Vec<f64>) {
     xs.clear();
+    for_each_merged_x(a, b, |x| xs.push(x));
+}
+
+/// Calls `f` on the union of two *individually sorted* breakpoint lists'
+/// abscissas, ascending, as [`merged_xs_concat_sort_into`] lists them.
+/// Ties take the first list's element first (what the stable sort of the
+/// concatenation did) and the keep-first `1e-12` dedup is applied against
+/// the last value passed (what `Vec::dedup_by` did), so the sequence is
+/// element-for-element identical.
+pub(crate) fn for_each_merged_x(a: &[(f64, f64)], b: &[(f64, f64)], mut f: impl FnMut(f64)) {
     let (mut i, mut j) = (0usize, 0usize);
+    let mut last: Option<f64> = None;
     loop {
         let x = match (a.get(i), b.get(j)) {
             (Some(&(xa, _)), Some(&(xb, _))) => {
@@ -943,8 +985,9 @@ pub(crate) fn merged_xs_two_pointer_into(a: &[(f64, f64)], b: &[(f64, f64)], xs:
             }
             (None, None) => break,
         };
-        if xs.last().is_none_or(|&last| (x - last).abs() >= 1e-12) {
-            xs.push(x);
+        if last.is_none_or(|last| (x - last).abs() >= 1e-12) {
+            last = Some(x);
+            f(x);
         }
     }
 }
@@ -1117,28 +1160,26 @@ pub(crate) fn add_points_into(
 }
 
 /// Two-pointer [`Curve::sub_envelope`] kernel — the "aggregate minus own
-/// flow" split done in a single merge, written into `out`.  Returns the
-/// difference's final slope.
+/// flow" split done in a single merge, simplified as it is produced into
+/// `out`.  Returns the difference's final slope.
 pub(crate) fn sub_envelope_points_into(
     a: (&[(f64, f64)], f64),
     b: (&[(f64, f64)], f64),
-    xs: &mut Vec<f64>,
     out: &mut Vec<(f64, f64)>,
 ) -> f64 {
     let (ap, a_slope) = a;
     let (bp, b_slope) = b;
-    merged_xs_two_pointer_into(ap, bp, xs);
     let mut ca = CurveCursor::new(ap, a_slope);
     let mut cb = CurveCursor::new(bp, b_slope);
     out.clear();
     let mut prev = 0.0_f64;
-    for &x in xs.iter() {
+    for_each_merged_x(ap, bp, |x| {
         let y = (ca.eval(x) - cb.eval(x)).max(prev).max(0.0);
-        out.push((x, y));
+        push_simplified(out, (x, y));
         prev = y;
-    }
+    });
     let final_slope = (a_slope - b_slope).max(0.0);
-    simplify_points_in_place(out, final_slope);
+    trim_collinear_tail(out, final_slope);
     final_slope
 }
 

@@ -180,35 +180,13 @@ impl Envelope {
         let extra_bits = self.tb.rate().bits_in(delay);
         let tb = TokenBucket::new(self.tb.burst() + extra_bits, self.tb.rate());
         let extra = match &self.extra {
-            Some(curve) => {
-                let shifted = curve.shift_left(delay.as_secs_f64())?;
-                // Re-intersect with the inflated token bucket so float
-                // noise in the shift can never exceed the affine summary.
-                // When the shifted curve already lies within the bucket, the
-                // intersection would return its breakpoints unchanged.
-                Some(if within_bucket(&shifted, &tb) {
-                    shifted
-                } else {
-                    shifted.min(&tb.curve())
-                })
-            }
+            // Re-intersect with the inflated token bucket so float noise in
+            // the shift can never exceed the affine summary.
+            Some(curve) => Some(curve.shift_left(delay.as_secs_f64())?.min(&tb.curve())),
             None => None,
         };
         Ok(Envelope { tb, extra })
     }
-}
-
-/// `true` when `shifted.min(&tb.curve())` would return `shifted` bit for
-/// bit: every breakpoint at or below the bucket line `b + r·x` (evaluated
-/// as the minimum kernel evaluates it), a final slope at most `r` (so no
-/// crossing in the tail), and consecutive abscissas at least the `1e-12`
-/// apart that the kernel's grid merge keeps.
-fn within_bucket(shifted: &Curve, tb: &TokenBucket) -> bool {
-    let (burst, rate) = (tb.burst().as_f64_bits(), tb.rate().as_f64_bps());
-    let points = shifted.points();
-    shifted.final_slope() <= rate
-        && points.iter().all(|&(x, y)| y <= burst + rate * x)
-        && points.windows(2).all(|w| w[1].0 - w[0].0 >= 1e-12)
 }
 
 impl From<TokenBucket> for Envelope {
@@ -331,8 +309,8 @@ mod tests {
                 .fold(Curve::zero(), |acc, e| acc.add(&e.effective_curve()))
         };
         let beta = Curve::rate_latency(10e6, 16e-6).unwrap();
-        let h_st = horizontal_deviation(&sum(&staircase), &beta).unwrap();
-        let h_tb = horizontal_deviation(&sum(&affine), &beta).unwrap();
+        let h_st = horizontal_deviation(&sum(&staircase), &beta, None).unwrap();
+        let h_tb = horizontal_deviation(&sum(&affine), &beta, None).unwrap();
         assert!(
             h_st < h_tb - 1e-9,
             "staircase {h_st} did not beat affine {h_tb}"

@@ -119,9 +119,61 @@ mod proptests {
         let back = sum.sub_envelope(cross);
         let min = st_cross.min(cross);
         let max = st_cross.max(cross);
-        let h = minplus::horizontal_deviation(own, &lo)?;
+        let h = minplus::horizontal_deviation(own, &lo, None)?;
         let v = minplus::vertical_deviation(own, &lo)?;
         Ok((vec![lo, out, conv, sum, back, min, max], h, v))
+    }
+
+    /// One flow's staircase on a `line`, delayed by `delay_us` µs and cut
+    /// at `horizon_steps` half periods (uncut at 0), with the token bucket
+    /// it lies under.
+    fn delayed_cut_staircase(
+        bytes: u64,
+        period_ms: u64,
+        shape: u64,
+        line: DataRate,
+    ) -> (Curve, TokenBucket) {
+        let (delay_us, horizon_steps) = (shape % 5_000, shape / 5_000);
+        let period = Duration::from_millis(period_ms);
+        let env = Envelope::staircase(DataSize::from_bytes(bytes), period, line)
+            .delayed(Duration::from_micros(delay_us))
+            .unwrap();
+        let curve = env.effective_curve().into_owned();
+        let horizon = horizon_steps as f64 * period.as_secs_f64() / 2.0;
+        let cut = (horizon_steps > 0)
+            .then(|| curve.horizon_cut(&curve.riser_tops(), horizon))
+            .flatten();
+        (cut.unwrap_or(curve), env.token_bucket())
+    }
+
+    /// The sum of `flows` (`(bytes, period_ms, shape)`, see
+    /// [`delayed_cut_staircase`]) from [`Curve::zero`] in order, the sum of
+    /// their token buckets, and the abscissa of the first cut curve's end
+    /// (infinity when none is cut).
+    fn staircase_sum(flows: &[(u64, u64, u64)], line: DataRate) -> (Curve, TokenBucket, f64) {
+        let mut sum = (
+            Curve::zero(),
+            TokenBucket::aggregate_all(None::<TokenBucket>),
+            f64::INFINITY,
+        );
+        for &(bytes, period_ms, shape) in flows {
+            let (curve, bucket) = delayed_cut_staircase(bytes, period_ms, shape, line);
+            if shape >= 5_000 {
+                sum.2 = sum.2.min(curve.points().last().unwrap().0);
+            }
+            sum = (sum.0.add(&curve), sum.1.aggregate(&bucket), sum.2);
+        }
+        sum
+    }
+
+    /// `true` when both deviations are the same value bit for bit, or both
+    /// errors.
+    fn same_deviation(a: Result<f64, NcError>, b: Result<f64, NcError>) -> bool {
+        match (a, b) {
+            (Ok(a), Ok(b)) => a.to_bits() == b.to_bits(),
+            (Err(_), Err(_)) => true,
+            _ => false,
+        }
     }
 
     proptest! {
@@ -142,7 +194,7 @@ mod proptests {
             prop_assume!(tb.rate().bps() < capacity.bps());
             let sc = RateLatency::new(capacity, Duration::from_micros(latency_us));
             let closed = bounds::delay_bound(&tb, &sc).unwrap();
-            let general = minplus::horizontal_deviation(&tb.curve(), &sc.curve()).unwrap();
+            let general = minplus::horizontal_deviation(&tb.curve(), &sc.curve(), None).unwrap();
             let general = Duration::from_secs_f64_ceil(general);
             let diff = closed.as_nanos().abs_diff(general.as_nanos());
             prop_assert!(diff <= 1, "closed {closed} vs general {general}");
@@ -183,7 +235,7 @@ mod proptests {
                     DataRate::from_bps(capacity),
                     Duration::from_nanos(latency_ns),
                 );
-                let reference = minplus::horizontal_deviation(&tb.curve(), &rl.curve())
+                let reference = minplus::horizontal_deviation(&tb.curve(), &rl.curve(), None)
                     .map(Duration::from_secs_f64_ceil);
                 prop_assert_eq!(bounds::delay_bound(&tb, &rl), reference);
             }
@@ -352,16 +404,16 @@ mod proptests {
             let beta = RateLatency::new(capacity, Duration::from_micros(latency_us));
             // Fresh at the source…
             let st = Envelope::staircase(length, period, capacity);
-            let h_st = minplus::horizontal_deviation(&st.curve(), &beta.curve()).unwrap();
-            let h_tb = minplus::horizontal_deviation(&tb.curve(), &beta.curve()).unwrap();
+            let h_st = minplus::horizontal_deviation(&st.curve(), &beta.curve(), None).unwrap();
+            let h_tb = minplus::horizontal_deviation(&tb.curve(), &beta.curve(), None).unwrap();
             prop_assert!(h_st <= h_tb + 1e-12, "fresh: {h_st} > {h_tb}");
             // …and after propagating through an upstream delay, where the
             // staircase's flat step keeps the effective burst down.
             let delay = Duration::from_micros(delay_us);
             let st_out = st.delayed(delay).unwrap();
             let tb_out = Envelope::from(tb).delayed(delay).unwrap();
-            let h_st = minplus::horizontal_deviation(&st_out.curve(), &beta.curve()).unwrap();
-            let h_tb = minplus::horizontal_deviation(&tb_out.curve(), &beta.curve()).unwrap();
+            let h_st = minplus::horizontal_deviation(&st_out.curve(), &beta.curve(), None).unwrap();
+            let h_tb = minplus::horizontal_deviation(&tb_out.curve(), &beta.curve(), None).unwrap();
             prop_assert!(h_st <= h_tb + 1e-12, "delayed: {h_st} > {h_tb}");
         }
 
@@ -667,7 +719,7 @@ mod proptests {
 
                 // Deviations: monotone-cursor candidates vs O(n·m) rescans.
                 prop_assert_eq!(
-                    minplus::horizontal_deviation(own_curve, &lo).unwrap(),
+                    minplus::horizontal_deviation(own_curve, &lo, None).unwrap(),
                     reference::horizontal_deviation(own_curve, &lo).unwrap()
                 );
                 prop_assert_eq!(
@@ -705,10 +757,10 @@ mod proptests {
                 return Ok(());
             };
             let horizon = horizon_steps as f64 * period.as_secs_f64() / 2.0;
-            let Some(cut) = uncut.horizon_cut(horizon) else {
+            let tops = uncut.riser_tops();
+            let Some(cut) = uncut.horizon_cut(&tops, horizon) else {
                 // No riser top past the horizon before the staircase ends.
-                let tops = (1..uncut.points().len()).map_while(|n| uncut.riser_top(n));
-                prop_assert!(tops.into_iter().all(|x| x <= horizon));
+                prop_assert!(tops.iter().all(|&x| x <= horizon));
                 return Ok(());
             };
             let (cp, up) = (cut.points(), uncut.points());
@@ -728,41 +780,98 @@ mod proptests {
             }
         }
 
-        /// `Envelope::delayed` returns exactly the shifted curve's minimum
-        /// with the inflated bucket, whether it takes the intersection or
-        /// skips it: delays land riser tops on, below and (by the bucket's
-        /// rounded-down inflation) just above the bucket line.
+        /// The horizontal deviation with its early exit equals the
+        /// candidate-enumeration oracle bit for bit: sums of delayed and cut
+        /// staircases under their token bucket, against left-over curves of
+        /// staircase cross traffic above their rate-latency bound, plus an
+        /// unstable pair and a service curve whose ordinates dip by less
+        /// than `EPS`, so that the inverse candidates come out unsorted.
         #[test]
-        fn delayed_matches_the_bucket_intersection_bit_for_bit(
-            bytes in 64u64..1_500,
-            period_ms in 1u64..200,
+        fn early_exit_deviation_matches_the_reference(
+            flows in proptest::collection::vec((64u64..1_500, 1u64..100, 0u64..45_000), 1..7),
+            cross in proptest::collection::vec((64u64..1_500, 1u64..100, 0u64..45_000), 0..7),
             capacity_mbps in 10u64..1_000,
-            steps in 0u64..40,
-            offset_ns in 0u64..3,
-            twice in 0u64..2,
+            latency_us in 0u64..200,
         ) {
-            let length = DataSize::from_bytes(bytes);
-            let period = Duration::from_millis(period_ms);
-            let peak = DataRate::from_mbps(capacity_mbps);
-            let mut env = Envelope::staircase(length, period, peak);
-            // Delays at quarter periods, give or take a nanosecond, and a
-            // second hop on top of the first.
-            let delay = Duration::from_nanos(steps * period.as_nanos() / 4 + offset_ns);
-            for _ in 0..=twice {
-                let Some(extra) = env.extra().cloned() else {
-                    return Ok(());
-                };
-                let out = env.delayed(delay).unwrap();
-                let shifted = extra.shift_left(delay.as_secs_f64()).unwrap();
-                let reference = shifted.min(&out.token_bucket().curve());
-                let got = out.extra().expect("a staircase stays a staircase");
-                prop_assert_eq!(got.final_slope().to_bits(), reference.final_slope().to_bits());
-                prop_assert_eq!(got.points().len(), reference.points().len());
-                for (g, r) in got.points().iter().zip(reference.points()) {
-                    prop_assert!(g.0.to_bits() == r.0.to_bits() && g.1.to_bits() == r.1.to_bits(),
-                        "{g:?} vs {r:?}");
+            use minplus::reference;
+            let line = DataRate::from_mbps(capacity_mbps);
+            let (alpha, bucket, _) = staircase_sum(&flows, line);
+            let (cross_curve, cross_bucket, _) = staircase_sum(&cross, line);
+            let port = RateLatency::new(line, Duration::from_micros(latency_us));
+            let Some(server) = port.leftover(&cross_bucket) else {
+                return Ok(());
+            };
+            let Ok(lo) = minplus::leftover(&port.curve(), &cross_curve) else {
+                return Ok(());
+            };
+            let tail = Some((&bucket, &server));
+            let exhaustive = minplus::horizontal_deviation(&alpha, &lo, None);
+            let early = minplus::horizontal_deviation(&alpha, &lo, tail);
+            prop_assert!(same_deviation(early.clone(), reference::horizontal_deviation(&alpha, &lo)),
+                "{early:?} vs the reference");
+            prop_assert!(same_deviation(early, exhaustive));
+
+            let flood = alpha.add(&Curve::affine(0.0, lo.final_slope()).unwrap());
+            prop_assert!(minplus::horizontal_deviation(&flood, &lo, tail).is_err());
+            prop_assert!(reference::horizontal_deviation(&flood, &lo).is_err());
+
+            // A rate-latency curve that dips 5·10⁻⁷ bits right after
+            // reaching `y` against a token bucket below `y`: the inverse of
+            // the dip lands before the inverse of `y`.
+            let (b, r) = (bucket.burst().as_f64_bits(), bucket.rate().as_f64_bps());
+            let (rate, latency) = (server.rate().as_f64_bps(), server.latency().as_secs_f64());
+            let y = b + r * 1e-3 + 1.0;
+            let top = latency + y / rate;
+            let dipping = Curve::new(
+                vec![(0.0, 0.0), (latency, 0.0), (top, y), (top + 1e-3, y - 5e-7)],
+                rate,
+            ).unwrap();
+            prop_assert!(alpha.inverse(y - 5e-7) < alpha.inverse(y) || r == 0.0);
+            let below = RateLatency::new(server.rate(), server.latency() + Duration::from_millis(2));
+            let affine = bucket.curve();
+            prop_assert!(same_deviation(
+                minplus::horizontal_deviation(&affine, &dipping, Some((&bucket, &below))),
+                reference::horizontal_deviation(&affine, &dipping),
+            ));
+        }
+
+        /// The fused left-over pass equals the left-over against the
+        /// materialised cross traffic, curve and cross-traffic exact-until
+        /// alike, on aggregates of 1–12 delayed and cut staircases.
+        #[test]
+        fn fused_leftover_matches_the_two_step_pass(
+            flows in proptest::collection::vec((64u64..1_500, 1u64..100, 0u64..45_000), 1..13),
+            capacity_mbps in 10u64..1_000,
+            latency_us in 0u64..200,
+            pick in 0usize..12,
+        ) {
+            let line = DataRate::from_mbps(capacity_mbps);
+            let (aggregate, _, first_cut) = staircase_sum(&flows, line);
+            let (bytes, period_ms, shape) = flows[pick % flows.len()];
+            let (own, _) = delayed_cut_staircase(bytes, period_ms, shape, line);
+            let beta = Curve::rate_latency(line.as_f64_bps(), latency_us as f64 * 1e-6).unwrap();
+            let cross = aggregate.sub_envelope(&own);
+            let cross_until = cross
+                .points()
+                .iter()
+                .take_while(|p| p.0 <= first_cut)
+                .last()
+                .map_or(f64::NEG_INFINITY, |p| p.0);
+            match (
+                minplus::leftover_within(&beta, &aggregate, &own, first_cut),
+                minplus::leftover(&beta, &cross),
+            ) {
+                (Ok((fused, until)), Ok(two_step)) => {
+                    prop_assert_eq!(until.to_bits(), cross_until.to_bits());
+                    prop_assert_eq!(fused.final_slope().to_bits(), two_step.final_slope().to_bits());
+                    prop_assert_eq!(fused.points().len(), two_step.points().len());
+                    for (f, t) in fused.points().iter().zip(two_step.points()) {
+                        prop_assert!(f.0.to_bits() == t.0.to_bits() && f.1.to_bits() == t.1.to_bits(),
+                            "{f:?} vs {t:?}");
+                    }
                 }
-                env = out;
+                (Err(_), Err(_)) => {}
+                (fused, two_step) => prop_assert!(false, "{fused:?} vs {two_step:?}"),
             }
         }
 

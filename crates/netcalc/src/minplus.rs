@@ -13,21 +13,31 @@
 //! [`vertical_deviation`] here, and [`Curve::add`], [`Curve::sub_envelope`],
 //! [`Curve::min`] and [`Curve::max`] on the curve type.  Each records its
 //! operator in [`crate::counters`] and runs its slice-level kernel on the
-//! calling thread's scratch buffers.  [`mod@reference`] keeps the
-//! candidate-enumeration oracles the kernels are pinned against.
+//! calling thread's scratch buffers.  [`leftover_within`] chains the
+//! `sub_envelope` and `leftover` kernels on those buffers and records
+//! both.  [`mod@reference`] keeps the candidate-enumeration oracles the
+//! kernels are pinned against.
 
 use crate::arena::with_scratch;
+use crate::arrival::TokenBucket;
 use crate::counters::{record_op, OpKind};
 use crate::curve::{
-    candidate_eps, clamp_nonneg, clamp_nonneg_into, combine_points_into,
-    merged_xs_two_pointer_into, simplify_points_in_place, Curve, CurveCursor, InverseCursor,
+    candidate_eps, clamp_nonneg, clamp_nonneg_into, combine_points_into, for_each_merged_x,
+    simplify_points_in_place, sub_envelope_points_into, Curve, CurveCursor, InverseCursor,
     InverseUpperCursor, EPS,
 };
+use crate::service::RateLatency;
 use crate::NcError;
 
 /// The horizontal deviation `h(α, β) = sup_{t ≥ 0} inf { d ≥ 0 : α(t) ≤ β(t + d) }`
 /// in seconds — the worst-case delay of a flow with arrival curve `α` served
 /// with service curve `β` (FIFO per flow).
+///
+/// `tail`, when given, is a token bucket at or above `α` and a rate-latency
+/// curve at or below `β`.  The deviation then stops at the first candidate
+/// abscissa `t` where [`tail_bound`] falls below the largest delay found so
+/// far: no candidate from `t` on can reach it, so the result is the same
+/// value, bit for bit, as without `tail`.
 ///
 /// Returns [`NcError::Unstable`] when the long-term arrival rate exceeds the
 /// long-term service rate (the deviation would be unbounded).
@@ -35,21 +45,34 @@ use crate::NcError;
 /// ```
 /// use netcalc::curve::Curve;
 /// use netcalc::minplus::horizontal_deviation;
+/// use netcalc::{RateLatency, TokenBucket};
+/// use units::{DataRate, DataSize, Duration};
 ///
 /// // Token bucket (10 kbit burst, 1 Mbps) through a 10 Mbps / 16 µs server:
 /// // Cruz's closed form is T + b/R = 16 µs + 1 ms.
 /// let alpha = Curve::affine(10_000.0, 1_000_000.0).unwrap();
 /// let beta = Curve::rate_latency(10_000_000.0, 16e-6).unwrap();
-/// let h = horizontal_deviation(&alpha, &beta).unwrap();
+/// let h = horizontal_deviation(&alpha, &beta, None).unwrap();
 /// assert!((h - 0.001_016).abs() < 1e-12);
+///
+/// // The same deviation, allowed to stop once the operands' closed forms
+/// // rule out every later candidate.
+/// let bucket = TokenBucket::new(DataSize::from_bits(10_000), DataRate::from_mbps(1));
+/// let server = RateLatency::new(DataRate::from_mbps(10), Duration::from_micros(16));
+/// let early = horizontal_deviation(&alpha, &beta, Some((&bucket, &server))).unwrap();
+/// assert_eq!(early.to_bits(), h.to_bits());
 ///
 /// // An overloaded server has no finite bound.
 /// let flood = Curve::affine(0.0, 20_000_000.0).unwrap();
-/// assert!(horizontal_deviation(&flood, &beta).is_err());
+/// assert!(horizontal_deviation(&flood, &beta, None).is_err());
 /// ```
-pub fn horizontal_deviation(alpha: &Curve, beta: &Curve) -> Result<f64, NcError> {
+pub fn horizontal_deviation(
+    alpha: &Curve,
+    beta: &Curve,
+    tail: Option<(&TokenBucket, &RateLatency)>,
+) -> Result<f64, NcError> {
     record_op(OpKind::HorizontalDeviation);
-    with_scratch(|s| horizontal_deviation_into(alpha, beta, &mut s.candidates))
+    with_scratch(|s| horizontal_deviation_into(alpha, beta, tail, &mut s.candidates))
 }
 
 /// Kernel of [`horizontal_deviation`] on a caller-provided candidate
@@ -63,15 +86,20 @@ pub fn horizontal_deviation(alpha: &Curve, beta: &Curve) -> Result<f64, NcError>
 /// affine in t, so the deviation is affine and its maximum over each
 /// interval is attained at an endpoint.
 ///
-/// The historical implementation rescanned α per β ordinate and rescanned β
-/// per candidate — O(n·m).  Here the candidates are walked once, sorted,
-/// with forward-only cursors ([`InverseCursor`], [`CurveCursor`],
-/// [`InverseUpperCursor`]) that perform the identical per-query arithmetic;
-/// the supremum over the candidate set is evaluation-order independent, so
-/// the result is bitwise identical (pinned by the differential proptests).
+/// The candidates are produced lazily in ascending order by merging the
+/// three streams: the inverses ascend whenever β's ordinates do, because
+/// [`InverseCursor`] is monotone in its query.  When β's ordinates do not
+/// ascend (EPS-level noise), the candidates are collected and sorted
+/// first.  Each candidate is evaluated with forward-only cursors
+/// ([`CurveCursor`], [`InverseUpperCursor`]) that perform the arithmetic of
+/// [`Curve::eval`] and [`Curve::inverse_upper`]; the maximum is
+/// evaluation-order independent, so the result is bitwise that of
+/// [`reference::horizontal_deviation`] (pinned by the differential
+/// proptests).
 fn horizontal_deviation_into(
     alpha: &Curve,
     beta: &Curve,
+    tail: Option<(&TokenBucket, &RateLatency)>,
     candidates: &mut Vec<f64>,
 ) -> Result<f64, NcError> {
     if alpha.long_term_rate() > beta.long_term_rate() + EPS {
@@ -81,25 +109,38 @@ fn horizontal_deviation_into(
             capacity_bps: beta.long_term_rate().floor() as u64,
         });
     }
+    let (ap, bp) = (alpha.points(), beta.points());
+    let last = bp.last().map(|&(bx, _)| bx);
+    if bp.windows(2).all(|w| w[0].1 <= w[1].1) {
+        let mut inv = InverseCursor::new(ap, alpha.final_slope());
+        let inverses = bp.iter().filter_map(|&(_, by)| inv.inverse(by));
+        let sorted = MergeAscending::new(ap.iter().map(|&(x, _)| x), inverses, last);
+        return deviation_sweep(alpha, beta, tail, sorted);
+    }
     candidates.clear();
-    candidates.extend(alpha.points().iter().map(|&(x, _)| x));
-    // β's ordinates are non-decreasing (up to EPS noise, which the cursor
-    // absorbs by rewinding), so one resumable inverse cursor serves every
-    // breakpoint.
-    let mut inv = InverseCursor::new(alpha.points(), alpha.final_slope());
-    for &(_, by) in beta.points() {
-        if let Some(t) = inv.inverse(by) {
-            candidates.push(t);
-        }
-    }
-    if let Some(&(bx, _)) = beta.points().last() {
-        candidates.push(bx);
-    }
+    candidates.extend(ap.iter().map(|&(x, _)| x));
+    let mut inv = InverseCursor::new(ap, alpha.final_slope());
+    candidates.extend(bp.iter().filter_map(|&(_, by)| inv.inverse(by)));
+    candidates.extend(last);
     candidates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    deviation_sweep(alpha, beta, tail, candidates.iter().copied())
+}
+
+/// The largest deviation over ascending candidate abscissas, stopping
+/// before the first candidate `t` whose [`tail_bound`] is below it.
+fn deviation_sweep(
+    alpha: &Curve,
+    beta: &Curve,
+    tail: Option<(&TokenBucket, &RateLatency)>,
+    sorted: impl Iterator<Item = f64>,
+) -> Result<f64, NcError> {
     let mut av = CurveCursor::new(alpha.points(), alpha.final_slope());
     let mut binv = InverseUpperCursor::new(beta.points(), beta.final_slope());
     let mut worst: f64 = 0.0;
-    for &t in candidates.iter() {
+    for t in sorted {
+        if tail.is_some_and(|(bucket, server)| tail_bound(bucket, server, t) < worst - 1e-12) {
+            break;
+        }
         let a = av.eval(t);
         // Use the *upper* pseudo-inverse of β: a bit arriving when the
         // arrival curve reads `a` may wait until the end of any plateau of β
@@ -124,6 +165,63 @@ fn horizontal_deviation_into(
         }
     }
     Ok(worst)
+}
+
+/// Two ascending streams and one extra value, merged in ascending order.
+struct MergeAscending<A: Iterator<Item = f64>, B: Iterator<Item = f64>> {
+    a: std::iter::Peekable<A>,
+    b: std::iter::Peekable<B>,
+    extra: Option<f64>,
+}
+
+impl<A: Iterator<Item = f64>, B: Iterator<Item = f64>> MergeAscending<A, B> {
+    fn new(a: A, b: B, extra: Option<f64>) -> Self {
+        MergeAscending {
+            a: a.peekable(),
+            b: b.peekable(),
+            extra,
+        }
+    }
+}
+
+impl<A: Iterator<Item = f64>, B: Iterator<Item = f64>> Iterator for MergeAscending<A, B> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let head = match (self.a.peek(), self.b.peek()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => return self.extra.take(),
+        };
+        if self.extra.is_some_and(|e| e < head) {
+            return self.extra.take();
+        }
+        match self.a.peek() {
+            Some(&x) if x == head => self.a.next(),
+            _ => self.b.next(),
+        }
+    }
+}
+
+/// The largest delay any deviation candidate at or past `t` can carry when
+/// the arrival curve lies under `bucket` and the service curve above
+/// `server`: `T + (b + r·t + ε)/R − t`, or infinity when that is not
+/// decreasing in `t`.
+///
+/// A candidate `t' ≥ t` reads at most `b + r·t'` on the arrival curve, and
+/// the service curve reaches that by `T + (b + r·t')/R`; the delay there is
+/// decreasing in `t'`.  `ε` covers the deviation's own tolerance (its
+/// inverse stops within [`EPS`] of the ordinate it looks for) and the
+/// float rounding of curves summed from many breakpoints.
+pub fn tail_bound(bucket: &TokenBucket, server: &RateLatency, t: f64) -> f64 {
+    let (b, r) = (bucket.burst().as_f64_bits(), bucket.rate().as_f64_bps());
+    let (rate, latency) = (server.rate().as_f64_bps(), server.latency().as_secs_f64());
+    let relative = 1e-9;
+    if rate <= 0.0 || r / rate + relative >= 1.0 {
+        return f64::INFINITY;
+    }
+    let slack = 16.0 * EPS + relative * (b + rate * t);
+    latency + (b + r * t + slack) / rate - t
 }
 
 /// The vertical deviation `v(α, β) = sup_{t ≥ 0} (α(t) − β(t))` in bits —
@@ -490,9 +588,8 @@ pub fn leftover(beta: &Curve, cross: &Curve) -> Result<Curve, NcError> {
     record_op(OpKind::Leftover);
     with_scratch(|s| {
         let slope = leftover_into(
-            beta,
-            cross,
-            &mut s.xs,
+            (beta.points(), beta.final_slope()),
+            (cross.points(), cross.final_slope()),
             &mut s.diff,
             &mut s.member,
             &mut s.work,
@@ -501,36 +598,76 @@ pub fn leftover(beta: &Curve, cross: &Curve) -> Result<Curve, NcError> {
     })
 }
 
-/// Kernel of [`leftover`] on caller-provided buffers: a single two-pointer
-/// grid merge with cursor evaluations (the historical path sorted the
-/// concatenated abscissas and binary-searched per evaluation), then the
-/// identical right-to-left hull walk.  Writes the simplified result into
-/// `out` and returns its final slope.
-fn leftover_into(
+/// The left-over service curve of one flow of an aggregate:
+/// `leftover(beta, &aggregate.sub_envelope(own))` bit for bit, in one pass
+/// on the scratch buffers, without materialising the cross traffic as a
+/// curve.  Records one `sub_envelope` and one `leftover`.
+///
+/// Also returns the abscissa of the cross traffic's last breakpoint at or
+/// below `until` (`−∞` when there is none): how far its breakpoints are
+/// those of an aggregate known exact up to `until`.
+pub fn leftover_within(
     beta: &Curve,
-    cross: &Curve,
-    xs: &mut Vec<f64>,
+    aggregate: &Curve,
+    own: &Curve,
+    until: f64,
+) -> Result<(Curve, f64), NcError> {
+    record_op(OpKind::SubEnvelope);
+    record_op(OpKind::Leftover);
+    with_scratch(|s| {
+        let cross_slope = sub_envelope_points_into(
+            (aggregate.points(), aggregate.final_slope()),
+            (own.points(), own.final_slope()),
+            &mut s.acc,
+        );
+        let cross_until = s
+            .acc
+            .iter()
+            .take_while(|&&(x, _)| x <= until)
+            .last()
+            .map_or(f64::NEG_INFINITY, |&(x, _)| x);
+        let slope = leftover_into(
+            (beta.points(), beta.final_slope()),
+            (&s.acc, cross_slope),
+            &mut s.diff,
+            &mut s.member,
+            &mut s.work,
+        )?;
+        Ok((
+            Curve::from_simplified_parts(s.work.clone(), slope),
+            cross_until,
+        ))
+    })
+}
+
+/// Kernel of [`leftover`] on breakpoint slices and caller-provided
+/// buffers: the difference on a single two-pointer grid merge with cursor
+/// evaluations (the historical path sorted the concatenated abscissas and
+/// binary-searched per evaluation), then the identical right-to-left hull
+/// walk.  Writes the simplified result into `out` and returns its final
+/// slope.
+fn leftover_into(
+    beta: (&[(f64, f64)], f64),
+    cross: (&[(f64, f64)], f64),
     diff: &mut Vec<(f64, f64)>,
     hull: &mut Vec<(f64, f64)>,
     out: &mut Vec<(f64, f64)>,
 ) -> Result<f64, NcError> {
-    let slope = beta.long_term_rate() - cross.long_term_rate();
+    let ((bp, b_slope), (cp, c_slope)) = (beta, cross);
+    let slope = b_slope - c_slope;
     if slope <= EPS {
         return Err(NcError::Unstable {
             context: "left-over service".into(),
-            demand_bps: cross.long_term_rate().ceil() as u64,
-            capacity_bps: beta.long_term_rate().floor() as u64,
+            demand_bps: c_slope.ceil() as u64,
+            capacity_bps: b_slope.floor() as u64,
         });
     }
     // The difference β − α_cross on the merged breakpoint grid (piecewise
     // linear there, possibly negative and non-monotone).
-    merged_xs_two_pointer_into(beta.points(), cross.points(), xs);
     diff.clear();
-    let mut cb = CurveCursor::new(beta.points(), beta.final_slope());
-    let mut cc = CurveCursor::new(cross.points(), cross.final_slope());
-    for &x in xs.iter() {
-        diff.push((x, cb.eval(x) - cc.eval(x)));
-    }
+    let mut cb = CurveCursor::new(bp, b_slope);
+    let mut cc = CurveCursor::new(cp, c_slope);
+    for_each_merged_x(bp, cp, |x| diff.push((x, cb.eval(x) - cc.eval(x))));
     // Non-decreasing lower hull from the right: beyond the last breakpoint
     // the difference grows at `slope > 0`, so the hull equals the
     // difference there; walking segments right to left, a decreasing piece
@@ -555,8 +692,7 @@ fn leftover_into(
             hull.push((x0, cap));
         }
     }
-    hull.reverse();
-    clamp_nonneg_into(hull, slope, out);
+    clamp_nonneg_into(hull.iter().rev().copied(), slope, out);
     Ok(slope)
 }
 
@@ -793,7 +929,7 @@ mod tests {
         // Closed form: T + b/R = 16 us + 1 ms = 1.016 ms.
         let alpha = Curve::affine(10_000.0, 1_000_000.0).unwrap();
         let beta = Curve::rate_latency(10_000_000.0, 16e-6).unwrap();
-        let h = horizontal_deviation(&alpha, &beta).unwrap();
+        let h = horizontal_deviation(&alpha, &beta, None).unwrap();
         assert!((h - 0.001_016).abs() < 1e-12, "h = {h}");
     }
 
@@ -802,7 +938,7 @@ mod tests {
         let alpha = Curve::affine(100.0, 2_000_000.0).unwrap();
         let beta = Curve::rate_latency(1_000_000.0, 0.0).unwrap();
         assert!(matches!(
-            horizontal_deviation(&alpha, &beta),
+            horizontal_deviation(&alpha, &beta, None),
             Err(NcError::Unstable { .. })
         ));
     }
@@ -815,7 +951,7 @@ mod tests {
         let alpha = Curve::affine(100.0, 0.0).unwrap();
         let beta = Curve::new(vec![(0.0, 0.0), (1.0, 50.0)], 0.0).unwrap();
         assert!(matches!(
-            horizontal_deviation(&alpha, &beta),
+            horizontal_deviation(&alpha, &beta, None),
             Err(NcError::Unstable { .. })
         ));
     }
@@ -824,8 +960,41 @@ mod tests {
     fn horizontal_deviation_zero_when_service_dominates() {
         let alpha = Curve::affine(0.0, 1_000.0).unwrap();
         let beta = Curve::rate_latency(1_000_000.0, 0.0).unwrap();
-        let h = horizontal_deviation(&alpha, &beta).unwrap();
+        let h = horizontal_deviation(&alpha, &beta, None).unwrap();
         assert_eq!(h, 0.0);
+    }
+
+    #[test]
+    fn early_exit_stops_before_the_tail() {
+        // A 4 kbit frame every 10 ms through a 10 Mbps / 16 µs server: the
+        // deviation, 416 µs, is attained at the origin, and the tail bound
+        // at the next candidate (the first riser) is already below it.
+        use crate::ServiceBound;
+        let frames = Curve::staircase(4_000.0, 0.01, 16, 10e6).unwrap();
+        let bucket = TokenBucket::new(
+            units::DataSize::from_bits(4_000),
+            units::DataRate::from_bps(400_000),
+        );
+        let server = RateLatency::new(
+            units::DataRate::from_mbps(10),
+            units::Duration::from_micros(16),
+        );
+        let beta = server.curve();
+        let candidates: Vec<f64> = frames.points().iter().map(|&(x, _)| x).collect();
+        let mut visited = 0;
+        let h = deviation_sweep(
+            &frames,
+            &beta,
+            Some((&bucket, &server)),
+            candidates.iter().copied().inspect(|_| visited += 1),
+        )
+        .unwrap();
+        assert_eq!(h, horizontal_deviation(&frames, &beta, None).unwrap());
+        assert_eq!((visited, candidates.len()), (2, 33));
+        assert_eq!(
+            h,
+            horizontal_deviation(&frames, &beta, Some((&bucket, &server))).unwrap()
+        );
     }
 
     #[test]
@@ -875,8 +1044,8 @@ mod tests {
             .unwrap()
             .min(&tb);
         let beta = Curve::rate_latency(10_000_000.0, 16e-6).unwrap();
-        let h_tb = horizontal_deviation(&tb, &beta).unwrap();
-        let h_st = horizontal_deviation(&st, &beta).unwrap();
+        let h_tb = horizontal_deviation(&tb, &beta, None).unwrap();
+        let h_st = horizontal_deviation(&st, &beta, None).unwrap();
         assert!(h_st <= h_tb + 1e-12);
     }
 
@@ -1002,8 +1171,8 @@ mod tests {
             assert!(lo_st.eval(t) + 1e-6 >= lo_tb.eval(t), "t={t}");
         }
         let own = Curve::affine(512.0, 25_600.0).unwrap();
-        let h_st = horizontal_deviation(&own, &lo_st).unwrap();
-        let h_tb = horizontal_deviation(&own, &lo_tb).unwrap();
+        let h_st = horizontal_deviation(&own, &lo_st, None).unwrap();
+        let h_tb = horizontal_deviation(&own, &lo_tb, None).unwrap();
         assert!(h_st <= h_tb + 1e-12);
     }
 

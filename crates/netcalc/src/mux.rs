@@ -162,7 +162,7 @@ impl FcfsMux {
 /// token bucket and a rate-latency server: the curve-engine side of the
 /// `delay_bound_via_curves` cross-checks.
 fn deviation_via_curves(flow: &TokenBucket, service: &RateLatency) -> Result<Duration, NcError> {
-    let h = crate::minplus::horizontal_deviation(&flow.curve(), &service.curve())?;
+    let h = crate::minplus::horizontal_deviation(&flow.curve(), &service.curve(), None)?;
     Ok(Duration::from_secs_f64_ceil(h))
 }
 
@@ -825,10 +825,14 @@ impl Mux {
     /// aggregate arrival curve when the caller passes one.
     ///
     /// `aggregate` sums the same flows the closed form sums as token
-    /// buckets: every flow under FCFS, the levels `q ≤ p` under strict
-    /// priority, the class's own flows under WRR.  The bound is then
-    /// `min(closed, ⌈h(aggregate, β)⌉)` against [`Mux::residual_service`];
-    /// both are sound, so the minimum is too.
+    /// buckets ([`Mux::class_bucket`]): every flow under FCFS, the levels
+    /// `q ≤ p` under strict priority, the class's own flows under WRR.  The
+    /// bound is then `min(closed, ⌈h(aggregate, β)⌉)` against
+    /// [`Mux::residual_service`]; both are sound, so the minimum is too.
+    /// With `early_exit` the deviation stops once the closed form of that
+    /// bucket through `β` rules out every later candidate
+    /// ([`crate::minplus::horizontal_deviation`]); the bound is the same
+    /// either way.
     ///
     /// The refinement falls back to the closed form when the deviation is
     /// unstable.  Under strict priority that happens on stable ports: the
@@ -840,6 +844,7 @@ impl Mux {
         &self,
         class: usize,
         aggregate: Option<&Curve>,
+        early_exit: bool,
     ) -> Result<Duration, NcError> {
         let class = self.clamp(class);
         let closed = match self {
@@ -850,11 +855,29 @@ impl Mux {
         let Some(aggregate) = aggregate else {
             return Ok(closed);
         };
-        let service = self.residual_service(class)?.curve();
-        match crate::minplus::horizontal_deviation(aggregate, &service) {
+        let server = self.residual_service(class)?;
+        let bucket = self.class_bucket(class);
+        let tail = early_exit.then_some((&bucket, &server));
+        match crate::minplus::horizontal_deviation(aggregate, &server.curve(), tail) {
             Ok(h) => Ok(closed.min(Duration::from_secs_f64_ceil(h))),
             Err(NcError::Unstable { .. }) => Ok(closed),
             Err(e) => Err(e),
+        }
+    }
+
+    /// The token-bucket total of the flows `class`'s bound sums (clamped):
+    /// every flow under FCFS, the levels `q ≤ p` under strict priority,
+    /// the class's own flows under WRR — the queue set a flow of `class`
+    /// is blind-multiplexed with, itself included.  Bursts and rates are
+    /// integers, so the total is exact.
+    pub fn class_bucket(&self, class: usize) -> TokenBucket {
+        let class = self.clamp(class);
+        match self {
+            Mux::Fcfs(m) => TokenBucket::aggregate_all(m.flows()),
+            Mux::StaticPriority(m) => {
+                TokenBucket::aggregate_all(m.levels[..=class].iter().flatten())
+            }
+            Mux::Wrr(m) => TokenBucket::aggregate_all(m.classes[class].iter().map(|f| f.bucket)),
         }
     }
 
@@ -1088,10 +1111,14 @@ mod tests {
         mux.check_stability().unwrap();
         // Level 0 keeps the refinement (600k ≤ 1M residual).
         let level0 = urgent.curve();
-        assert!(mux.delay_bound(0, Some(&level0)).unwrap() <= mux.delay_bound(0, None).unwrap());
+        assert!(
+            mux.delay_bound(0, Some(&level0), true).unwrap()
+                <= mux.delay_bound(0, None, true).unwrap()
+        );
         // Closed form: (12_000 + 6_000 bits) / (1M − 600k) = 45 ms.
         let cumulative = level0.add(&bulk.curve());
-        let bound = mux.delay_bound(1, Some(&cumulative)).unwrap();
+        let bound = mux.delay_bound(1, Some(&cumulative), true).unwrap();
+        assert_eq!(mux.delay_bound(1, Some(&cumulative), false).unwrap(), bound);
         assert_eq!(bound, Duration::from_millis(45));
         // The closed-form backlog is itself a deviation against the
         // residual, so in this regime it stays (correctly) unavailable.
@@ -1285,7 +1312,7 @@ mod tests {
         assert_eq!(via_fcfs.class_count(), 1);
         for p in 0..3 {
             assert_eq!(
-                via_fcfs.delay_bound(p, None).unwrap(),
+                via_fcfs.delay_bound(p, None, true).unwrap(),
                 direct_fcfs.delay_bound().unwrap()
             );
         }
@@ -1304,7 +1331,7 @@ mod tests {
         }
         for p in 0..3 {
             assert_eq!(
-                via_sp.delay_bound(p, None).unwrap(),
+                via_sp.delay_bound(p, None, true).unwrap(),
                 direct_sp.delay_bound(p).unwrap()
             );
             assert_eq!(
@@ -1314,7 +1341,7 @@ mod tests {
         }
         // Out-of-range classes are clamped, exactly like the classifier.
         assert_eq!(
-            via_sp.delay_bound(9, None).unwrap(),
+            via_sp.delay_bound(9, None, true).unwrap(),
             direct_sp.delay_bound(2).unwrap()
         );
 
@@ -1328,7 +1355,7 @@ mod tests {
         via_wrr.check_stability().unwrap();
         for p in 0..3 {
             assert_eq!(
-                via_wrr.delay_bound(p, None).unwrap(),
+                via_wrr.delay_bound(p, None, true).unwrap(),
                 direct_wrr.delay_bound(p).unwrap()
             );
         }
