@@ -1,40 +1,39 @@
 //! The always-on admission engine: incremental re-analysis with a per-port
-//! curve cache.
+//! result cache.
 //!
 //! # How incrementality stays sound
 //!
 //! Every quantity the multi-hop analysis derives at an output port is
 //! *port-local*: it depends only on the ordered set of flows crossing the
-//! port and their arrival envelopes **at that port** (see
-//! [`rtswitch_core::analyze_port`]).  A flow's envelope at hop `k` is the
-//! output envelope of its hop `k − 1`, so a mutation can only invalidate a
-//! port if (a) the port's flow set changed, or (b) one of its input
-//! envelopes changed — and (b) propagates strictly *downstream* along flow
-//! paths.  The engine therefore computes the **dirty closure** of a
+//! port and their arrival envelopes **at that port**.  A flow's envelope at
+//! hop `k` is the output envelope of its hop `k − 1`, so a mutation can only
+//! invalidate a port if (a) the port's flow set changed, or (b) one of its
+//! input envelopes changed — and (b) propagates strictly *downstream* along
+//! flow paths.  The engine therefore computes the **dirty closure** of a
 //! mutation: seed with every port of the mutated flow's path (old and new
 //! for a modify), then repeatedly mark, for every flow crossing a dirty
 //! port at position `k`, its ports at positions `k + 1…` as dirty, until a
 //! fixpoint.  Every port outside the closure keeps byte-identical inputs,
-//! so its cached [`PortEntry`] — and every bound composed from clean
-//! entries — remains exact, not approximate.
+//! so its cached [`PortResults`] — and every bound composed from clean
+//! results — remains exact, not approximate.
 //!
-//! Recomputation then runs the *same code path* as the from-scratch
-//! analysis ([`rtswitch_core::analyze_port`] +
-//! [`rtswitch_core::compose_end_to_end`]) over only the dirty ports, in
-//! the same deterministic topological order, so incremental results are
-//! bit-for-bit equal to a fresh [`analyze_multi_hop_with`](rtswitch_core::analyze_multi_hop_with) of the current
-//! flow set — a property the crate's `cache_soundness` test enforces after
-//! every random mutation.
+//! Recomputation is the analysis walk itself
+//! ([`rtswitch_core::walk_ports`]), run over the dirty closure with every
+//! other port read from the cache, so incremental results are bit-for-bit
+//! equal to a fresh
+//! [`analyze_multi_hop_with`](rtswitch_core::analyze_multi_hop_with) of the
+//! current flow set — a property the crate's `cache_soundness` test
+//! enforces after every random mutation.
 
 use rtswitch_core::{
-    analyze_port, compose_end_to_end, flow_ports, port_schedule, AnalysisError, Approach,
-    FabricPort, HopBound, LeftoverCurve, MultiHopMessageBound, MultiHopReport, NetworkConfig,
-    PolicyArm, PortInputs, StageFlow, Walk,
+    flow_ports, walk_ports, AnalysisError, Approach, FabricPort, MultiHopMessageBound,
+    MultiHopReport, NetworkConfig, PortResults, WalkResults,
 };
 
 use ethernet::{Fabric, SchedulingPolicy};
-use netcalc::{Envelope, EnvelopeModel, RateLatency, TokenBucket};
+use netcalc::EnvelopeModel;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use units::{DataRate, DataSize, Duration};
 use workload::{Arrival, MessageId, MessageSpec, StationId, Workload};
@@ -294,50 +293,6 @@ pub struct AdmissionSnapshot {
     pub stats: EngineStats,
 }
 
-/// The key of one cached port analysis.
-///
-/// The engine analyses one fixed `(policy arm, envelope model)` pair, but
-/// the key carries both so entries from differently-configured engines can
-/// never be confused if caches are ever merged or persisted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CurveKey {
-    /// The output port.
-    pub port: FabricPort,
-    /// The scheduling-policy family.
-    pub arm: PolicyArm,
-    /// The arrival-envelope model.
-    pub model: EnvelopeModel,
-}
-
-/// Everything one flow accrues at one cached port.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortFlowEntry {
-    /// The multiplexer (stage) bound at the port.
-    pub stage_delay: Duration,
-    /// The flow's own left-over delay at the port.
-    pub flow_delay: Duration,
-    /// The flow's envelope *after* the port; `None` at its last hop, where
-    /// no port reads it.
-    pub output: Option<Envelope>,
-    /// The packetizer-corrected left-over rate-latency service.
-    pub leftover: RateLatency,
-    /// The general left-over curve (staircase model only), with how far
-    /// it is the curve on uncut operands.
-    pub leftover_curve: Option<LeftoverCurve>,
-}
-
-/// One cached port analysis: the flows crossing the port in registration
-/// order, the port's aggregate arrival envelope, and per-flow results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortEntry {
-    /// Flows crossing the port, in registration order.
-    pub flows: Vec<FlowId>,
-    /// Aggregate token-bucket arrival envelope at the port.
-    pub aggregate: TokenBucket,
-    /// Per-flow analysis results.
-    pub per_flow: BTreeMap<FlowId, PortFlowEntry>,
-}
-
 /// How a committed query changes the flow registry.
 #[derive(Debug, Clone)]
 pub(crate) enum RegistryOp {
@@ -357,7 +312,7 @@ pub(crate) enum RegistryOp {
 }
 
 /// The state change a successful preview wants to commit: a registry op,
-/// the recomputed port entries, the ports that lost their last flow, and
+/// the recomputed ports' results, the ports that lost their last flow, and
 /// the recomposed bounds.
 ///
 /// A delta is expressed as a *difference* (not a whole-state replacement)
@@ -366,9 +321,9 @@ pub(crate) enum RegistryOp {
 #[derive(Debug, Clone)]
 pub(crate) struct Delta {
     pub(crate) op: RegistryOp,
-    pub(crate) entries: BTreeMap<CurveKey, PortEntry>,
-    pub(crate) removed_ports: Vec<CurveKey>,
-    pub(crate) bounds: BTreeMap<FlowId, MultiHopMessageBound>,
+    pub(crate) ports: BTreeMap<FabricPort, PortResults<FlowId>>,
+    pub(crate) removed_ports: Vec<FabricPort>,
+    pub(crate) bounds: Vec<(FlowId, MultiHopMessageBound)>,
 }
 
 /// A fully evaluated (but uncommitted) query.
@@ -410,7 +365,7 @@ pub struct AdmissionEngine {
     /// hop.  Maintained on commit so closures cost O(closure), not
     /// O(flows) — an always-on engine answers queries at cache speed.
     crossings: BTreeMap<FabricPort, Vec<(FlowId, usize)>>,
-    cache: BTreeMap<CurveKey, PortEntry>,
+    cache: BTreeMap<FabricPort, PortResults<FlowId>>,
     bounds: BTreeMap<FlowId, MultiHopMessageBound>,
     next_id: u64,
     stats: EngineStats,
@@ -484,10 +439,10 @@ impl AdmissionEngine {
                 path,
             })
             .collect();
-        // Cold start: every occupied port is dirty.
-        let dirty: BTreeSet<FabricPort> = paths.iter().flatten().copied().collect();
-        let re = engine.reanalyze(&tentative, &dirty)?;
-        engine.cache = re.entries;
+        // Cold start: every port is recomputed.
+        let walk = engine.walk(&tentative, |_| true)?;
+        engine.cache = walk.ports.into_iter().collect();
+        engine.bounds = walk.bounds.into_iter().collect();
         for (i, (spec, path)) in specs.into_iter().zip(paths).enumerate() {
             let id = FlowId(i as u64);
             engine.flows.push(id);
@@ -497,7 +452,6 @@ impl AdmissionEngine {
             engine.specs.insert(id, spec);
             engine.paths.insert(id, path);
         }
-        engine.bounds = re.bounds;
         Ok(engine)
     }
 
@@ -625,8 +579,8 @@ impl AdmissionEngine {
             .map(|id| &self.specs[id])
             .chain(babblers.iter())
             .collect();
-        let re = match self.recompute_full(&ids, &specs, &fabric) {
-            Ok(re) => re,
+        let (paths, walk) = match self.recompute_full(&ids, &specs, &fabric) {
+            Ok(recomputed) => recomputed,
             Err(err) => return self.fault_rejection("degrade", err.to_string()),
         };
         let healthy_fabric = failover.map(|_| std::mem::replace(&mut self.fabric, fabric));
@@ -637,7 +591,7 @@ impl AdmissionEngine {
             babble_flows: babble_ids,
             healthy_fabric,
         });
-        self.install_full(ids, re, Decision::Degraded, "degrade")
+        self.install_full(ids, paths, walk, Decision::Degraded, "degrade")
     }
 
     /// Lifts the active fault set: babble flows leave the analysis, the
@@ -659,8 +613,8 @@ impl AdmissionEngine {
             .filter(|id| !state.babble_flows.contains(id))
             .collect();
         let specs: Vec<&FlowSpec> = ids.iter().map(|id| &self.specs[id]).collect();
-        let re = match self.recompute_full(&ids, &specs, &fabric) {
-            Ok(re) => re,
+        let (paths, walk) = match self.recompute_full(&ids, &specs, &fabric) {
+            Ok(recomputed) => recomputed,
             Err(err) => return self.fault_rejection("restore", err.to_string()),
         };
         self.fabric = fabric;
@@ -668,18 +622,18 @@ impl AdmissionEngine {
             self.specs.remove(id);
         }
         self.degraded = None;
-        self.install_full(ids, re, Decision::Restored, "restore")
+        self.install_full(ids, paths, walk, Decision::Restored, "restore")
     }
 
     /// From-scratch-equivalent re-analysis of `ids`/`specs` routed over
-    /// `fabric`: every previously cached port and every port of the new
-    /// routes is dirty, so nothing stale survives.
+    /// `fabric`: every port is recomputed, so nothing stale survives.
+    /// Returns the routes with the walk.
     fn recompute_full(
         &self,
         ids: &[FlowId],
         specs: &[&FlowSpec],
         fabric: &Fabric,
-    ) -> Result<Reanalysis, AnalysisError> {
+    ) -> Result<(Vec<Vec<FabricPort>>, WalkResults<FlowId>), AnalysisError> {
         let paths: Vec<Vec<FabricPort>> = specs
             .iter()
             .map(|s| flow_ports(fabric, s.source, s.destination))
@@ -694,13 +648,8 @@ impl AdmissionEngine {
                 path,
             })
             .collect();
-        let mut dirty: BTreeSet<FabricPort> = self.cache.keys().map(|k| k.port).collect();
-        for path in &paths {
-            dirty.extend(path.iter().copied());
-        }
-        let mut re = self.reanalyze(&tentative, &dirty)?;
-        re.paths = ids.iter().copied().zip(paths).collect();
-        Ok(re)
+        let walk = self.walk(&tentative, |_| true)?;
+        Ok((paths, walk))
     }
 
     /// Installs a full recompute wholesale: flow order, route index, port
@@ -710,31 +659,34 @@ impl AdmissionEngine {
     fn install_full(
         &mut self,
         ids: Vec<FlowId>,
-        re: Reanalysis,
+        paths: Vec<Vec<FabricPort>>,
+        walk: WalkResults<FlowId>,
         decision: Decision,
         name: &str,
     ) -> AdmissionVerdict {
-        let margins: Vec<FlowMargin> = ids
+        let margins: Vec<FlowMargin> = walk
+            .bounds
             .iter()
-            .filter_map(|id| {
-                re.bounds
-                    .get(id)
-                    .map(|bound| FlowMargin::from_bound(*id, bound))
-            })
+            .map(|(id, bound)| FlowMargin::from_bound(*id, bound))
             .collect();
+        let flows_recomputed = walk.bounds.len();
         self.flows = ids;
-        self.paths = re.paths;
+        self.paths = self.flows.iter().copied().zip(paths).collect();
         self.crossings.clear();
         for id in self.flows.clone() {
             let path = self.paths[&id].clone();
             self.index_path(id, &path);
         }
-        self.cache = re.entries;
-        self.bounds = re.bounds;
-        let mut cache = re.cache;
-        cache.ports_total = self.cache.len();
-        cache.ports_reused = 0;
-        cache.flows_reused = 0;
+        self.cache = walk.ports.into_iter().collect();
+        self.bounds = walk.bounds.into_iter().collect();
+        let cache = CacheStats {
+            ports_total: self.cache.len(),
+            ports_recomputed: self.cache.len(),
+            ports_reused: 0,
+            flows_recomputed,
+            flows_reused: 0,
+            recomputed_ports: self.cache.keys().map(ToString::to_string).collect(),
+        };
         self.stats.queries += 1;
         self.stats.ports_recomputed += cache.ports_recomputed as u64;
         self.stats.flows_recomputed += cache.flows_recomputed as u64;
@@ -782,11 +734,11 @@ impl AdmissionEngine {
         let ports = self
             .cache
             .iter()
-            .map(|(key, entry)| PortOccupancy {
-                port: key.port.to_string(),
-                flows: entry.flows.clone(),
-                burst: entry.aggregate.burst(),
-                rate: entry.aggregate.rate(),
+            .map(|(port, results)| PortOccupancy {
+                port: port.to_string(),
+                flows: results.flows().to_vec(),
+                burst: results.aggregate().burst(),
+                rate: results.aggregate().rate(),
             })
             .collect();
         AdmissionSnapshot {
@@ -829,15 +781,6 @@ impl AdmissionEngine {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         id
-    }
-
-    /// The engine's cache key for a port.
-    fn key(&self, port: FabricPort) -> CurveKey {
-        CurveKey {
-            port,
-            arm: self.approach.arm(),
-            model: self.model,
-        }
     }
 
     /// Rejects specs the workload layer would panic on.
@@ -1120,15 +1063,11 @@ impl AdmissionEngine {
                 self.paths.insert(id, path);
             }
         }
-        for key in delta.removed_ports {
-            self.cache.remove(&key);
+        for port in delta.removed_ports {
+            self.cache.remove(&port);
         }
-        for (key, entry) in delta.entries {
-            self.cache.insert(key, entry);
-        }
-        for (id, bound) in delta.bounds {
-            self.bounds.insert(id, bound);
-        }
+        self.cache.extend(delta.ports);
+        self.bounds.extend(delta.bounds);
     }
 
     /// Records a flow's path in the route index.
@@ -1162,7 +1101,7 @@ impl AdmissionEngine {
             .collect()
     }
 
-    /// Shared tail of every preview: re-analyse the dirty closure over the
+    /// Shared tail of every preview: walk the dirty closure over the
     /// tentative flow set, decide, and package the delta.
     fn preview_change(
         &self,
@@ -1173,19 +1112,16 @@ impl AdmissionEngine {
         success: Decision,
         op: RegistryOp,
     ) -> Preview {
-        let re = match self.reanalyze(&tentative, &dirty) {
-            Ok(re) => re,
+        let walk = match self.walk(&tentative, |port| dirty.contains(&port)) {
+            Ok(walk) => walk,
             Err(err) => {
                 return Preview::rejected(flow, name, err.to_string());
             }
         };
-        let margins: Vec<FlowMargin> = tentative
+        let margins: Vec<FlowMargin> = walk
+            .bounds
             .iter()
-            .filter_map(|t| {
-                re.bounds
-                    .get(&t.id)
-                    .map(|b| FlowMargin::from_bound(t.id, b))
-            })
+            .map(|(id, bound)| FlowMargin::from_bound(*id, bound))
             .collect();
         // Admission policy: never *introduce* a violation.  The target
         // flow of an admit/modify must meet its deadline, and no flow that
@@ -1216,7 +1152,34 @@ impl AdmissionEngine {
                 }
             })
         };
-        let cache = re.cache;
+        let ports: BTreeMap<FabricPort, PortResults<FlowId>> = walk.ports.into_iter().collect();
+        // Ports occupied before but vacated by this change.  Only a dirty
+        // port can vacate — vacating takes the mutated flow leaving, and
+        // its ports all seed the closure — and every occupied dirty port is
+        // recomputed; only the mutated flow's own ports can vacate, so
+        // within a commuting batch group these never collide with another
+        // member's ports.
+        let removed_ports: Vec<FabricPort> = dirty
+            .iter()
+            .filter(|port| self.cache.contains_key(port) && !ports.contains_key(port))
+            .copied()
+            .collect();
+        // Occupied ports after the change: the current cache, minus the
+        // vacated ports, plus the newly occupied ones.
+        let newly_occupied = ports
+            .keys()
+            .filter(|port| !self.cache.contains_key(port))
+            .count();
+        let ports_total = self.cache.len() - removed_ports.len() + newly_occupied;
+        let flows_recomputed = walk.bounds.len();
+        let cache = CacheStats {
+            ports_total,
+            ports_recomputed: ports.len(),
+            ports_reused: ports_total.saturating_sub(ports.len()),
+            flows_recomputed,
+            flows_reused: tentative.len().saturating_sub(flows_recomputed),
+            recomputed_ports: ports.keys().map(ToString::to_string).collect(),
+        };
         match rejection {
             Some(reason) => Preview {
                 verdict: AdmissionVerdict {
@@ -1238,252 +1201,37 @@ impl AdmissionEngine {
                 },
                 delta: Some(Delta {
                     op,
-                    entries: re.entries,
-                    removed_ports: re.removed_ports,
-                    bounds: re.bounds,
+                    ports,
+                    removed_ports,
+                    bounds: walk.bounds,
                 }),
             },
         }
     }
 
-    /// Re-analyses an already-closed `dirty` port set over the tentative
-    /// flow set: recomputes every dirty port in topological order (clean
-    /// ports feed their cached outputs in), then recomposes the
-    /// end-to-end bound of every flow crossing a dirty port.
-    fn reanalyze(
+    /// The analysis walk over the tentative flow set, recomputing the
+    /// ports `recompute` selects and reading every other port from the
+    /// cache.
+    fn walk(
         &self,
         tentative: &[TentativeFlow<'_>],
-        dirty: &BTreeSet<FabricPort>,
-    ) -> Result<Reanalysis, AnalysisError> {
-        // Touched flows: the ones crossing the dirty closure, by global
-        // tentative index.  Every occupant of a dirty port is touched, so
-        // the schedule restricted to touched paths still lists each dirty
-        // port's complete flow set; and any ordering edge between two
-        // dirty ports comes from a flow crossing both — touched by
-        // definition — so the restricted topological order stays valid
-        // for the dirty subgraph.  Restricting keeps a preview's cost
-        // proportional to the closure, not to the whole network.
-        let touched: Vec<usize> = (0..tentative.len())
-            .filter(|&i| tentative[i].path.iter().any(|p| dirty.contains(p)))
-            .collect();
-        let touched_paths: Vec<&[FabricPort]> =
-            touched.iter().map(|&i| tentative[i].path).collect();
-        let (port_flows, order) = port_schedule(&touched_paths);
-        // Re-key the schedule from touched-local to global indexes; the
-        // touched list ascends, so each port's flow order stays the
-        // registration order the full schedule would produce.
-        let port_flows: BTreeMap<FabricPort, Vec<usize>> = port_flows
-            .into_iter()
-            .map(|(p, idxs)| (p, idxs.into_iter().map(|i| touched[i]).collect()))
-            .collect();
-        // Positional message specs: the analysis labels flows by their
-        // index in the tentative registration order, exactly like a
-        // from-scratch workload would.  Only touched flows reach the
-        // analysis, so only they are materialized.
-        let specs: BTreeMap<usize, MessageSpec> = touched
-            .iter()
-            .map(|&i| (i, tentative[i].spec.to_message_spec(MessageId(i))))
-            .collect();
-        let mut entries: BTreeMap<CurveKey, PortEntry> = BTreeMap::new();
-        for &port in &order {
-            if !dirty.contains(&port) {
-                continue;
-            }
-            let idxs = &port_flows[&port];
-            let (stage_flows, last_hop): (Vec<StageFlow>, Vec<bool>) = idxs
-                .iter()
-                .map(|&i| self.stage_flow(tentative, &entries, i, &specs[&i], port))
-                .unzip();
-            let analysis = analyze_port(
-                &stage_flows,
-                &last_hop,
-                &self.policy,
-                &self.config,
-                port.ttechno(&self.config),
-                self.model,
-                &port.to_string(),
-            )?;
-            let mut per_flow = BTreeMap::new();
-            for (&i, pf) in idxs.iter().zip(&analysis.flows) {
-                per_flow.insert(
-                    tentative[i].id,
-                    PortFlowEntry {
-                        stage_delay: pf.stage_delay,
-                        flow_delay: pf.flow_delay,
-                        output: pf.output.clone(),
-                        leftover: pf.leftover,
-                        leftover_curve: pf.leftover_curve.clone(),
-                    },
-                );
-            }
-            entries.insert(
-                self.key(port),
-                PortEntry {
-                    flows: idxs.iter().map(|&i| tentative[i].id).collect(),
-                    aggregate: analysis.aggregate,
-                    per_flow,
-                },
-            );
-        }
-
-        // Recompose every flow whose path crosses the dirty closure.
-        let walk = Walk::new(&self.policy, &self.config, self.model);
-        let mut bounds: BTreeMap<FlowId, MultiHopMessageBound> = BTreeMap::new();
-        let flows_recomputed = touched.len();
-        for &i in &touched {
-            let t = &tentative[i];
-            let mut hops = Vec::with_capacity(t.path.len());
-            let mut leftovers = Vec::with_capacity(t.path.len());
-            let mut leftover_curves = Vec::new();
-            for &port in t.path {
-                let entry = self
-                    .entry_at(&entries, port)
-                    .expect("every port of an active flow is cached or recomputed");
-                let pf = &entry.per_flow[&t.id];
-                hops.push(HopBound {
-                    port: port.to_string(),
-                    stage_delay: pf.stage_delay,
-                    flow_delay: pf.flow_delay,
-                });
-                leftovers.push(pf.leftover);
-                if let Some(curve) = &pf.leftover_curve {
-                    leftover_curves.push(curve.clone());
-                }
-            }
-            let bound = compose_end_to_end(
-                &specs[&i],
-                t.path,
-                hops,
-                &leftovers,
-                &leftover_curves,
-                &walk,
-                |k| self.port_inputs(tentative, &entries, t.path[k]),
-            )?;
-            bounds.insert(t.id, bound);
-        }
-
-        // Ports occupied before but vacated by this change.  Only a dirty
-        // port can vacate — vacating takes the mutated flow leaving, and
-        // its ports all seed the closure — so the restricted schedule is
-        // enough to decide; and only the mutated flow's own ports can
-        // vacate, so within a commuting batch group these never collide
-        // with another member's entries.
-        let removed_ports: Vec<CurveKey> = self
-            .cache
-            .keys()
-            .filter(|key| dirty.contains(&key.port) && !port_flows.contains_key(&key.port))
-            .copied()
-            .collect();
-
-        // Occupied ports after the change: the current cache, minus the
-        // vacated ports, plus the newly occupied ones.
-        let newly_occupied = entries
-            .keys()
-            .filter(|key| !self.cache.contains_key(key))
-            .count();
-        let ports_total = self.cache.len() - removed_ports.len() + newly_occupied;
-        let ports_recomputed = entries.len();
-        let recomputed_ports = entries.keys().map(|k| k.port.to_string()).collect();
-        Ok(Reanalysis {
-            entries,
-            removed_ports,
-            bounds,
-            paths: BTreeMap::new(),
-            cache: CacheStats {
-                ports_total,
-                ports_recomputed,
-                ports_reused: ports_total.saturating_sub(ports_recomputed),
-                flows_recomputed,
-                flows_reused: tentative.len().saturating_sub(flows_recomputed),
-                recomputed_ports,
-            },
-        })
+        recompute: impl Fn(FabricPort) -> bool,
+    ) -> Result<WalkResults<FlowId>, AnalysisError> {
+        let flows: Vec<(FlowId, &[FabricPort])> =
+            tentative.iter().map(|t| (t.id, t.path)).collect();
+        walk_ports(
+            &flows,
+            // Positional message specs: the analysis labels flows by their
+            // index in the tentative registration order, exactly like a
+            // from-scratch workload would.
+            |i| Cow::Owned(tentative[i].spec.to_message_spec(MessageId(i))),
+            recompute,
+            &self.cache,
+            &self.policy,
+            &self.config,
+            self.model,
+        )
     }
-
-    /// Flow `i` of `tentative` as it enters `port`, and whether `port` is
-    /// its last hop: at its first hop it carries its source envelope,
-    /// after that the output envelope of its previous hop (clean-cached or
-    /// already recomputed in `entries`).
-    fn stage_flow(
-        &self,
-        tentative: &[TentativeFlow<'_>],
-        entries: &BTreeMap<CurveKey, PortEntry>,
-        i: usize,
-        spec: &MessageSpec,
-        port: FabricPort,
-    ) -> (StageFlow, bool) {
-        let path = tentative[i].path;
-        let k = path
-            .iter()
-            .position(|&p| p == port)
-            .expect("a flow enters only the ports of its path");
-        let envelope = if k == 0 {
-            spec.arrival_envelope(self.model, self.config.link_rate)
-        } else {
-            self.entry_at(entries, path[k - 1])
-                .expect("predecessor port is clean-cached or already recomputed")
-                .per_flow[&tentative[i].id]
-                .output
-                .clone()
-                .expect("a flow's port before its last hop keeps its output envelope")
-        };
-        let flow = StageFlow {
-            message: MessageId(i),
-            envelope,
-            priority: spec.priority(),
-            frame: spec.frame_size(),
-        };
-        (flow, k + 1 == path.len())
-    }
-
-    /// The inputs of `port` as the re-analysis saw them, for analysing it
-    /// again on uncut curves: its flows in registration order, each with
-    /// its envelope there.
-    fn port_inputs(
-        &self,
-        tentative: &[TentativeFlow<'_>],
-        entries: &BTreeMap<CurveKey, PortEntry>,
-        port: FabricPort,
-    ) -> PortInputs {
-        let entry = self
-            .entry_at(entries, port)
-            .expect("every port of an active flow is cached or recomputed");
-        let (flows, last_hop) = entry
-            .flows
-            .iter()
-            .map(|id| {
-                let i = tentative
-                    .iter()
-                    .position(|t| t.id == *id)
-                    .expect("a port's flows are active");
-                let spec = tentative[i].spec.to_message_spec(MessageId(i));
-                self.stage_flow(tentative, entries, i, &spec, port)
-            })
-            .unzip();
-        PortInputs { flows, last_hop }
-    }
-
-    /// A port's entry during re-analysis: freshly recomputed if dirty,
-    /// otherwise the cached one.
-    fn entry_at<'a>(
-        &'a self,
-        fresh: &'a BTreeMap<CurveKey, PortEntry>,
-        port: FabricPort,
-    ) -> Option<&'a PortEntry> {
-        let key = self.key(port);
-        fresh.get(&key).or_else(|| self.cache.get(&key))
-    }
-}
-
-/// The product of one dirty-closure re-analysis.
-struct Reanalysis {
-    entries: BTreeMap<CurveKey, PortEntry>,
-    removed_ports: Vec<CurveKey>,
-    bounds: BTreeMap<FlowId, MultiHopMessageBound>,
-    cache: CacheStats,
-    /// The routes the analysis ran over, filled only by the full-recompute
-    /// path (degrade/restore), which replaces the route table wholesale.
-    paths: BTreeMap<FlowId, Vec<FabricPort>>,
 }
 
 impl Preview {

@@ -7,18 +7,17 @@
 //! **now**, without breaking any admitted guarantee?".  Re-running the full
 //! analysis per query is sound but wasteful: a single flow touches only
 //! the output ports along its route, and every per-port quantity the
-//! analysis derives is port-local (see [`rtswitch_core::analyze_port`]).
+//! analysis derives is port-local (see [`rtswitch_core::walk_ports`]).
 //!
 //! This crate keeps the analysis *live*:
 //!
 //! * [`AdmissionEngine`] loads a fabric and workload once and answers
 //!   admit / revoke / modify queries by recomputing only the **dirty
 //!   closure** of each mutation — the ports whose flow sets or input
-//!   envelopes actually change — against a per-port cache of aggregate
-//!   envelopes and left-over service curves keyed by
-//!   `(port, policy arm, envelope model)` ([`CurveKey`]).  Because dirty
-//!   ports are re-analysed by the *same code* as the from-scratch
-//!   pipeline, incremental bounds are byte-identical to a fresh
+//!   envelopes actually change — against a per-port cache of the
+//!   analysis walk's results ([`rtswitch_core::PortResults`], keyed by
+//!   port).  The engine runs the walk itself over the dirty closure, so
+//!   incremental bounds are byte-identical to a fresh
 //!   [`rtswitch_core::analyze_multi_hop_with`], not merely close.
 //! * [`AdmissionEngine::evaluate_batch`] partitions a queue of queries
 //!   into *commuting groups* (pairwise-disjoint dirty closures), previews
@@ -72,9 +71,8 @@ pub mod trace;
 
 pub use batch::BatchOutcome;
 pub use engine::{
-    AdmissionEngine, AdmissionQuery, AdmissionSnapshot, AdmissionVerdict, CacheStats, CurveKey,
-    Decision, EngineStats, FailoverPlan, FlowId, FlowMargin, FlowSpec, PortEntry, PortFlowEntry,
-    PortOccupancy,
+    AdmissionEngine, AdmissionQuery, AdmissionSnapshot, AdmissionVerdict, CacheStats, Decision,
+    EngineStats, FailoverPlan, FlowId, FlowMargin, FlowSpec, PortOccupancy,
 };
 pub use service::{serve, ServeRequest, ServeResponse};
 pub use trace::{base_scenario, engine_for, resolve, trace_ops, TraceOp};

@@ -5,8 +5,8 @@ pub mod end_to_end;
 pub mod horizon;
 pub mod jitter;
 pub mod multi_hop;
-pub mod port;
-pub mod stage;
+pub(crate) mod port;
+pub(crate) mod stage;
 
 use ethernet::{SchedulingPolicy, WrrWeights};
 use serde::{Deserialize, Serialize};
@@ -60,9 +60,6 @@ impl Approach {
 /// The policy family of an [`Approach`], with the WRR weights erased —
 /// what campaign aggregation buckets by (every WRR scenario draws its own
 /// weights, but they all belong to one arm).
-///
-/// `Ord` lets the arm participate in composite cache keys (the admission
-/// engine keys its per-port curve cache by `(port, policy arm, model)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum PolicyArm {
     /// A single FCFS queue per output port.

@@ -16,8 +16,8 @@
 //!    [`Fabric::single_switch`].
 //! 2. **Per-hop sum** — at every port, the flow's own delay through its
 //!    blind-multiplexing left-over service curve
-//!    ([`RateLatency::leftover`]), summed along the path.  The burst is
-//!    "paid" at every hop.
+//!    ([`RateLatency::leftover`](netcalc::RateLatency::leftover)), summed
+//!    along the path.  The burst is "paid" at every hop.
 //! 3. **Convolved (pay bursts only once)** — the left-over curves of all
 //!    hops are convolved into one network service curve (min-plus
 //!    convolution of rate-latency curves: minimum rate, summed latencies)
@@ -36,9 +36,8 @@
 //!
 //! Arrival curves propagate between hops by min-plus deconvolution: a
 //! token-bucket flow `(b, r)` that traversed an element with delay bound `D`
-//! leaves it with envelope `(b + r·D, r)`
-//! ([`PortFlowAnalysis::output`](crate::PortFlowAnalysis::output) carries
-//! exactly that inflation).
+//! leaves it with envelope `(b + r·D, r)`: each port's analysis inflates
+//! the burst by exactly that delay.
 //!
 //! The reported [`MultiHopMessageBound::total_bound`] is the minimum of the
 //! stage sum and the convolved bound — both are sound, neither dominates the
@@ -79,16 +78,17 @@ use crate::analysis::horizon::{
     self, convolution_exact_until, deviation_is_exact, minorant_exact_until, HorizonEvent,
     ALL_EXACT,
 };
-use crate::analysis::port::{analyze_port, LeftoverCurve, Port, UncutAggregates};
+use crate::analysis::port::{
+    analyze_port, LeftoverCurve, Port, PortAnalysis, PortFlowAnalysis, UncutAggregates,
+};
 use crate::analysis::stage::StageFlow;
 use crate::analysis::Approach;
 use crate::config::NetworkConfig;
 use ethernet::{Fabric, SchedulingPolicy};
-use netcalc::{
-    delay_bound, ArrivalBound, Curve, Envelope, EnvelopeModel, RateLatency, TokenBucket,
-};
+use netcalc::{delay_bound, ArrivalBound, Curve, Envelope, EnvelopeModel, TokenBucket};
 use serde::{Deserialize, Serialize};
 use shaping::TrafficClass;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -293,8 +293,7 @@ pub fn analyze_multi_hop(
 ///
 /// * each stage bound is the minimum of the paper's closed form and the
 ///   horizontal deviation of the class's aggregate arrival curve
-///   ([`netcalc::Mux::delay_bound`]), the aggregate summed once per port
-///   by [`analyze_port`];
+///   ([`netcalc::Mux::delay_bound`]), the aggregate summed once per port;
 /// * each per-flow hop delay runs through the **general** blind-multiplexing
 ///   left-over curve ([`netcalc::minplus::leftover`]) with the staircase cross
 ///   traffic, packetizer-corrected via `[β − l]⁺`
@@ -306,6 +305,8 @@ pub fn analyze_multi_hop(
 /// Every staircase-model bound is therefore at most its token-bucket
 /// counterpart, and the PBOO invariant `convolved ≤ per-hop sum` is
 /// preserved within each model.
+///
+/// This is [`walk_ports`] with every port recomputed and nothing cached.
 ///
 /// # Panics
 /// Panics if the fabric's station count differs from the workload's — a
@@ -322,116 +323,27 @@ pub fn analyze_multi_hop_with(
         workload.stations.len(),
         "fabric and workload disagree on the station count"
     );
-    let policy = approach.scheduling_policy(config.priority_levels);
-
-    // The ordered port sequence of every message.
     let paths: Vec<Vec<FabricPort>> = workload
         .messages
         .iter()
         .map(|spec| flow_ports(fabric, spec.source.0, spec.destination.0))
         .collect();
-
-    let path_slices: Vec<&[FabricPort]> = paths.iter().map(Vec::as_slice).collect();
-    let (port_flows, order) = port_schedule(&path_slices);
-
-    // Walk the ports in dependency order, carrying each flow's current
-    // envelope and accumulating its per-hop delays and left-over curves.
-    let mut envelope: Vec<Envelope> = workload
-        .messages
-        .iter()
-        .map(|spec| spec.arrival_envelope(model, config.link_rate))
-        .collect();
-    let mut hop_records: Vec<Vec<HopBound>> = vec![Vec::new(); workload.messages.len()];
-    let mut leftovers: Vec<Vec<RateLatency>> = vec![Vec::new(); workload.messages.len()];
-    // The general left-over curves of the staircase model (empty under the
-    // token-bucket model), and each port's inputs, which a message whose
-    // pay-bursts-only-once certificate fails analyses again without the cut.
-    let mut leftover_curves: Vec<Vec<LeftoverCurve>> = vec![Vec::new(); workload.messages.len()];
-    let mut port_inputs: BTreeMap<FabricPort, (Vec<StageFlow>, Vec<bool>)> = BTreeMap::new();
-
-    for &port in &order {
-        let flows_here = &port_flows[&port];
-        let stage_flows: Vec<StageFlow> = flows_here
-            .iter()
-            .map(|&msg| StageFlow {
-                message: MessageId(msg),
-                envelope: envelope[msg].clone(),
-                priority: workload.messages[msg].priority(),
-                frame: workload.messages[msg].frame_size(),
-            })
-            .collect();
-        let last_hop: Vec<bool> = flows_here
-            .iter()
-            .map(|&msg| hop_records[msg].len() + 1 == paths[msg].len())
-            .collect();
-        let port_name = port.to_string();
-        let analysis = analyze_port(
-            &stage_flows,
-            &last_hop,
-            &policy,
-            config,
-            port.ttechno(config),
-            model,
-            &port_name,
-        )?;
-
-        for (i, &msg) in flows_here.iter().enumerate() {
-            let pf = &analysis.flows[i];
-            hop_records[msg].push(HopBound {
-                port: port_name.clone(),
-                stage_delay: pf.stage_delay,
-                flow_delay: pf.flow_delay,
-            });
-            leftovers[msg].push(pf.leftover);
-            if let Some(curve) = &pf.leftover_curve {
-                leftover_curves[msg].push(curve.clone());
-            }
-            // Propagate: the envelope entering the next hop is the output
-            // envelope of this one (min-plus deconvolution, burst inflated
-            // by this element's delay bound; staircase extras shift left).
-            // A last hop has none, and nothing reads the envelope after it.
-            if let Some(output) = &pf.output {
-                envelope[msg] = output.clone();
-            }
-        }
-        if model == EnvelopeModel::Staircase {
-            port_inputs.insert(port, (stage_flows, last_hop));
-        }
-    }
-
-    // Compose the three end-to-end bounds per message.
-    let walk = Walk::new(&policy, config, model);
-    let messages = workload
-        .messages
-        .iter()
-        .enumerate()
-        .map(|(msg, spec)| {
-            let hops = std::mem::take(&mut hop_records[msg]);
-            let path = &paths[msg];
-            compose_end_to_end(
-                spec,
-                path,
-                hops,
-                &leftovers[msg],
-                &leftover_curves[msg],
-                &walk,
-                |k| {
-                    let (flows, last_hop) = &port_inputs[&path[k]];
-                    PortInputs {
-                        flows: flows.clone(),
-                        last_hop: last_hop.clone(),
-                    }
-                },
-            )
-        })
-        .collect::<Result<Vec<_>, AnalysisError>>()?;
-
+    let flows: Vec<(usize, &[FabricPort])> = paths.iter().map(Vec::as_slice).enumerate().collect();
+    let walk = walk_ports(
+        &flows,
+        |i| Cow::Borrowed(&workload.messages[i]),
+        |_| true,
+        &BTreeMap::new(),
+        &approach.scheduling_policy(config.priority_levels),
+        config,
+        model,
+    )?;
     Ok(MultiHopReport {
         approach,
         envelope: model,
         config: *config,
         fabric: fabric.clone(),
-        messages,
+        messages: walk.bounds.into_iter().map(|(_, bound)| bound).collect(),
     })
 }
 
@@ -457,127 +369,405 @@ pub fn flow_ports(fabric: &Fabric, source: usize, destination: usize) -> Vec<Fab
     ports
 }
 
-/// The flows crossing every port (indices into `paths`, in input order) and
-/// a deterministic topological order of the ports: a flow's hop `k` always
-/// precedes its hop `k+1`, because the envelope entering hop `k+1` is the
-/// output envelope of hop `k`.
+/// One port's results as a walk left them: what every flow crossing it
+/// accrued there, and the port's aggregate token-bucket arrival envelope.
 ///
-/// `BTreeMap`s keep the iteration order — and therefore every float
-/// accumulation of the analyses that walk this schedule — deterministic.
+/// A later [`walk_ports`] reads them from its `cache` instead of analysing
+/// the port again.
+#[derive(Debug, Clone)]
+pub struct PortResults<K> {
+    keys: Vec<K>,
+    analysis: PortAnalysis,
+}
+
+impl<K> PortResults<K> {
+    /// The flows crossing the port, by the keys the walk was given, in the
+    /// walk's flow order.
+    pub fn flows(&self) -> &[K] {
+        &self.keys
+    }
+
+    /// The aggregate token-bucket arrival envelope of the port's flows.
+    pub fn aggregate(&self) -> TokenBucket {
+        self.analysis.aggregate
+    }
+
+    /// The place of flow `key` among the port's flows.
+    fn slot(&self, key: K) -> usize
+    where
+        K: PartialEq,
+    {
+        self.keys
+            .iter()
+            .position(|flow| *flow == key)
+            .expect("a port lists every flow crossing it")
+    }
+}
+
+/// What one [`walk_ports`] derived.
+#[derive(Debug)]
+pub struct WalkResults<K> {
+    /// The results of every recomputed port, in the order the walk
+    /// analysed them.
+    pub ports: Vec<(FabricPort, PortResults<K>)>,
+    /// The end-to-end bound of every flow crossing a recomputed port, by its
+    /// key, in the walk's flow order.
+    pub bounds: Vec<(K, MultiHopMessageBound)>,
+}
+
+/// The analysis walk: analyses the ports `recompute` selects in a
+/// deterministic topological order, reads every other port's results from
+/// `cache`, and composes the end-to-end bounds of every flow that crosses a
+/// recomputed port.
+///
+/// `flows` holds every flow in registration order: the key port results
+/// list it by, and its path.  `spec(i)` materialises flow `i`'s message
+/// spec; the walk asks only for the flows it composes or whose inputs it
+/// rebuilds.  The recomputed ports must be closed downstream — every later
+/// port on the path of a flow crossing one is recomputed too — so a flow's
+/// recomputed hops are a suffix of its path, and every port before them
+/// must be in `cache` with the flows it has now.
+///
+/// [`analyze_multi_hop_with`] recomputes every port with an empty cache;
+/// the admission engine recomputes a mutation's dirty closure and reads the
+/// rest from its cache.  Both therefore run one code path, and the engine's
+/// bounds equal a from-scratch analysis bit for bit.
+///
+/// # Panics
+/// Panics when a port before a recomputed one is not cached, or a cached
+/// port follows a recomputed one on a flow's path.
+pub fn walk_ports<'s, K: Copy + PartialEq>(
+    flows: &[(K, &[FabricPort])],
+    spec: impl Fn(usize) -> Cow<'s, MessageSpec>,
+    recompute: impl Fn(FabricPort) -> bool,
+    cache: &BTreeMap<FabricPort, PortResults<K>>,
+    policy: &SchedulingPolicy,
+    config: &NetworkConfig,
+    model: EnvelopeModel,
+) -> Result<WalkResults<K>, AnalysisError> {
+    // The flows crossing a recomputed port.  They include every occupant
+    // of a recomputed port, so the schedule of their paths lists each such
+    // port's whole flow set in registration order, and every ordering edge
+    // between two recomputed ports.
+    let touched: Vec<usize> = (0..flows.len())
+        .filter(|&i| flows[i].1.iter().any(|&port| recompute(port)))
+        .collect();
+    let paths: Vec<&[FabricPort]> = touched.iter().map(|&i| flows[i].1).collect();
+    let mut schedule = port_schedule(&paths);
+    let specs: Vec<Cow<'s, MessageSpec>> = touched.iter().map(|&i| spec(i)).collect();
+    let sources: Vec<Envelope> = specs
+        .iter()
+        .map(|spec| spec.arrival_envelope(model, config.link_rate))
+        .collect();
+
+    // Every port before a flow's recomputed suffix is read from the cache,
+    // where the flow has its place among all of the port's flows.
+    let mut results: Vec<Option<Cow<'_, PortResults<K>>>> = schedule
+        .ports
+        .iter()
+        .map(|&port| {
+            (!recompute(port)).then(|| {
+                Cow::Borrowed(
+                    cache
+                        .get(&port)
+                        .expect("a port before a recomputed one is cached"),
+                )
+            })
+        })
+        .collect();
+    for (j, hops) in schedule.hops.iter_mut().enumerate() {
+        let key = flows[touched[j]].0;
+        let mut recomputed = false;
+        for (port, slot) in hops {
+            match &results[*port] {
+                Some(cached) => {
+                    assert!(!recomputed, "the recomputed ports are closed downstream");
+                    *slot = cached.slot(key);
+                }
+                None => recomputed = true,
+            }
+        }
+    }
+
+    // Analyse the recomputed ports in dependency order: a flow enters its
+    // first hop with its source envelope and every later one with the
+    // output envelope of the hop before.
+    for &id in &schedule.order {
+        if results[id].is_some() {
+            continue;
+        }
+        let port = schedule.ports[id];
+        let crossings = &schedule.crossings[id];
+        let analysis = {
+            let (inputs, last_hop): (Vec<StageFlow<'_>>, Vec<bool>) = crossings
+                .iter()
+                .map(|&(j, k)| {
+                    let envelope = match k.checked_sub(1) {
+                        None => &sources[j],
+                        Some(before) => {
+                            let (port, slot) = schedule.hops[j][before];
+                            output(at(&results, port), slot)
+                        }
+                    };
+                    let flow = StageFlow {
+                        message: MessageId(touched[j]),
+                        envelope: Cow::Borrowed(envelope),
+                        priority: specs[j].priority(),
+                        frame: specs[j].frame_size(),
+                    };
+                    (flow, k + 1 == paths[j].len())
+                })
+                .unzip();
+            analyze_port(
+                &inputs,
+                &last_hop,
+                policy,
+                config,
+                port.ttechno(config),
+                model,
+                &port.to_string(),
+            )?
+        };
+        let keys = crossings
+            .iter()
+            .map(|&(j, _)| flows[touched[j]].0)
+            .collect();
+        results[id] = Some(Cow::Owned(PortResults { keys, analysis }));
+    }
+
+    let bounds = {
+        let walk = Walk {
+            policy,
+            config,
+            model,
+            flows,
+            spec: &spec,
+            index: &schedule.index,
+            results: &results,
+            cache,
+            uncut: RefCell::new(BTreeMap::new()),
+        };
+        touched
+            .iter()
+            .enumerate()
+            .map(|(j, &i)| {
+                let per_hop: Vec<&PortFlowAnalysis> = schedule.hops[j]
+                    .iter()
+                    .map(|&(port, slot)| &at(&results, port).analysis.flows[slot])
+                    .collect();
+                let bound =
+                    compose_end_to_end(&specs[j], i, paths[j], &per_hop, &sources[j], &walk)?;
+                Ok((flows[i].0, bound))
+            })
+            .collect::<Result<Vec<_>, AnalysisError>>()?
+    };
+    let ports = schedule
+        .order
+        .iter()
+        .filter_map(|&id| match results[id].take()? {
+            Cow::Owned(results) => Some((schedule.ports[id], results)),
+            Cow::Borrowed(_) => None,
+        })
+        .collect();
+    Ok(WalkResults { ports, bounds })
+}
+
+/// Port `port`'s results in a walk, once analysed or read from the cache.
+fn at<'r, K: Clone>(
+    results: &'r [Option<Cow<'_, PortResults<K>>>],
+    port: usize,
+) -> &'r PortResults<K> {
+    results[port]
+        .as_deref()
+        .expect("a port's predecessors are analysed or cached before it")
+}
+
+/// The output envelope the flow at `slot` leaves `port` with.
+fn output<K>(port: &PortResults<K>, slot: usize) -> &Envelope {
+    port.analysis.flows[slot]
+        .output
+        .as_ref()
+        .expect("a flow's port before its last hop keeps its output envelope")
+}
+
+/// The ports a walk's paths cross, numbered in the order the paths first
+/// cross them.
+#[derive(Debug, Default)]
+struct Schedule {
+    /// Every port, by number.
+    ports: Vec<FabricPort>,
+    /// Each port's number.
+    index: BTreeMap<FabricPort, usize>,
+    /// The flows crossing each port as `(flow, hop)` pairs, in flow order.
+    crossings: Vec<Vec<(usize, usize)>>,
+    /// Each flow's path as `(port, slot)` pairs: the port's number and the
+    /// flow's place among the port's crossings.
+    hops: Vec<Vec<(usize, usize)>>,
+    /// The port numbers in topological order.
+    order: Vec<usize>,
+}
+
+/// The ports `paths` cross and a deterministic topological order of them: a
+/// flow's hop `k` always precedes its hop `k+1`, because the envelope
+/// entering hop `k+1` is the output envelope of hop `k`.  Of the ports ready
+/// next, the greatest comes first, so the order — and with it every float
+/// accumulation of the walk — is deterministic.
 ///
 /// # Panics
 /// Panics on cyclic port dependencies, which can only arise from routing
 /// over a cyclic switch graph — the tree builders never produce one.
-pub fn port_schedule(
-    paths: &[&[FabricPort]],
-) -> (BTreeMap<FabricPort, Vec<usize>>, Vec<FabricPort>) {
-    let mut port_flows: BTreeMap<FabricPort, Vec<usize>> = BTreeMap::new();
-    let mut indegree: BTreeMap<FabricPort, usize> = BTreeMap::new();
-    let mut successors: BTreeMap<FabricPort, Vec<FabricPort>> = BTreeMap::new();
-    for (msg, path) in paths.iter().enumerate() {
+fn port_schedule(paths: &[&[FabricPort]]) -> Schedule {
+    let mut schedule = Schedule::default();
+    let mut indegree: Vec<usize> = Vec::new();
+    let mut successors: Vec<Vec<usize>> = Vec::new();
+    for (flow, path) in paths.iter().enumerate() {
+        let mut hops: Vec<(usize, usize)> = Vec::with_capacity(path.len());
         for (k, &port) in path.iter().enumerate() {
-            if k == 0 {
-                port_flows.entry(port).or_default().push(msg);
-            } else {
-                // Record the flow once per port (a simple path never repeats
-                // a directed port).
-                port_flows.entry(port).or_default().push(msg);
-                let prev = path[k - 1];
-                successors.entry(prev).or_default().push(port);
-                *indegree.entry(port).or_default() += 1;
+            let fresh = schedule.ports.len();
+            let id = *schedule.index.entry(port).or_insert(fresh);
+            if id == fresh {
+                schedule.ports.push(port);
+                schedule.crossings.push(Vec::new());
+                indegree.push(0);
+                successors.push(Vec::new());
             }
-            indegree.entry(port).or_default();
+            if let Some(&(before, _)) = hops.last() {
+                successors[before].push(id);
+                indegree[id] += 1;
+            }
+            // A simple path never repeats a directed port, so a flow is
+            // recorded once per port.
+            hops.push((id, schedule.crossings[id].len()));
+            schedule.crossings[id].push((flow, k));
         }
+        schedule.hops.push(hops);
     }
 
     // Kahn's topological sort over the ports, always taking the greatest
-    // ready port next.  Switch trees always admit one; a cyclic dependency
-    // can only arise from routing over a cyclic switch graph, which the
-    // tree builders never produce.
-    let mut ready: BinaryHeap<FabricPort> = indegree
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&p, _)| p)
+    // ready port next.
+    let mut ready: BinaryHeap<(FabricPort, usize)> = (0..schedule.ports.len())
+        .filter(|&id| indegree[id] == 0)
+        .map(|id| (schedule.ports[id], id))
         .collect();
-    let mut order: Vec<FabricPort> = Vec::with_capacity(indegree.len());
-    while let Some(port) = ready.pop() {
-        order.push(port);
-        if let Some(next) = successors.get(&port) {
-            for &succ in next {
-                let d = indegree.get_mut(&succ).expect("successor is a port");
-                *d -= 1;
-                if *d == 0 {
-                    ready.push(succ);
-                }
+    while let Some((_, id)) = ready.pop() {
+        schedule.order.push(id);
+        for &next in &successors[id] {
+            indegree[next] -= 1;
+            if indegree[next] == 0 {
+                ready.push((schedule.ports[next], next));
             }
         }
     }
     assert_eq!(
-        order.len(),
-        indegree.len(),
+        schedule.order.len(),
+        schedule.ports.len(),
         "cyclic port dependencies: the fabric's switch graph is not a tree"
     );
-    (port_flows, order)
+    schedule
 }
 
-/// What every port of one analysis walk shares: the settings it analyses
-/// a port with, and the ports a failed pay-bursts-only-once certificate
-/// sent through again on uncut curves, kept for the walk's other messages.
-#[derive(Debug)]
-pub struct Walk<'a> {
-    policy: &'a SchedulingPolicy,
-    config: &'a NetworkConfig,
+/// What composing a walk's bounds reads: the settings its ports were
+/// analysed with, every port's results, and the ports a failed
+/// pay-bursts-only-once certificate sent through again on uncut curves,
+/// kept for the walk's other messages.
+struct Walk<'w, 's, K: Clone> {
+    policy: &'w SchedulingPolicy,
+    config: &'w NetworkConfig,
     model: EnvelopeModel,
-    uncut: RefCell<BTreeMap<FabricPort, (PortInputs, UncutAggregates)>>,
+    flows: &'w [(K, &'w [FabricPort])],
+    spec: &'w dyn Fn(usize) -> Cow<'s, MessageSpec>,
+    /// The scheduled ports' numbers and results.
+    index: &'w BTreeMap<FabricPort, usize>,
+    results: &'w [Option<Cow<'w, PortResults<K>>>],
+    /// Every other port's results.
+    cache: &'w BTreeMap<FabricPort, PortResults<K>>,
+    uncut: RefCell<UncutPorts<'w>>,
 }
 
-impl<'a> Walk<'a> {
-    /// A walk analysing every port under `policy` and `model`.
-    pub fn new(
-        policy: &'a SchedulingPolicy,
-        config: &'a NetworkConfig,
-        model: EnvelopeModel,
-    ) -> Self {
-        Walk {
-            policy,
-            config,
-            model,
-            uncut: RefCell::new(BTreeMap::new()),
+/// The ports a walk analysed again on uncut curves: each one's inputs, its
+/// flows' last-hop flags and its uncut class aggregates.
+type UncutPorts<'w> = BTreeMap<FabricPort, (Vec<StageFlow<'w>>, Vec<bool>, UncutAggregates)>;
+
+impl<'w, K: Copy + PartialEq> Walk<'w, '_, K> {
+    /// Port `port`'s results: the walk's own, or the cache's for a port
+    /// outside its schedule.
+    fn results(&self, port: FabricPort) -> &'w PortResults<K> {
+        match self.index.get(&port) {
+            Some(&id) => at(self.results, id),
+            None => &self.cache[&port],
         }
     }
 
-    /// `message`'s left-over curve at `port` on uncut curves, summing the
-    /// port's uncut class aggregates from `inputs()` unless the walk
-    /// already did.
-    fn uncut_leftover(
-        &self,
-        port: FabricPort,
-        message: MessageId,
-        inputs: impl FnOnce() -> PortInputs,
-    ) -> Result<Curve, AnalysisError> {
+    /// Flow `flow`'s left-over curve at `port` on uncut curves, summing the
+    /// port's uncut class aggregates unless the walk already did.
+    fn uncut_leftover(&self, port: FabricPort, flow: usize) -> Result<Curve, AnalysisError> {
         let mut uncut = self.uncut.borrow_mut();
         let name = port.to_string();
-        let (inputs, aggregates) = match uncut.entry(port) {
+        let (inputs, last_hop, aggregates) = match uncut.entry(port) {
             Entry::Occupied(entry) => entry.into_mut(),
             Entry::Vacant(entry) => {
-                let inputs = inputs();
-                let aggregates = self.port(port, &name, &inputs).uncut_aggregates()?;
-                entry.insert((inputs, aggregates))
+                let (inputs, last_hop) = self.inputs(port);
+                let aggregates = self
+                    .port(port, &name, &inputs, &last_hop)
+                    .uncut_aggregates()?;
+                entry.insert((inputs, last_hop, aggregates))
             }
         };
         let i = inputs
-            .flows
             .iter()
-            .position(|f| f.message == message)
+            .position(|f| f.message == MessageId(flow))
             .expect("a message crosses every port of its path");
-        aggregates.leftover_curve(&self.port(port, &name, inputs), i)
+        aggregates.leftover_curve(&self.port(port, &name, inputs, last_hop), i)
+    }
+
+    /// The inputs `port` was analysed with, rebuilt from the walk's
+    /// results: every flow crossing it, in order, with its envelope there,
+    /// and whether the port is its last hop.
+    fn inputs(&self, port: FabricPort) -> (Vec<StageFlow<'w>>, Vec<bool>) {
+        self.results(port)
+            .keys
+            .iter()
+            .map(|&key| {
+                let i = self
+                    .flows
+                    .iter()
+                    .position(|f| f.0 == key)
+                    .expect("a port's flows are the walk's");
+                let path = self.flows[i].1;
+                let k = path
+                    .iter()
+                    .position(|&p| p == port)
+                    .expect("a flow crosses only the ports of its path");
+                let spec = (self.spec)(i);
+                let envelope = match k.checked_sub(1) {
+                    None => Cow::Owned(spec.arrival_envelope(self.model, self.config.link_rate)),
+                    Some(before) => {
+                        let results = self.results(path[before]);
+                        Cow::Borrowed(output(results, results.slot(key)))
+                    }
+                };
+                let flow = StageFlow {
+                    message: MessageId(i),
+                    envelope,
+                    priority: spec.priority(),
+                    frame: spec.frame_size(),
+                };
+                (flow, k + 1 == path.len())
+            })
+            .unzip()
     }
 
     /// `port` of the walk with the given inputs.
-    fn port<'p>(&'p self, port: FabricPort, name: &'p str, inputs: &'p PortInputs) -> Port<'p> {
+    fn port<'p>(
+        &'p self,
+        port: FabricPort,
+        name: &'p str,
+        flows: &'p [StageFlow<'p>],
+        last_hop: &'p [bool],
+    ) -> Port<'p> {
         Port {
-            flows: &inputs.flows,
-            last_hop: &inputs.last_hop,
+            flows,
+            last_hop,
             policy: self.policy,
             config: self.config,
             ttechno: port.ttechno(self.config),
@@ -587,51 +777,44 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// One port of a message's path as the walk analysed it: every flow
-/// crossing it, in the walk's order, each with its envelope there.
-#[derive(Debug, Clone)]
-pub struct PortInputs {
-    /// The flows crossing the port.
-    pub flows: Vec<StageFlow>,
-    /// Whether the port is each flow's final hop.
-    pub last_hop: Vec<bool>,
-}
-
-/// Composes one flow's end-to-end bounds from its per-hop results: the
-/// stage sum, the per-hop sum, and the pay-bursts-only-once convolution of
-/// the hop left-over curves, plus per-link propagation.
-///
-/// `hops`, `leftovers` and (under the staircase model) `leftover_curves`
-/// are the flow's per-port results along `path` — exactly what
-/// [`analyze_port`] yields hop by hop, whether the hops were freshly
-/// computed or served from an admission cache.
+/// Composes flow `flow`'s end-to-end bounds from its results at every port
+/// of `path` (`per_hop`): the stage sum, the per-hop sum, and the
+/// pay-bursts-only-once convolution of the hop left-over curves, plus
+/// per-link propagation.  `source` is its arrival envelope at its first hop.
 ///
 /// The left-over curves come from horizon-cut curves.  When the
 /// pay-bursts-only-once deviation on them cannot be certified equal to the
 /// deviation on uncut curves, the flow's left-over curve at every hop whose
 /// curve is not wholly exact is rebuilt on uncut curves — from the port's
-/// uncut class aggregates, summed once per port and `walk` from the inputs
-/// `port_inputs(k)` returns for hop `k` — and the deviation is taken on
-/// those curves.  The from-scratch walk and the admission engine both
-/// compose through here, so their bounds agree bit for bit.
-pub fn compose_end_to_end(
+/// uncut class aggregates, summed once per port and walk from the port's
+/// rebuilt inputs, whether the walk analysed the port or read it from its
+/// cache — and the deviation is taken on those curves.
+fn compose_end_to_end<K: Copy + PartialEq>(
     spec: &MessageSpec,
+    flow: usize,
     path: &[FabricPort],
-    hops: Vec<HopBound>,
-    leftovers: &[RateLatency],
-    leftover_curves: &[LeftoverCurve],
-    walk: &Walk<'_>,
-    mut port_inputs: impl FnMut(usize) -> PortInputs,
+    per_hop: &[&PortFlowAnalysis],
+    source: &Envelope,
+    walk: &Walk<'_, '_, K>,
 ) -> Result<MultiHopMessageBound, AnalysisError> {
     let (config, model) = (walk.config, walk.model);
     let links = path.len();
     let propagation = config.propagation * links as u64;
+    let hops: Vec<HopBound> = path
+        .iter()
+        .zip(per_hop)
+        .map(|(port, pf)| HopBound {
+            port: port.to_string(),
+            stage_delay: pf.stage_delay,
+            flow_delay: pf.flow_delay,
+        })
+        .collect();
     let stage_sum: Duration = hops.iter().map(|h| h.stage_delay).sum();
     let hop_sum: Duration = hops.iter().map(|h| h.flow_delay).sum();
     let source_envelope = TokenBucket::new(spec.frame_size(), spec.shaper_rate());
-    let network = leftovers[1..]
+    let network = per_hop[1..]
         .iter()
-        .fold(leftovers[0], |acc, s| acc.concatenate(s));
+        .fold(per_hop[0].leftover, |acc, pf| acc.concatenate(&pf.leftover));
     let convolved_path = |source| AnalysisError::Stage {
         stage: format!("convolved path of {}", spec.name),
         source,
@@ -648,10 +831,17 @@ pub fn compose_end_to_end(
         // the reported bound is their minimum (which also absorbs
         // float noise in the curve route on degenerate-staircase
         // flows).
-        let source = spec.arrival_envelope(model, config.link_rate);
         let (source_curve, source_bucket) = (source.curve(), source.token_bucket());
         let tail = horizon::early_exit(&source_bucket, &network);
-        let (curve, exact) = network_curve(leftover_curves);
+        let curves: Vec<&LeftoverCurve> = per_hop
+            .iter()
+            .map(|pf| {
+                pf.leftover_curve
+                    .as_ref()
+                    .expect("the staircase model derives left-over curves")
+            })
+            .collect();
+        let (curve, exact) = network_curve(&curves);
         let mut h = netcalc::minplus::horizontal_deviation(&source_curve, &curve, tail)
             .map_err(convolved_path)?;
         let certified = deviation_is_exact(
@@ -663,22 +853,25 @@ pub fn compose_end_to_end(
         );
         if !certified {
             horizon::record(HorizonEvent::PathFallback);
-            let uncut = leftover_curves
+            let rebuilt = curves
                 .iter()
-                .enumerate()
-                .map(|(k, curve)| {
+                .zip(path)
+                .map(|(curve, &port)| {
                     if curve.exact_until == ALL_EXACT {
-                        Ok(curve.clone())
-                    } else {
-                        let curve = walk.uncut_leftover(path[k], spec.id, || port_inputs(k))?;
-                        Ok(LeftoverCurve {
-                            curve,
-                            exact_until: ALL_EXACT,
-                            grid_until: ALL_EXACT,
-                        })
+                        return Ok(None);
                     }
+                    Ok(Some(LeftoverCurve {
+                        curve: walk.uncut_leftover(port, flow)?,
+                        exact_until: ALL_EXACT,
+                        grid_until: ALL_EXACT,
+                    }))
                 })
                 .collect::<Result<Vec<_>, AnalysisError>>()?;
+            let uncut: Vec<&LeftoverCurve> = curves
+                .iter()
+                .zip(&rebuilt)
+                .map(|(&curve, rebuilt)| rebuilt.as_ref().unwrap_or(curve))
+                .collect();
             let (curve, _) = network_curve(&uncut);
             h = netcalc::minplus::horizontal_deviation(&source_curve, &curve, tail)
                 .map_err(convolved_path)?;
@@ -721,10 +914,10 @@ pub fn compose_end_to_end(
 /// ([`minorant_exact_until`]); a convolution of convex curves concatenates
 /// their segments in slope order, so it is exact along its segments no
 /// steeper than every operand's last exact one.
-fn network_curve(curves: &[LeftoverCurve]) -> (Curve, f64) {
+fn network_curve(curves: &[&LeftoverCurve]) -> (Curve, f64) {
     let minorant = |k: usize| {
         let m = curves[k].curve.convex_minorant();
-        let exact = minorant_exact_until(&m, &curves[k]);
+        let exact = minorant_exact_until(&m, curves[k]);
         (m, exact)
     };
     let (mut acc, mut exact) = minorant(0);

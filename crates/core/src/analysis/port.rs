@@ -1,19 +1,15 @@
 //! Per-port analysis: everything the multi-hop walk derives at one output
 //! port, behind one entry point.
 //!
-//! [`analyze_multi_hop_with`](crate::analyze_multi_hop_with) visits every
-//! port of the fabric exactly once, in topological order, and derives the
-//! same per-flow quantities at each: the stage (multiplexer) bound, the
+//! The analysis walk ([`walk_ports`](crate::walk_ports)) visits the ports
+//! it recomputes in topological order and derives the same per-flow
+//! quantities at each: the stage (multiplexer) bound, the
 //! packetizer-corrected left-over service, and — under the staircase model
 //! — the general left-over curve.  Those derivations are *port-local*: they
 //! depend only on the ordered set of flows crossing the port and their
-//! arrival envelopes at that port, never on global analysis state.
-//!
-//! [`analyze_port`] packages that port-local computation as a reusable unit
-//! so incremental callers (the `admission` engine's per-port curve cache)
-//! run the *same code path* as the from-scratch analysis — equivalence of
-//! cached and recomputed bounds holds by construction, bit for bit, rather
-//! than by parallel maintenance of two implementations.
+//! arrival envelopes at that port, never on global analysis state, which is
+//! why a walk may read a port's results from an earlier walk instead of
+//! calling [`analyze_port`] again.
 
 use crate::analysis::end_to_end::AnalysisError;
 use crate::analysis::horizon::{
@@ -30,13 +26,10 @@ use netcalc::{
 };
 use std::borrow::Cow;
 use units::Duration;
-use workload::MessageId;
 
 /// Everything one flow accrues at one port of its path.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PortFlowAnalysis {
-    /// The message stream (positional id within the analysed flow set).
-    pub message: MessageId,
+pub(crate) struct PortFlowAnalysis {
     /// The paper's multiplexer bound at this port (the stage-sum term).
     pub stage_delay: Duration,
     /// The flow's own delay through its packetizer-corrected left-over
@@ -56,7 +49,7 @@ pub struct PortFlowAnalysis {
 /// A flow's general left-over curve at one port, computed on the port's
 /// horizon-cut curves, with how far it is the curve the uncut ones give.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LeftoverCurve {
+pub(crate) struct LeftoverCurve {
     /// The packetizer-corrected left-over curve.
     pub curve: Curve,
     /// The abscissa up to which `curve`'s breakpoints are, bit for bit,
@@ -71,10 +64,10 @@ pub struct LeftoverCurve {
 }
 
 /// The complete analysis of one port: per-flow results in input order plus
-/// the port's aggregate token-bucket arrival envelope (the quantity the
-/// admission engine caches and reports as port occupancy).
+/// the port's aggregate token-bucket arrival envelope (what the admission
+/// engine reports as port occupancy).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PortAnalysis {
+pub(crate) struct PortAnalysis {
     /// Aggregate token-bucket arrival envelope of every flow at the port.
     pub aggregate: TokenBucket,
     /// Per-flow results, in the same order as the input `flows`.
@@ -95,13 +88,10 @@ pub struct PortAnalysis {
 /// certificate fails sends the whole port through again on uncut curves,
 /// so every bound is the uncut one.
 ///
-/// This is the single code path behind both the from-scratch multi-hop walk
-/// and the admission engine's cache misses, so incremental re-analysis is
-/// byte-identical to a fresh
-/// [`analyze_multi_hop_with`](crate::analyze_multi_hop_with) by
-/// construction.
-pub fn analyze_port(
-    flows: &[StageFlow],
+/// The analysis walk is its only caller, for the from-scratch analysis and
+/// the admission engine alike.
+pub(crate) fn analyze_port(
+    flows: &[StageFlow<'_>],
     last_hop: &[bool],
     policy: &SchedulingPolicy,
     config: &NetworkConfig,
@@ -131,7 +121,7 @@ pub fn analyze_port(
 
 /// One port's inputs, as [`analyze_port`] takes them.
 pub(crate) struct Port<'a> {
-    pub(crate) flows: &'a [StageFlow],
+    pub(crate) flows: &'a [StageFlow<'a>],
     pub(crate) last_hop: &'a [bool],
     pub(crate) policy: &'a SchedulingPolicy,
     pub(crate) config: &'a NetworkConfig,
@@ -221,7 +211,7 @@ impl Port<'_> {
                 .iter()
                 .zip(&stage_bounds)
                 .find(|(f, _)| clamp(&mux, f.priority) == class)
-                .map(|(_, (_, bound))| bound.delay);
+                .map(|(_, bound)| bound.delay);
             match (aggregate.has_extra, delay) {
                 (true, Some(delay)) => refinement_is_exact(aggregate, &mux, class, &totals, delay),
                 _ => true,
@@ -239,7 +229,7 @@ impl Port<'_> {
         };
 
         let mut results = Vec::with_capacity(flows.len());
-        for ((i, flow), (_, stage_bound)) in flows.iter().enumerate().zip(stage_bounds) {
+        for ((i, flow), stage_bound) in flows.iter().enumerate().zip(stage_bounds) {
             let unstable_port = || AnalysisError::Stage {
                 stage: self.name.to_string(),
                 source: NcError::Unstable {
@@ -288,7 +278,6 @@ impl Port<'_> {
                 }
             };
             results.push(PortFlowAnalysis {
-                message: flow.message,
                 stage_delay: stage_bound.delay,
                 flow_delay,
                 output: stage_bound.output,
@@ -394,7 +383,7 @@ fn flow_leftover(
 
 /// The store-and-forward packetizer correction `[β − l]⁺` of a left-over
 /// curve at a flow's non-final hop.
-fn packetize(curve: &Curve, flow: &StageFlow) -> Curve {
+fn packetize(curve: &Curve, flow: &StageFlow<'_>) -> Curve {
     curve
         .saturating_sub_const(flow.frame.as_f64_bits())
         .expect("frame sizes are finite and non-negative")
@@ -412,7 +401,7 @@ fn packetize(curve: &Curve, flow: &StageFlow) -> Curve {
 /// convolved bound would pay the flow's own serialization only once even
 /// though store-and-forward pays it per link.
 fn leftover_services(
-    flows: &[StageFlow],
+    flows: &[StageFlow<'_>],
     last_hop: &[bool],
     mux: &Mux,
     bases: &[Result<RateLatency, NcError>],
@@ -441,7 +430,7 @@ fn leftover_services(
 
 /// The token bucket of a flow's cross traffic: its queue set's `total`
 /// minus its own bucket.
-fn cross_bucket(flow: &StageFlow, total: &TokenBucket) -> TokenBucket {
+fn cross_bucket(flow: &StageFlow<'_>, total: &TokenBucket) -> TokenBucket {
     let bucket = flow.envelope.token_bucket();
     TokenBucket::new(total.burst() - bucket.burst(), total.rate() - bucket.rate())
 }
@@ -451,7 +440,7 @@ fn cross_bucket(flow: &StageFlow, total: &TokenBucket) -> TokenBucket {
 /// riser top (`tops` holds each flow's riser tops), or `None` when a
 /// left-over service does not exist (the port then fails either way).
 fn port_horizon(
-    flows: &[StageFlow],
+    flows: &[StageFlow<'_>],
     leftovers: &[Option<RateLatency>],
     tops: &[Vec<f64>],
 ) -> Option<f64> {
@@ -486,7 +475,7 @@ struct ClassAggregate {
 /// reproducible bit for bit.  Before the first cut it sums, the sum's grid
 /// and values are those of the uncut sum.
 fn class_aggregates(
-    flows: &[StageFlow],
+    flows: &[StageFlow<'_>],
     mux: &Mux,
     curves: &[Cow<'_, Curve>],
     cuts: &[Option<Curve>],
@@ -569,7 +558,7 @@ fn clamp(mux: &Mux, priority: usize) -> usize {
 /// `β_{C, t + l/C}` with `l` the largest lower-priority burst under strict
 /// priority (non-preemptive blocking), the class's quantum-share residual
 /// ([`netcalc::WrrMux::residual_service`]) under WRR.
-fn leftover_base(flows: &[StageFlow], class: usize, mux: &Mux) -> Result<RateLatency, NcError> {
+fn leftover_base(flows: &[StageFlow<'_>], class: usize, mux: &Mux) -> Result<RateLatency, NcError> {
     let Mux::StaticPriority(sp) = mux else {
         return mux.residual_service(class);
     };
@@ -604,7 +593,7 @@ fn leftover_base(flows: &[StageFlow], class: usize, mux: &Mux) -> Result<RateLat
 /// below that line's value there comes from the exact part: those
 /// breakpoints are exact.
 fn leftover_curves(
-    flows: &[StageFlow],
+    flows: &[StageFlow<'_>],
     mux: &Mux,
     bases: &[Result<RateLatency, NcError>],
     totals: &[TokenBucket],
@@ -656,6 +645,7 @@ mod tests {
     use ethernet::{WrrUnit, WrrWeights};
     use netcalc::counters::OpCounters;
     use units::{DataRate, DataSize};
+    use workload::MessageId;
 
     /// FCFS, 4-level strict priority and 3-class WRR in frames.
     fn policies() -> [SchedulingPolicy; 3] {
@@ -670,7 +660,7 @@ mod tests {
 
     /// Eight staircase flows of 64–1114 B every 5–40 ms at priorities 0–2,
     /// on a 100 Mbps port.
-    fn eight_staircase_flows() -> (NetworkConfig, Vec<StageFlow>) {
+    fn eight_staircase_flows() -> (NetworkConfig, Vec<StageFlow<'static>>) {
         let rate = DataRate::from_mbps(100);
         let config = NetworkConfig::paper_default().with_link_rate(rate);
         let flows = (0..8)
@@ -679,7 +669,7 @@ mod tests {
                 let period = Duration::from_millis(5 << (i % 4));
                 StageFlow {
                     message: MessageId(i),
-                    envelope: Envelope::staircase(frame, period, rate),
+                    envelope: Cow::Owned(Envelope::staircase(frame, period, rate)),
                     priority: i % 3,
                     frame,
                 }
@@ -791,7 +781,7 @@ mod tests {
         let flows: Vec<StageFlow> = (0..8)
             .map(|i| StageFlow {
                 message: MessageId(i),
-                envelope: Envelope::staircase(frame, Duration::from_millis(5), rate),
+                envelope: Cow::Owned(Envelope::staircase(frame, Duration::from_millis(5), rate)),
                 priority: i % 3,
                 frame,
             })

@@ -4,19 +4,20 @@
 use crate::analysis::horizon;
 use ethernet::{SchedulingPolicy, WrrUnit};
 use netcalc::{Curve, Envelope, Mux, NcError, WrrAccounting};
-use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use units::{DataRate, DataSize, Duration};
 use workload::MessageId;
 
 /// One shaped flow entering a multiplexing stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageFlow {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StageFlow<'a> {
     /// The message stream the flow belongs to.
     pub message: MessageId,
     /// The arrival envelope of the flow *at this stage* (at the source this
     /// is the shaper's `(b_i, r_i)` — possibly carrying a staircase curve —
-    /// and at the switch it is the source stage's output envelope).
-    pub envelope: Envelope,
+    /// and at the switch it is the source stage's output envelope),
+    /// borrowed from where the walk keeps it.
+    pub envelope: Cow<'a, Envelope>,
     /// Queue index under the class-based policies (ignored by FCFS),
     /// clamped to the policy's queue count like the traffic classifier.
     pub priority: usize,
@@ -37,7 +38,7 @@ pub struct StageFlow {
 /// [`NcError::Unstable`], before any curve is built for it, so every
 /// multiplexer this returns is stable.
 pub(crate) fn mux_for_policy(
-    flows: &[StageFlow],
+    flows: &[StageFlow<'_>],
     policy: &SchedulingPolicy,
     capacity: DataRate,
     ttechno: Duration,
@@ -85,11 +86,11 @@ pub(crate) struct StageBound {
 /// (every class when `aggregates` is empty) keep the closed form.  Each
 /// class's bound is computed once and shared by every flow of the class.
 pub(crate) fn analyze_stage(
-    flows: &[StageFlow],
+    flows: &[StageFlow<'_>],
     mux: &Mux,
     aggregates: &[Option<&Curve>],
     last_hop: &[bool],
-) -> Result<Vec<(MessageId, StageBound)>, NcError> {
+) -> Result<Vec<StageBound>, NcError> {
     let classes = mux.class_count();
     let mut class_delay: Vec<Option<Duration>> = vec![None; classes];
     flows
@@ -111,7 +112,7 @@ pub(crate) fn analyze_stage(
             } else {
                 Some(flow.envelope.delayed(delay)?)
             };
-            Ok((flow.message, StageBound { delay, output }))
+            Ok(StageBound { delay, output })
         })
         .collect()
 }
@@ -121,14 +122,16 @@ mod tests {
     use super::*;
     use ethernet::WrrWeights;
 
-    fn flow(id: usize, bytes: u64, period_ms: u64, priority: usize) -> StageFlow {
+    fn flow(id: usize, bytes: u64, period_ms: u64, priority: usize) -> StageFlow<'static> {
         StageFlow {
             message: MessageId(id),
-            envelope: netcalc::TokenBucket::for_message(
-                DataSize::from_bytes(bytes),
-                Duration::from_millis(period_ms),
-            )
-            .into(),
+            envelope: Cow::Owned(
+                netcalc::TokenBucket::for_message(
+                    DataSize::from_bytes(bytes),
+                    Duration::from_millis(period_ms),
+                )
+                .into(),
+            ),
             priority,
             frame: DataSize::from_bytes(bytes),
         }
@@ -141,10 +144,10 @@ mod tests {
     /// Loads `flows` into the policy's mux at 10 Mbps and analyses the
     /// stage on closed forms, no flow at its last hop.
     fn stage(
-        flows: &[StageFlow],
+        flows: &[StageFlow<'_>],
         policy: &SchedulingPolicy,
         ttechno: Duration,
-    ) -> Result<Vec<(MessageId, StageBound)>, NcError> {
+    ) -> Result<Vec<StageBound>, NcError> {
         let mux = mux_for_policy(flows, policy, c10(), ttechno)?;
         analyze_stage(flows, &mux, &[], &vec![false; flows.len()])
     }
@@ -172,12 +175,12 @@ mod tests {
         ];
         let result = stage(&flows, &fcfs(), Duration::from_micros(16)).unwrap();
         assert_eq!(result.len(), 3);
-        let d0 = result[0].1.delay;
-        assert!(result.iter().all(|(_, b)| b.delay == d0));
+        let d0 = result[0].delay;
+        assert!(result.iter().all(|b| b.delay == d0));
         // Σ b = (68+86+1046) bytes = 9600 bits -> 960 us + 16 us.
         assert_eq!(d0, Duration::from_micros(976));
         // Output bursts are inflated.
-        for (i, (_, bound)) in result.iter().enumerate() {
+        for (i, bound) in result.iter().enumerate() {
             let output = bound.output.as_ref().unwrap();
             assert!(output.burst() >= flows[i].envelope.burst());
             assert_eq!(output.rate(), flows[i].envelope.rate());
@@ -192,11 +195,11 @@ mod tests {
             flow(2, 1046, 160, 3),
         ];
         let result = stage(&flows, &sp4(), Duration::from_micros(16)).unwrap();
-        assert!(result[0].1.delay <= result[1].1.delay);
-        assert!(result[1].1.delay <= result[2].1.delay);
+        assert!(result[0].delay <= result[1].delay);
+        assert!(result[1].delay <= result[2].delay);
         // The urgent flow's bound beats the FCFS bound for the same stage.
         let fcfs = stage(&flows, &fcfs(), Duration::from_micros(16)).unwrap();
-        assert!(result[0].1.delay < fcfs[0].1.delay);
+        assert!(result[0].delay < fcfs[0].delay);
     }
 
     #[test]
@@ -208,7 +211,7 @@ mod tests {
         ];
         let result = stage(&flows, &wrr4(), Duration::from_micros(16)).unwrap();
         assert_eq!(result.len(), 3);
-        for (i, (_, bound)) in result.iter().enumerate() {
+        for (i, bound) in result.iter().enumerate() {
             assert!(bound.delay > Duration::ZERO);
             assert!(bound.output.as_ref().unwrap().burst() >= flows[i].envelope.burst());
         }
@@ -235,7 +238,7 @@ mod tests {
             let flows = [flow(0, 68, 20, 9)];
             let result = stage(&flows, &policy, Duration::ZERO).unwrap();
             assert_eq!(result.len(), 1);
-            assert!(result[0].1.delay > Duration::ZERO);
+            assert!(result[0].delay > Duration::ZERO);
         }
     }
 

@@ -60,11 +60,9 @@ pub use analysis::end_to_end::{analyze, AnalysisError, AnalysisReport, MessageBo
 pub use analysis::horizon::HorizonCounters;
 pub use analysis::jitter::{jitter_bounds, JitterBound};
 pub use analysis::multi_hop::{
-    analyze_multi_hop, analyze_multi_hop_with, compose_end_to_end, flow_ports, port_schedule,
-    FabricPort, HopBound, MultiHopMessageBound, MultiHopReport, PortInputs, Walk,
+    analyze_multi_hop, analyze_multi_hop_with, flow_ports, walk_ports, FabricPort, HopBound,
+    MultiHopMessageBound, MultiHopReport, PortResults, WalkResults,
 };
-pub use analysis::port::{analyze_port, LeftoverCurve, PortAnalysis, PortFlowAnalysis};
-pub use analysis::stage::StageFlow;
 pub use analysis::{Approach, PolicyArm};
 pub use compare1553::{
     analyze_1553, compare_bounds_1553, compare_with_1553, BaselineComparison, Bus1553Study,
