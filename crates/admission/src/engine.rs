@@ -361,10 +361,8 @@ pub struct AdmissionEngine {
     flows: Vec<FlowId>,
     specs: BTreeMap<FlowId, FlowSpec>,
     paths: BTreeMap<FlowId, Vec<FabricPort>>,
-    /// Route index: which registered flows cross each port, and at which
-    /// hop.  Maintained on commit so closures cost O(closure), not
-    /// O(flows) — an always-on engine answers queries at cache speed.
-    crossings: BTreeMap<FabricPort, Vec<(FlowId, usize)>>,
+    /// Every occupied port's results, which also list the flows crossing
+    /// it: closures read them, so they cost O(closure), not O(flows).
     cache: BTreeMap<FabricPort, PortResults<FlowId>>,
     bounds: BTreeMap<FlowId, MultiHopMessageBound>,
     next_id: u64,
@@ -418,7 +416,6 @@ impl AdmissionEngine {
             flows: Vec::new(),
             specs: BTreeMap::new(),
             paths: BTreeMap::new(),
-            crossings: BTreeMap::new(),
             cache: BTreeMap::new(),
             bounds: BTreeMap::new(),
             next_id: specs.len() as u64,
@@ -446,9 +443,6 @@ impl AdmissionEngine {
         for (i, (spec, path)) in specs.into_iter().zip(paths).enumerate() {
             let id = FlowId(i as u64);
             engine.flows.push(id);
-            for (k, &port) in path.iter().enumerate() {
-                engine.crossings.entry(port).or_default().push((id, k));
-            }
             engine.specs.insert(id, spec);
             engine.paths.insert(id, path);
         }
@@ -652,8 +646,8 @@ impl AdmissionEngine {
         Ok((paths, walk))
     }
 
-    /// Installs a full recompute wholesale: flow order, route index, port
-    /// cache and bounds are all replaced, which is exactly the cold-start
+    /// Installs a full recompute wholesale: flow order, routes, port cache
+    /// and bounds are all replaced, which is exactly the cold-start
     /// state for the new flow set (the cache-soundness invariant by
     /// construction).
     fn install_full(
@@ -672,11 +666,6 @@ impl AdmissionEngine {
         let flows_recomputed = walk.bounds.len();
         self.flows = ids;
         self.paths = self.flows.iter().copied().zip(paths).collect();
-        self.crossings.clear();
-        for id in self.flows.clone() {
-            let path = self.paths[&id].clone();
-            self.index_path(id, &path);
-        }
         self.cache = walk.ports.into_iter().collect();
         self.bounds = walk.bounds.into_iter().collect();
         let cache = CacheStats {
@@ -813,7 +802,8 @@ impl AdmissionEngine {
 
     /// The dirty-port closure of a mutation: starting from `seed`, every
     /// port *downstream* of a dirty port along any flow's path, walked
-    /// over the engine's route index until a fixpoint.
+    /// over the flows each cached port lists until a fixpoint (the cache
+    /// holds exactly the occupied ports).
     ///
     /// Dirtiness only travels downstream because a port's inputs are its
     /// flows' envelopes, and a flow's envelope at hop `k` is produced at
@@ -839,15 +829,23 @@ impl AdmissionEngine {
         // an earlier hop must still mark the longer suffix.
         let mut expanded: BTreeMap<FlowId, usize> = BTreeMap::new();
         while let Some(port) = pending.pop() {
-            let Some(list) = self.crossings.get(&port) else {
+            let Some(results) = self.cache.get(&port) else {
                 continue;
             };
-            for &(flow, k) in list {
-                if Some(flow) == drop || expanded.get(&flow).is_some_and(|&from| k >= from) {
+            for &flow in results.flows() {
+                if Some(flow) == drop {
+                    continue;
+                }
+                let path = &self.paths[&flow];
+                let k = path
+                    .iter()
+                    .position(|&hop| hop == port)
+                    .expect("a port lists only flows crossing it");
+                if expanded.get(&flow).is_some_and(|&from| k >= from) {
                     continue;
                 }
                 expanded.insert(flow, k);
-                for &downstream in &self.paths[&flow][k + 1..] {
+                for &downstream in &path[k + 1..] {
                     if dirty.insert(downstream) {
                         pending.push(downstream);
                     }
@@ -1045,20 +1043,16 @@ impl AdmissionEngine {
         match delta.op {
             RegistryOp::Add { id, spec, path } => {
                 self.flows.push(id);
-                self.index_path(id, &path);
                 self.specs.insert(id, spec);
                 self.paths.insert(id, path);
             }
             RegistryOp::Remove { id } => {
                 self.flows.retain(|f| *f != id);
-                self.unindex_path(id);
                 self.specs.remove(&id);
                 self.paths.remove(&id);
                 self.bounds.remove(&id);
             }
             RegistryOp::Replace { id, spec, path } => {
-                self.unindex_path(id);
-                self.index_path(id, &path);
                 self.specs.insert(id, spec);
                 self.paths.insert(id, path);
             }
@@ -1068,25 +1062,6 @@ impl AdmissionEngine {
         }
         self.cache.extend(delta.ports);
         self.bounds.extend(delta.bounds);
-    }
-
-    /// Records a flow's path in the route index.
-    fn index_path(&mut self, id: FlowId, path: &[FabricPort]) {
-        for (k, &port) in path.iter().enumerate() {
-            self.crossings.entry(port).or_default().push((id, k));
-        }
-    }
-
-    /// Drops a flow's (pre-mutation) path from the route index.
-    fn unindex_path(&mut self, id: FlowId) {
-        for &port in &self.paths[&id] {
-            if let Some(list) = self.crossings.get_mut(&port) {
-                list.retain(|(f, _)| *f != id);
-                if list.is_empty() {
-                    self.crossings.remove(&port);
-                }
-            }
-        }
     }
 
     /// The current flow set as tentative flows.

@@ -189,13 +189,13 @@ fn print_runtime(runtime: &RuntimeStats) {
     );
     let (ops, horizon) = (&runtime.ops, &runtime.horizon);
     say!(
-        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope | {} deviations | {} cut ports | {} port fallbacks | {} path fallbacks",
+        "min-plus ops: {} convolve | {} leftover | {} add | {} sub_envelope | {} combine | {} deviations | {} cut ports | {} port fallbacks | {} path fallbacks",
         ops.convolve,
-        ops.deconvolve,
         ops.leftover,
         ops.add,
         ops.sub_envelope,
-        ops.horizontal_deviation + ops.vertical_deviation,
+        ops.combine,
+        ops.horizontal_deviation,
         horizon.cut_ports,
         horizon.port_fallbacks,
         horizon.path_fallbacks,

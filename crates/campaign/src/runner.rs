@@ -169,8 +169,8 @@ pub struct RuntimeStats {
     /// Scenarios per wall-clock second.
     pub scenarios_per_sec: f64,
     /// Min-plus operator invocations of this run's scenarios, one count per
-    /// operator: convolve, deconvolve, leftover, add, sub_envelope,
-    /// min/max combine and both deviations.  The sum of every worker's own
+    /// operator: convolve, leftover, add, sub_envelope, min combine and the
+    /// horizontal deviation.  The sum of every worker's own
     /// counts, so it depends neither on the worker count nor on other work
     /// in the process; restored shards contribute nothing.
     pub ops: netcalc::counters::OpCounters,

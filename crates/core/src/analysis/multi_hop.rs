@@ -85,7 +85,7 @@ use crate::analysis::stage::StageFlow;
 use crate::analysis::Approach;
 use crate::config::NetworkConfig;
 use ethernet::{Fabric, SchedulingPolicy};
-use netcalc::{delay_bound, ArrivalBound, Curve, Envelope, EnvelopeModel, TokenBucket};
+use netcalc::{delay_bound, Curve, Envelope, EnvelopeModel, TokenBucket};
 use serde::{Deserialize, Serialize};
 use shaping::TrafficClass;
 use std::borrow::Cow;
@@ -831,7 +831,7 @@ fn compose_end_to_end<K: Copy + PartialEq>(
         // the reported bound is their minimum (which also absorbs
         // float noise in the curve route on degenerate-staircase
         // flows).
-        let (source_curve, source_bucket) = (source.curve(), source.token_bucket());
+        let (source_curve, source_bucket) = (source.effective_curve(), source.token_bucket());
         let tail = horizon::early_exit(&source_bucket, &network);
         let curves: Vec<&LeftoverCurve> = per_hop
             .iter()

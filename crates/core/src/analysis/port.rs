@@ -21,8 +21,7 @@ use crate::config::NetworkConfig;
 use ethernet::SchedulingPolicy;
 use netcalc::curve::EPS;
 use netcalc::{
-    delay_bound, minplus, Curve, Envelope, EnvelopeModel, Mux, NcError, RateLatency, ServiceBound,
-    TokenBucket,
+    delay_bound, minplus, Curve, Envelope, EnvelopeModel, Mux, NcError, RateLatency, TokenBucket,
 };
 use std::borrow::Cow;
 use units::Duration;
@@ -149,8 +148,8 @@ impl Port<'_> {
         let mux = mux_for_policy(flows, self.policy, self.config.link_rate, self.ttechno)
             .map_err(&stage)?;
         let staircase = self.model == EnvelopeModel::Staircase;
-        let bases: Vec<Result<RateLatency, NcError>> = (0..mux.class_count())
-            .map(|class| leftover_base(flows, class, &mux))
+        let bases: Vec<RateLatency> = (0..mux.class_count())
+            .map(|class| mux.leftover_base(class))
             .collect();
         let totals: Vec<TokenBucket> = (0..mux.class_count())
             .map(|class| mux.class_bucket(class))
@@ -210,7 +209,7 @@ impl Port<'_> {
             let delay = flows
                 .iter()
                 .zip(&stage_bounds)
-                .find(|(f, _)| clamp(&mux, f.priority) == class)
+                .find(|(f, _)| mux.clamp(f.priority) == class)
                 .map(|(_, bound)| bound.delay);
             match (aggregate.has_extra, delay) {
                 (true, Some(delay)) => refinement_is_exact(aggregate, &mux, class, &totals, delay),
@@ -302,7 +301,7 @@ impl Port<'_> {
 #[derive(Debug)]
 pub(crate) struct UncutAggregates {
     mux: Mux,
-    bases: Vec<Result<RateLatency, NcError>>,
+    bases: Vec<RateLatency>,
     aggregates: Vec<ClassAggregate>,
 }
 
@@ -316,7 +315,7 @@ impl Port<'_> {
                 source,
             })?;
         let bases = (0..mux.class_count())
-            .map(|class| leftover_base(self.flows, class, &mux))
+            .map(|class| mux.leftover_base(class))
             .collect();
         let curves: Vec<Cow<'_, Curve>> = self
             .flows
@@ -337,12 +336,12 @@ impl UncutAggregates {
     /// bit for bit the one [`Port::analyze`] derives without the cut.
     pub(crate) fn leftover_curve(&self, port: &Port<'_>, i: usize) -> Result<Curve, AnalysisError> {
         let flow = &port.flows[i];
-        let own = clamp(&self.mux, flow.priority);
+        let own = self.mux.clamp(flow.priority);
         let stage = |source| AnalysisError::Stage {
             stage: port.name.to_string(),
             source,
         };
-        let base = self.bases[own].clone().map_err(stage)?.curve();
+        let base = self.bases[own].curve();
         let aggregate = &self.aggregates[own];
         let (curve, _) =
             flow_leftover(&base, aggregate, &flow.envelope.effective_curve()).map_err(stage)?;
@@ -404,18 +403,15 @@ fn leftover_services(
     flows: &[StageFlow<'_>],
     last_hop: &[bool],
     mux: &Mux,
-    bases: &[Result<RateLatency, NcError>],
+    bases: &[RateLatency],
     totals: &[TokenBucket],
 ) -> Vec<Option<RateLatency>> {
     flows
         .iter()
         .zip(last_hop)
         .map(|(flow, &is_last)| {
-            let own = clamp(mux, flow.priority);
-            let leftover = bases[own]
-                .as_ref()
-                .ok()?
-                .leftover(&cross_bucket(flow, &totals[own]))?;
+            let own = mux.clamp(flow.priority);
+            let leftover = bases[own].leftover(&cross_bucket(flow, &totals[own]))?;
             Some(if is_last {
                 leftover
             } else {
@@ -481,7 +477,7 @@ fn class_aggregates(
     cuts: &[Option<Curve>],
 ) -> Vec<ClassAggregate> {
     let classes = mux.class_count();
-    let cumulative = matches!(mux, Mux::StaticPriority(_));
+    let cumulative = mux.is_cumulative();
     let mut acc = (Curve::zero(), false, ALL_EXACT);
     let mut aggregates = Vec::with_capacity(classes);
     for class in 0..classes {
@@ -489,7 +485,7 @@ fn class_aggregates(
             acc = (Curve::zero(), false, ALL_EXACT);
         }
         for (i, f) in flows.iter().enumerate() {
-            if clamp(mux, f.priority) != class {
+            if mux.clamp(f.priority) != class {
                 continue;
             }
             acc.0 = acc.0.add(&curves[i]);
@@ -547,38 +543,12 @@ fn refinement_is_exact(
     )
 }
 
-/// Clamps a flow's priority to the queues `mux` serves, like the traffic
-/// classifier.
-fn clamp(mux: &Mux, priority: usize) -> usize {
-    priority.min(mux.class_count().saturating_sub(1))
-}
-
-/// The service a flow of `class` is blind-multiplexed on against the rest
-/// of its queue set ([`Mux::class_bucket`]): `β_{C,t}` under FCFS,
-/// `β_{C, t + l/C}` with `l` the largest lower-priority burst under strict
-/// priority (non-preemptive blocking), the class's quantum-share residual
-/// ([`netcalc::WrrMux::residual_service`]) under WRR.
-fn leftover_base(flows: &[StageFlow<'_>], class: usize, mux: &Mux) -> Result<RateLatency, NcError> {
-    let Mux::StaticPriority(sp) = mux else {
-        return mux.residual_service(class);
-    };
-    let blocking = flows
-        .iter()
-        .filter(|f| clamp(mux, f.priority) > class)
-        .map(|f| f.envelope.burst())
-        .fold(units::DataSize::ZERO, units::DataSize::max);
-    let capacity = sp.capacity();
-    Ok(RateLatency::new(
-        capacity,
-        sp.ttechno() + capacity.transmission_time(blocking),
-    ))
-}
-
 /// The general left-over service **curves** of every flow at a port
 /// ([`netcalc::minplus::leftover`]): the same blind-multiplexing
-/// construction on the class's `bases` as the rate-latency left-over, but
-/// against the cross traffic's full piecewise-linear envelopes (e.g.
-/// staircases) instead of their token-bucket summaries — the cross
+/// construction on the class's `bases` ([`Mux::leftover_base`]) as the
+/// rate-latency left-over, but against the cross traffic's full
+/// piecewise-linear envelopes (e.g. staircases) instead of their
+/// token-bucket summaries — the cross
 /// traffic's flat steps let the residual service recover faster, so the
 /// served flow's deviation can only shrink.
 ///
@@ -595,7 +565,7 @@ fn leftover_base(flows: &[StageFlow<'_>], class: usize, mux: &Mux) -> Result<Rat
 fn leftover_curves(
     flows: &[StageFlow<'_>],
     mux: &Mux,
-    bases: &[Result<RateLatency, NcError>],
+    bases: &[RateLatency],
     totals: &[TokenBucket],
     aggregates: &[ClassAggregate],
     curves: &[Cow<'_, Curve>],
@@ -605,8 +575,8 @@ fn leftover_curves(
         .iter()
         .enumerate()
         .map(|(i, f)| {
-            let own = clamp(mux, f.priority);
-            let base = bases[own].clone()?;
+            let own = mux.clamp(f.priority);
+            let base = bases[own];
             if base_curves[own].is_none() {
                 base_curves[own] = Some(base.curve());
             }
@@ -746,22 +716,22 @@ mod tests {
                     // The oracle re-aggregates the other flows of the queue
                     // set: every flow under FCFS, levels q ≤ p under strict
                     // priority, the own class under WRR.
-                    let own = clamp(&mux, flows[index].priority);
-                    let queues_with = |class: usize| match mux {
-                        Mux::StaticPriority(_) => class <= own,
-                        _ => class == own,
+                    let own = mux.clamp(flows[index].priority);
+                    let queues_with = |class: usize| {
+                        if mux.is_cumulative() {
+                            class <= own
+                        } else {
+                            class == own
+                        }
                     };
                     let cross = TokenBucket::aggregate_all(
                         flows
                             .iter()
                             .enumerate()
-                            .filter(|&(j, f)| j != index && queues_with(clamp(&mux, f.priority)))
+                            .filter(|&(j, f)| j != index && queues_with(mux.clamp(f.priority)))
                             .map(|(_, f)| f.envelope.token_bucket()),
                     );
-                    let expected = leftover_base(&flows, own, &mux)
-                        .unwrap()
-                        .leftover(&cross)
-                        .unwrap();
+                    let expected = mux.leftover_base(own).leftover(&cross).unwrap();
                     assert_eq!(
                         result.leftover, expected,
                         "{policy:?} {model:?} flow {index}"

@@ -27,10 +27,10 @@ pub(crate) struct StageFlow<'a> {
     pub frame: DataSize,
 }
 
-/// Builds the policy-generic multiplexer of a stage, loaded with every
-/// flow's token bucket: the single place that maps the unified
-/// [`SchedulingPolicy`] onto the Network-Calculus multiplexers (FCFS,
-/// strict priority, WRR).
+/// Builds the multiplexer of a stage, loaded with every flow's token
+/// bucket: the single place that maps the unified [`SchedulingPolicy`]
+/// onto the Network-Calculus [`Mux`] disciplines (FCFS, strict priority,
+/// WRR).
 ///
 /// `capacity` is the outgoing link rate `C`; `ttechno` is the element's
 /// relaying latency (0 for an end system, the switch's `t_techno` for a
@@ -57,7 +57,7 @@ pub(crate) fn mux_for_policy(
         }
     };
     for flow in flows {
-        mux.add_flow(flow.priority, flow.envelope.token_bucket(), flow.frame)?;
+        mux.add_flow(flow.priority, flow.envelope.token_bucket(), flow.frame);
     }
     mux.check_stability()?;
     Ok(mux)
@@ -97,7 +97,7 @@ pub(crate) fn analyze_stage(
         .iter()
         .zip(last_hop)
         .map(|(flow, &is_last)| {
-            let class = flow.priority.min(classes.saturating_sub(1));
+            let class = mux.clamp(flow.priority);
             let delay = match class_delay[class] {
                 Some(delay) => delay,
                 None => {

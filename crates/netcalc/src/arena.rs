@@ -25,7 +25,7 @@ pub(crate) struct Scratch {
     /// Final evaluation grid (breakpoints + crossings), or the merged grid
     /// of the two-pointer kernels.
     pub(crate) xs: Vec<f64>,
-    /// Interior-crossing abscissas of the min/max combine.
+    /// Interior-crossing abscissas of the min combine.
     pub(crate) crossings: Vec<f64>,
     /// Fold accumulator breakpoints (general convolution), or the cross
     /// traffic of the fused left-over pass.

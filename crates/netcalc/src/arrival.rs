@@ -4,16 +4,6 @@ use crate::curve::Curve;
 use serde::{Deserialize, Serialize};
 use units::{DataRate, DataSize, Duration};
 
-/// Anything that upper-bounds the traffic a flow can submit over any window.
-pub trait ArrivalBound {
-    /// The concave piecewise-linear envelope of the flow, in (seconds, bits).
-    fn curve(&self) -> Curve;
-    /// The instantaneous burst the flow can submit (`α(0⁺)`), in bits.
-    fn burst(&self) -> DataSize;
-    /// The long-term sustained rate of the flow, in bits per second.
-    fn rate(&self) -> DataRate;
-}
-
 /// A token-bucket (σ, ρ) arrival envelope: at most `burst + rate·t` bits in
 /// any window of length `t`.
 ///
@@ -58,9 +48,10 @@ impl TokenBucket {
         self.rate
     }
 
-    /// The maximum amount of traffic this envelope allows over a window.
-    pub fn traffic_in(&self, window: Duration) -> DataSize {
-        self.burst.saturating_add(self.rate.bits_in(window))
+    /// The affine arrival curve `b + r·t`, in (seconds, bits).
+    pub fn curve(&self) -> Curve {
+        Curve::affine(self.burst.as_f64_bits(), self.rate.as_f64_bps())
+            .expect("token bucket parameters are always a valid affine curve")
     }
 
     /// The aggregate envelope of two token-bucket flows multiplexed together
@@ -86,83 +77,10 @@ impl TokenBucket {
     }
 }
 
-impl ArrivalBound for TokenBucket {
-    fn curve(&self) -> Curve {
-        Curve::affine(self.burst.as_f64_bits(), self.rate.as_f64_bps())
-            .expect("token bucket parameters are always a valid affine curve")
-    }
-
-    fn burst(&self) -> DataSize {
-        self.burst
-    }
-
-    fn rate(&self) -> DataRate {
-        self.rate
-    }
-}
-
-/// A periodic (or minimum-interarrival sporadic) flow described by its
-/// staircase envelope.
-///
-/// A source releasing at most one `length`-sized message per `period` obeys
-/// the staircase `b·(⌊t/T⌋ + 1)`, which sits below the affine token bucket
-/// everywhere except at the step instants where they touch
-/// ([`Curve::staircase`]).  `peak_rate` is the line rate bounding how fast
-/// one message's bits can physically arrive (the riser slope).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PeriodicEnvelope {
-    /// Message length per period.
-    pub length: DataSize,
-    /// Period (or minimal inter-arrival time) of the source.
-    pub period: Duration,
-    /// Number of staircase steps represented exactly before falling back to
-    /// the average rate (i.e. the token bucket).
-    pub steps: usize,
-    /// The line rate bounding the staircase risers.
-    pub peak_rate: DataRate,
-}
-
-impl PeriodicEnvelope {
-    /// Creates the envelope of a periodic source on a line of rate
-    /// `peak_rate`.
-    pub fn new(length: DataSize, period: Duration, steps: usize, peak_rate: DataRate) -> Self {
-        PeriodicEnvelope {
-            length,
-            period,
-            steps,
-            peak_rate,
-        }
-    }
-
-    /// The equivalent token bucket (used by the paper).
-    pub fn token_bucket(&self) -> TokenBucket {
-        TokenBucket::for_message(self.length, self.period)
-    }
-}
-
-impl ArrivalBound for PeriodicEnvelope {
-    fn curve(&self) -> Curve {
-        Curve::staircase(
-            self.length.as_f64_bits(),
-            self.period.as_secs_f64(),
-            self.steps,
-            self.peak_rate.as_f64_bps(),
-        )
-        .expect("periodic envelope parameters validated at construction")
-    }
-
-    fn burst(&self) -> DataSize {
-        self.length
-    }
-
-    fn rate(&self) -> DataRate {
-        self.token_bucket().rate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::Envelope;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -187,10 +105,10 @@ mod tests {
         let tb = TokenBucket::for_message(DataSize::from_bytes(64), ms(20));
         // Over one period the envelope allows the burst plus one more message
         // worth of tokens (or slightly more due to ceil on the rate).
-        let allowed = tb.traffic_in(ms(20));
-        assert!(allowed >= DataSize::from_bytes(128));
-        assert!(allowed <= DataSize::from_bytes(129));
-        assert_eq!(tb.traffic_in(Duration::ZERO), DataSize::from_bytes(64));
+        let allowed = tb.curve().eval(0.02);
+        assert!(allowed >= DataSize::from_bytes(128).as_f64_bits());
+        assert!(allowed <= DataSize::from_bytes(129).as_f64_bits());
+        assert_eq!(tb.curve().eval(0.0), DataSize::from_bytes(64).as_f64_bits());
     }
 
     #[test]
@@ -220,9 +138,9 @@ mod tests {
 
     #[test]
     fn periodic_envelope_is_tighter_than_token_bucket() {
-        let env =
-            PeriodicEnvelope::new(DataSize::from_bytes(64), ms(20), 8, DataRate::from_mbps(10));
-        let tight = env.curve();
+        // A periodic source's staircase envelope.
+        let env = Envelope::staircase(DataSize::from_bytes(64), ms(20), DataRate::from_mbps(10));
+        let tight = env.effective_curve();
         let loose = env.token_bucket().curve();
         // The staircase envelope never exceeds the token bucket…
         for &t in &[0.0, 0.01, 0.02, 0.05, 0.1, 0.2] {
@@ -233,5 +151,9 @@ mod tests {
         // …and burst/rate accessors mirror the token bucket's.
         assert_eq!(env.burst(), DataSize::from_bytes(64));
         assert_eq!(env.rate(), env.token_bucket().rate());
+        assert_eq!(
+            env.token_bucket(),
+            TokenBucket::for_message(env.burst(), ms(20))
+        );
     }
 }

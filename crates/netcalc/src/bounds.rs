@@ -1,20 +1,18 @@
-//! Worst-case delay, backlog and output bounds: the delay and the output
-//! burst of a token bucket through a rate-latency server in closed form, the
-//! backlog from general arrival/service curves.
+//! The worst-case delay of a token bucket through a rate-latency server, in
+//! closed form.
 
-use crate::arrival::{ArrivalBound, TokenBucket};
+use crate::arrival::TokenBucket;
 use crate::curve::EPS;
-use crate::minplus;
-use crate::service::{RateLatency, ServiceBound};
+use crate::service::RateLatency;
 use crate::NcError;
-use units::{DataSize, Duration};
+use units::Duration;
 
 /// The worst-case delay of a token-bucket flow through a rate-latency
 /// server: the horizontal deviation `h(γ_{r,b}, β_{R,T})`, rounded **up**
 /// to the next nanosecond.
 ///
 /// This is the closed form `T + b/R`, evaluated exactly as
-/// [`minplus::horizontal_deviation`] evaluates the two curves, so the two
+/// [`crate::minplus::horizontal_deviation`] evaluates the two curves, so the two
 /// agree bit for bit, errors included (pinned by a proptest).  The
 /// deviation's candidates are `t = 0` and the end of the dead time `T`;
 /// at each the delay is `T + (b + r·t)/R − t`, floored at zero.  Like
@@ -44,42 +42,11 @@ pub fn delay_bound(flow: &TokenBucket, server: &RateLatency) -> Result<Duration,
     Ok(Duration::from_secs_f64_ceil(h))
 }
 
-/// The worst-case backlog of a flow with arrival bound `alpha` through an
-/// element offering service bound `beta`: the vertical deviation `v(α, β)`,
-/// rounded **up** to the next bit.
-///
-/// For the token-bucket / rate-latency pair this equals `b + r·T`.
-pub fn backlog_bound<A: ArrivalBound + ?Sized, S: ServiceBound + ?Sized>(
-    alpha: &A,
-    beta: &S,
-) -> Result<DataSize, NcError> {
-    let v = minplus::vertical_deviation(&alpha.curve(), &beta.curve())?;
-    Ok(DataSize::from_bits(v.ceil() as u64))
-}
-
-/// The arrival envelope of a token-bucket flow **after** it has traversed a
-/// rate-latency server (min-plus deconvolution `α ⊘ β`): the rate is
-/// unchanged and the burst grows to `b + r·T`.
-///
-/// This is how burstiness propagates from the shaped end system through the
-/// switch to downstream elements.
-pub fn output_burst(flow: &TokenBucket, service: &RateLatency) -> Result<TokenBucket, NcError> {
-    let burst = minplus::output_burst_token_bucket(
-        flow.burst().as_f64_bits(),
-        flow.rate().as_f64_bps(),
-        service.rate().as_f64_bps(),
-        service.latency().as_secs_f64(),
-    )?;
-    Ok(TokenBucket::new(
-        DataSize::from_bits(burst.ceil() as u64),
-        flow.rate(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use units::DataRate;
+    use crate::envelope::Envelope;
+    use units::{DataRate, DataSize};
 
     fn flow() -> TokenBucket {
         // 10_000 bits burst, 1 Mbps sustained.
@@ -99,24 +66,29 @@ mod tests {
 
     #[test]
     fn backlog_bound_closed_form() {
-        // b + r·T = 10_000 + 10^6 · 16e-6 = 10_016 bits.
-        let q = backlog_bound(&flow(), &server()).unwrap();
-        assert_eq!(q, DataSize::from_bits(10_016));
+        // The backlog b + r·T = 10_000 + 10^6 · 16e-6 = 10_016 bits is the
+        // bucket read T later: the burst `Envelope::delayed` inflates it to.
+        let q = Envelope::from(flow()).delayed(server().latency()).unwrap();
+        assert_eq!(q.burst(), DataSize::from_bits(10_016));
     }
 
     #[test]
     fn output_burst_grows_by_rate_times_latency() {
-        let out = output_burst(&flow(), &server()).unwrap();
-        assert_eq!(out.burst(), DataSize::from_bits(10_016));
+        // After the server every bit has waited at most the delay bound
+        // D = 1016 µs, so the burst grows to b + r·D = 11_016 bits.
+        let d = delay_bound(&flow(), &server()).unwrap();
+        let out = Envelope::from(flow()).delayed(d).unwrap().token_bucket();
+        assert_eq!(out.burst(), DataSize::from_bits(11_016));
         assert_eq!(out.rate(), DataRate::from_mbps(1));
     }
 
     #[test]
     fn unstable_flow_is_rejected() {
         let fat = TokenBucket::new(DataSize::from_bits(1), DataRate::from_mbps(20));
-        assert!(delay_bound(&fat, &server()).is_err());
-        assert!(backlog_bound(&fat, &server()).is_err());
-        assert!(output_burst(&fat, &server()).is_err());
+        assert!(matches!(
+            delay_bound(&fat, &server()),
+            Err(NcError::Unstable { .. })
+        ));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! Every public min-plus entry point ([`crate::minplus`]'s operators and
 //! [`Curve::add`](crate::Curve::add), [`Curve::sub_envelope`](crate::Curve::sub_envelope),
-//! [`Curve::min`](crate::Curve::min), [`Curve::max`](crate::Curve::max))
-//! records its operator kind into a counter of the calling thread;
+//! [`Curve::min`](crate::Curve::min)) records its operator kind into a counter of the calling thread;
 //! [`OpCounters::snapshot`] reads that thread's counts.  A campaign worker
 //! is a fresh thread, so its snapshot when it finishes is exactly the
 //! min-plus work it performed, and summing the workers' snapshots gives a
@@ -19,23 +18,19 @@ use serde::{Deserialize, Serialize};
 pub enum OpKind {
     /// Min-plus convolution (`convolve`).
     Convolve,
-    /// Min-plus deconvolution (`deconvolve`).
-    Deconvolve,
     /// Blind-multiplexing left-over service (`leftover`).
     Leftover,
     /// Pointwise curve addition (`add`).
     Add,
     /// Non-negative envelope difference (`sub_envelope`).
     SubEnvelope,
-    /// Pointwise min/max envelope combine (`min`/`max`).
+    /// Pointwise minimum envelope combine (`min`).
     Combine,
     /// Horizontal deviation (delay bound).
     HorizontalDeviation,
-    /// Vertical deviation (backlog bound).
-    VerticalDeviation,
 }
 
-const OP_KINDS: usize = 8;
+const OP_KINDS: usize = 6;
 
 thread_local! {
     static COUNTERS: [Cell<u64>; OP_KINDS] = const { [const { Cell::new(0) }; OP_KINDS] };
@@ -56,20 +51,16 @@ pub fn record_op(kind: OpKind) {
 pub struct OpCounters {
     /// Min-plus convolutions performed.
     pub convolve: u64,
-    /// Min-plus deconvolutions performed.
-    pub deconvolve: u64,
     /// Left-over service computations performed.
     pub leftover: u64,
     /// Pointwise curve additions performed.
     pub add: u64,
     /// Envelope subtractions performed.
     pub sub_envelope: u64,
-    /// Pointwise min/max combines performed.
+    /// Pointwise minimum combines performed.
     pub combine: u64,
     /// Horizontal-deviation (delay bound) evaluations performed.
     pub horizontal_deviation: u64,
-    /// Vertical-deviation (backlog bound) evaluations performed.
-    pub vertical_deviation: u64,
 }
 
 impl OpCounters {
@@ -79,13 +70,11 @@ impl OpCounters {
             let load = |kind: OpKind| counters[kind as usize].get();
             OpCounters {
                 convolve: load(OpKind::Convolve),
-                deconvolve: load(OpKind::Deconvolve),
                 leftover: load(OpKind::Leftover),
                 add: load(OpKind::Add),
                 sub_envelope: load(OpKind::SubEnvelope),
                 combine: load(OpKind::Combine),
                 horizontal_deviation: load(OpKind::HorizontalDeviation),
-                vertical_deviation: load(OpKind::VerticalDeviation),
             }
         })
     }
@@ -93,26 +82,22 @@ impl OpCounters {
     /// Total min-plus operator invocations.
     pub fn total_ops(&self) -> u64 {
         self.convolve
-            + self.deconvolve
             + self.leftover
             + self.add
             + self.sub_envelope
             + self.combine
             + self.horizontal_deviation
-            + self.vertical_deviation
     }
 }
 
 impl AddAssign for OpCounters {
     fn add_assign(&mut self, other: OpCounters) {
         self.convolve += other.convolve;
-        self.deconvolve += other.deconvolve;
         self.leftover += other.leftover;
         self.add += other.add;
         self.sub_envelope += other.sub_envelope;
         self.combine += other.combine;
         self.horizontal_deviation += other.horizontal_deviation;
-        self.vertical_deviation += other.vertical_deviation;
     }
 }
 

@@ -26,8 +26,8 @@ pub const EPS: f64 = 1e-6;
 /// * ordinates are finite, non-negative and non-decreasing;
 /// * the final slope is finite and non-negative;
 /// * (debug builds) the breakpoint list is *simplified*: no interior
-///   breakpoint is collinear with its neighbours and the last breakpoint is
-///   not collinear with the final slope — see [`Curve::simplify`].
+///   breakpoint is collinear with its neighbours (within [`EPS`]) and the
+///   last breakpoint is not collinear with the final slope.
 ///
 /// A token-bucket arrival curve `γ_{r,b}` is represented with a single
 /// breakpoint `(0, b)` and final slope `r` (i.e. the value *just after* the
@@ -104,7 +104,7 @@ impl Curve {
         debug_assert!(
             is_simplified(&points, final_slope),
             "curve has redundant (collinear) breakpoints: {points:?} slope {final_slope}; \
-             route the construction through Curve::simplify"
+             route the construction through simplify_points"
         );
         Ok(Curve {
             points,
@@ -117,17 +117,6 @@ impl Curve {
     /// synthesizes breakpoint lists, so curves stay small on hot paths).
     fn simplified(points: Vec<(f64, f64)>, final_slope: f64) -> Result<Self, NcError> {
         Curve::new(simplify_points(points, final_slope), final_slope)
-    }
-
-    /// Returns the curve with every redundant breakpoint removed: interior
-    /// breakpoints collinear with their neighbours (within [`EPS`]) and a
-    /// last breakpoint collinear with the final slope.  The represented
-    /// function is unchanged.
-    pub fn simplify(&self) -> Curve {
-        Curve {
-            points: simplify_points(self.points.clone(), self.final_slope),
-            final_slope: self.final_slope,
-        }
     }
 
     /// Constructs a curve from an already-simplified breakpoint list (every
@@ -341,27 +330,14 @@ impl Curve {
     }
 
     /// Pointwise minimum of two curves (combining two envelopes of the same
-    /// flow, e.g. token bucket ∧ staircase).
+    /// flow, e.g. token bucket ∧ staircase): a sweep-line kernel on the
+    /// thread-local scratch.
     pub fn min(&self, other: &Curve) -> Curve {
-        self.combine(other, true)
-    }
-
-    /// Pointwise maximum of two curves (the upper envelope, used by the
-    /// min-plus deconvolution).
-    pub fn max(&self, other: &Curve) -> Curve {
-        self.combine(other, false)
-    }
-
-    /// Shared implementation of [`Curve::min`] / [`Curve::max`]: the
-    /// sweep-line [`combine_points_into`] kernel on the thread-local
-    /// scratch.
-    fn combine(&self, other: &Curve, take_min: bool) -> Curve {
         record_op(OpKind::Combine);
         with_scratch(|s| {
             let final_slope = combine_points_into(
                 (&self.points, self.final_slope),
                 (&other.points, other.final_slope),
-                take_min,
                 &mut s.grid,
                 &mut s.crossings,
                 &mut s.xs,
@@ -371,18 +347,16 @@ impl Curve {
         })
     }
 
-    /// The pre-sweep [`Curve::min`] / [`Curve::max`]: candidate grid by
-    /// concat + sort + dedup, every candidate evaluated through the
-    /// binary-search [`Curve::eval`].  Retained verbatim as the
-    /// differential-test oracle (the sweep kernel is pinned
-    /// breakpoint-identical against it), reached through
-    /// `minplus::reference::{min, max}`.
-    pub(crate) fn combine_candidates(&self, other: &Curve, take_min: bool) -> Curve {
+    /// The pre-sweep [`Curve::min`]: candidate grid by concat + sort +
+    /// dedup, every candidate evaluated through the binary-search
+    /// [`Curve::eval`].  Retained verbatim as the differential-test oracle
+    /// (the sweep kernel is pinned breakpoint-identical against it),
+    /// reached through `minplus::reference::min`.
+    pub(crate) fn min_candidates(&self, other: &Curve) -> Curve {
         let (mut xs, mut crossings, mut out) = (vec![], vec![], vec![]);
         let final_slope = combine_points_into_candidates(
             (&self.points, self.final_slope),
             (&other.points, other.final_slope),
-            take_min,
             &mut xs,
             &mut crossings,
             &mut out,
@@ -445,37 +419,6 @@ impl Curve {
         }
         let raw: Vec<(f64, f64)> = self.points.iter().map(|&(x, y)| (x, y - c)).collect();
         Ok(clamp_nonneg(&raw, self.final_slope))
-    }
-
-    /// Horizontal shift to the right by `delta` seconds:
-    /// `g(t) = f((t − delta)⁺)` keeping `g(t) = f(0)`… actually for service
-    /// curves the natural shift is `g(t) = f(t − delta)` for `t ≥ delta`,
-    /// `0` below, which is what this returns.
-    pub fn shift_right(&self, delta: f64) -> Result<Curve, NcError> {
-        if delta < 0.0 || !delta.is_finite() {
-            return Err(NcError::InvalidCurve(format!("invalid shift {delta}")));
-        }
-        if delta == 0.0 {
-            return Ok(self.clone());
-        }
-        let mut points = vec![(0.0, 0.0)];
-        if self.points[0].1 > 0.0 {
-            // Keep the jump after the dead time.
-            points.push((delta, 0.0));
-        }
-        for &(x, y) in &self.points {
-            let nx = x + delta;
-            if points
-                .last()
-                .map(|&(px, _)| nx > px + 1e-15)
-                .unwrap_or(true)
-            {
-                points.push((nx, y));
-            } else if let Some(last) = points.last_mut() {
-                last.1 = y;
-            }
-        }
-        Curve::simplified(points, self.final_slope)
     }
 
     /// The curve cut at `horizon` seconds: its breakpoints up to its first
@@ -765,17 +708,6 @@ pub(crate) fn clamp_nonneg_into(
     trim_collinear_tail(out, final_slope);
 }
 
-/// Scale-aware tolerance for deduplicating two nearby candidate abscissas
-/// `a` and `b` (seconds): one part in 10⁹ of their magnitude, capped at the
-/// absolute `1e-12` floor the breakpoint grids use.  At the campaign's
-/// millisecond-to-second abscissas this is exactly the historical `1e-12`,
-/// but nanosecond-scale abscissas get a proportionally finer tolerance
-/// (`1e-18` at `1e-9` seconds) instead of being spuriously merged three
-/// decades above their resolution.
-pub(crate) fn candidate_eps(a: f64, b: f64) -> f64 {
-    (1e-12f64).min(1e-9 * a.abs().max(b.abs()))
-}
-
 /// A forward-only evaluation cursor over a breakpoint list: bitwise mirror
 /// of [`eval_points`] for non-decreasing query sequences, advancing a
 /// remembered segment index instead of binary-searching per query.  Every
@@ -1027,8 +959,8 @@ pub(crate) fn merge_grids_into(base: &[f64], extra: &[f64], out: &mut Vec<f64>) 
 }
 
 /// Sweep-line combine kernel on raw `(breakpoints, final_slope)` pairs:
-/// computes `min`/`max` of `a` and `b` into `out` and returns the result's
-/// final slope.  Replaces the historical concat-sort-dedup candidate pass
+/// computes the pointwise minimum of `a` and `b` into `out` and returns the
+/// result's final slope.  Replaces the historical concat-sort-dedup candidate pass
 /// with two-pointer merges and forward-only cursors — O(n+m) instead of
 /// O((n+m)·log(n+m)) with a binary search per candidate — while keeping
 /// every comparison and float expression identical to
@@ -1037,7 +969,6 @@ pub(crate) fn merge_grids_into(base: &[f64], extra: &[f64], out: &mut Vec<f64>) 
 pub(crate) fn combine_points_into(
     a: (&[(f64, f64)], f64),
     b: (&[(f64, f64)], f64),
-    take_min: bool,
     grid: &mut Vec<f64>,
     crossings: &mut Vec<f64>,
     xs: &mut Vec<f64>,
@@ -1072,14 +1003,13 @@ pub(crate) fn combine_points_into(
     }
     crossings.extend(tail_cross);
     merge_grids_into(grid, crossings, xs);
-    let pick = if take_min { f64::min } else { f64::max };
     let mut ca = CurveCursor::new(ap, a_slope);
     let mut cb = CurveCursor::new(bp, b_slope);
     out.clear();
     for &x in xs.iter() {
-        out.push((x, pick(ca.eval(x), cb.eval(x))));
+        out.push((x, ca.eval(x).min(cb.eval(x))));
     }
-    let final_slope = pick(a_slope, b_slope);
+    let final_slope = a_slope.min(b_slope);
     simplify_points_in_place(out, final_slope);
     final_slope
 }
@@ -1087,7 +1017,7 @@ pub(crate) fn combine_points_into(
 /// The pre-sweep combine kernel, verbatim: candidate grid built by
 /// concat, sort and dedup, every candidate evaluated through the
 /// binary-search [`eval_points`].  Retained as the differential-test
-/// oracle behind `Curve::combine_candidates`.
+/// oracle behind `Curve::min_candidates`.
 ///
 /// The tail crossing is checked on the breakpoint grid *before* interior
 /// crossings are appended (they are unsorted and all lie strictly inside
@@ -1097,7 +1027,6 @@ pub(crate) fn combine_points_into(
 pub(crate) fn combine_points_into_candidates(
     a: (&[(f64, f64)], f64),
     b: (&[(f64, f64)], f64),
-    take_min: bool,
     xs: &mut Vec<f64>,
     crossings: &mut Vec<f64>,
     out: &mut Vec<(f64, f64)>,
@@ -1124,15 +1053,14 @@ pub(crate) fn combine_points_into_candidates(
     xs.extend(tail_cross);
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     xs.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-    let pick = if take_min { f64::min } else { f64::max };
     out.clear();
     out.extend(xs.iter().map(|&x| {
         (
             x,
-            pick(eval_points(ap, a_slope, x), eval_points(bp, b_slope, x)),
+            eval_points(ap, a_slope, x).min(eval_points(bp, b_slope, x)),
         )
     }));
-    let final_slope = pick(a_slope, b_slope);
+    let final_slope = a_slope.min(b_slope);
     simplify_points_in_place(out, final_slope);
     final_slope
 }
@@ -1324,12 +1252,16 @@ mod tests {
 
     #[test]
     fn shift_right_adds_dead_time() {
+        // A service curve shifts right by convolution with a pure delay: a
+        // server that forwards at an unbounded rate after its dead time.
+        let delay = |d: f64| Curve::rate_latency(1e15, d);
         let c = Curve::rate_latency(100.0, 0.5).unwrap();
-        let s = c.shift_right(0.5).unwrap();
+        let s = crate::minplus::convolve(&c, &delay(0.5).unwrap());
         assert_eq!(s.eval(0.9), 0.0);
         assert!((s.eval(2.0) - 100.0).abs() < 1e-9);
-        assert!(c.shift_right(-1.0).is_err());
-        assert!(c.shift_right(0.0).unwrap().approx_eq(&c));
+        assert!(s.approx_eq(&Curve::rate_latency(100.0, 1.0).unwrap()));
+        assert!(delay(-1.0).is_err());
+        assert!(crate::minplus::convolve(&c, &delay(0.0).unwrap()).approx_eq(&c));
     }
 
     #[test]
@@ -1346,9 +1278,13 @@ mod tests {
         let s = a.add(&b);
         assert_eq!(s.points().len(), 1);
         assert!(s.min(&a).approx_eq(&a));
-        // simplify() is idempotent and value-preserving.
+        // Simplification is idempotent and value-preserving.
         let st = Curve::staircase(512.0, 0.02, 4, 10_000_000.0).unwrap();
-        assert!(st.simplify().approx_eq(&st));
+        assert!(is_simplified(st.points(), st.final_slope()));
+        assert_eq!(
+            simplify_points(st.points().to_vec(), st.final_slope()),
+            st.points()
+        );
     }
 
     #[test]
@@ -1361,7 +1297,6 @@ mod tests {
         let a = Curve::new(vec![(0.0, 0.0), (1.0, 3.0)], 1.0).unwrap();
         let b = Curve::affine(1.0, 1.5).unwrap();
         let lo = a.min(&b);
-        let hi = a.max(&b);
         for i in 0..80 {
             let t = i as f64 * 0.05;
             let (va, vb) = (a.eval(t), b.eval(t));
@@ -1371,12 +1306,6 @@ mod tests {
                 lo.eval(t),
                 va.min(vb)
             );
-            assert!(
-                (hi.eval(t) - va.max(vb)).abs() < 1e-9,
-                "max wrong at t={t}: {} vs {}",
-                hi.eval(t),
-                va.max(vb)
-            );
         }
         // The reviewer's concrete repro: the true minimum at t = 1.1.
         assert!((lo.eval(1.1) - 2.65).abs() < 1e-9);
@@ -1384,10 +1313,12 @@ mod tests {
 
     #[test]
     fn max_is_the_upper_envelope() {
-        // a starts below b but grows faster; they cross at t = 10.
+        // a starts below b but grows faster; they cross at t = 10.  The
+        // upper envelope is what the lower one leaves of the sum:
+        // a ∨ b = (a + b) − (a ∧ b).
         let a = Curve::affine(0.0, 2.0).unwrap();
         let b = Curve::affine(10.0, 1.0).unwrap();
-        let m = a.max(&b);
+        let m = a.add(&b).sub_envelope(&a.min(&b));
         assert!((m.eval(0.0) - 10.0).abs() < 1e-9);
         assert!((m.eval(5.0) - 15.0).abs() < 1e-9);
         assert!((m.eval(10.0) - 20.0).abs() < 1e-9);

@@ -14,7 +14,7 @@
 //!   is sound on its own, so the minimum is too — and it never loses to
 //!   the closed form).
 
-use crate::arrival::{ArrivalBound, TokenBucket};
+use crate::arrival::TokenBucket;
 use crate::curve::Curve;
 use crate::NcError;
 use serde::{Deserialize, Serialize};
@@ -22,9 +22,6 @@ use units::{DataRate, DataSize, Duration};
 
 /// Which arrival-envelope family an analysis derives for each flow — the
 /// campaign's envelope ablation dimension.
-///
-/// `Ord` lets the model participate in composite cache keys (the admission
-/// engine keys its per-port curve cache by `(port, policy arm, model)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum EnvelopeModel {
     /// The paper's affine token bucket `(b_i, r_i = b_i / T_i)` only.
@@ -56,7 +53,7 @@ pub const STAIRCASE_STEPS: usize = 16;
 /// piecewise-linear constraint.
 ///
 /// ```
-/// use netcalc::{ArrivalBound, Envelope, TokenBucket};
+/// use netcalc::{Envelope, TokenBucket};
 /// use units::{DataRate, DataSize, Duration};
 ///
 /// let tb = TokenBucket::for_message(DataSize::from_bytes(64), Duration::from_millis(20));
@@ -70,7 +67,7 @@ pub const STAIRCASE_STEPS: usize = 16;
 /// );
 /// assert!(tight.has_extra());
 /// // The staircase never exceeds the token bucket.
-/// assert!(tight.curve().eval(0.01) <= plain.curve().eval(0.01));
+/// assert!(tight.effective_curve().eval(0.01) <= tb.curve().eval(0.01));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Envelope {
@@ -81,17 +78,6 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// An envelope with a tighter piecewise-linear constraint.  The extra
-    /// curve is intersected with the token bucket so the stored constraint
-    /// never exceeds the affine summary.
-    pub fn with_extra(tb: TokenBucket, extra: Curve) -> Self {
-        let extra = extra.min(&tb.curve());
-        Envelope {
-            tb,
-            extra: Some(extra),
-        }
-    }
-
     /// The staircase envelope of a source releasing at most one `length`
     /// message per `period` on a line of rate `peak_rate`
     /// ([`Curve::staircase`]).  Falls back to the plain token bucket when
@@ -139,11 +125,10 @@ impl Envelope {
         self.extra.as_ref()
     }
 
-    /// The effective arrival curve without cloning: borrows the extra
-    /// constraint when present (the common case on the staircase hot
-    /// path, where the curve can be large), and builds the
-    /// single-breakpoint token-bucket curve otherwise.  Same curve as
-    /// [`ArrivalBound::curve`].
+    /// The effective arrival curve: the extra constraint when present
+    /// (already at or below the token bucket), borrowed rather than cloned
+    /// since on the staircase hot path it can be large; the
+    /// single-breakpoint token-bucket curve otherwise.
     pub fn effective_curve(&self) -> std::borrow::Cow<'_, Curve> {
         match &self.extra {
             Some(curve) => std::borrow::Cow::Borrowed(curve),
@@ -195,26 +180,6 @@ impl From<TokenBucket> for Envelope {
     }
 }
 
-impl ArrivalBound for Envelope {
-    /// The effective arrival curve: the extra constraint when present
-    /// (already intersected with the token bucket), the affine token
-    /// bucket otherwise.
-    fn curve(&self) -> Curve {
-        match &self.extra {
-            Some(curve) => curve.clone(),
-            None => self.tb.curve(),
-        }
-    }
-
-    fn burst(&self) -> DataSize {
-        self.tb.burst()
-    }
-
-    fn rate(&self) -> DataRate {
-        self.tb.rate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +199,7 @@ mod tests {
         let env: Envelope = TokenBucket::for_message(len, period).into();
         assert!(!env.has_extra());
         assert_eq!(env.burst(), len);
-        assert!(env.curve().approx_eq(&env.token_bucket().curve()));
+        assert!(env.effective_curve().approx_eq(&env.token_bucket().curve()));
     }
 
     #[test]
@@ -245,7 +210,7 @@ mod tests {
         let tb = env.token_bucket().curve();
         for i in 0..500 {
             let t = i as f64 * 1e-3;
-            assert!(env.curve().eval(t) <= tb.eval(t) + 1e-6, "t={t}");
+            assert!(env.effective_curve().eval(t) <= tb.eval(t) + 1e-6, "t={t}");
         }
         // Degenerate staircase (frame time ≥ period) falls back to the
         // token bucket.
@@ -275,7 +240,7 @@ mod tests {
             env.token_bucket().burst() + env.rate().bits_in(delay)
         );
         // The staircase, read 500 µs later, still starts at one burst.
-        let eff = out.curve().eval(0.0);
+        let eff = out.effective_curve().eval(0.0);
         assert!(
             (eff - len.as_f64_bits()).abs() < 1e-6,
             "effective burst {eff} inflated despite the flat step"

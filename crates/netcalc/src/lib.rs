@@ -12,13 +12,12 @@
 //!   link of capacity `C` behind a bounded technological latency is a
 //!   rate-latency curve `β_{C,T}(t) = C·(t − T)⁺` ([`service::RateLatency`]).
 //! * **Bounds**: the worst-case delay is the horizontal deviation between
-//!   the arrival and service curves and the worst-case backlog the vertical
-//!   deviation; for a token bucket through a rate-latency server the delay
-//!   is the closed form `T + b/R` ([`bounds`]).
+//!   the arrival and service curves; for a token bucket through a
+//!   rate-latency server it is the closed form `T + b/R` ([`bounds`]).
 //! * **Multiplexers**: the paper's two aggregation formulas — the FCFS bound
 //!   `D = Σ b_i / C + t_techno` and the strict-priority bound
 //!   `D_p = (Σ_{q≤p} b_i + max_{q>p} b_j) / (C − Σ_{q<p} r_i) + t_techno` —
-//!   are implemented verbatim in [`mux`], plus weighted round robin.
+//!   plus weighted round robin, behind one class-indexed [`Mux`] ([`mux`]).
 //!   [`Mux::delay_bound`] refines a class's closed form by the horizontal
 //!   deviation of an aggregate arrival curve the caller supplies.
 //!
@@ -39,16 +38,13 @@ pub mod minplus;
 pub mod mux;
 pub mod service;
 
-pub use arrival::{ArrivalBound, PeriodicEnvelope, TokenBucket};
-pub use bounds::{backlog_bound, delay_bound, output_burst};
+pub use arrival::TokenBucket;
+pub use bounds::delay_bound;
 pub use curve::Curve;
 pub use envelope::{Envelope, EnvelopeModel};
-pub use minplus::{convolve, deconvolve, leftover};
-pub use mux::{
-    FcfsMux, Mux, PriorityLevelReport, StaticPriorityMux, WrrAccounting, WrrClassReport, WrrFlow,
-    WrrMux,
-};
-pub use service::{RateLatency, ServiceBound};
+pub use minplus::{convolve, leftover};
+pub use mux::{Mux, WrrAccounting};
+pub use service::RateLatency;
 
 /// Errors produced by the analysis routines.
 ///
@@ -70,8 +66,6 @@ pub enum NcError {
     /// A curve was constructed with invalid parameters (e.g. a negative or
     /// non-finite coordinate).
     InvalidCurve(String),
-    /// The requested priority level does not exist in the multiplexer.
-    UnknownPriority(usize),
 }
 
 impl core::fmt::Display for NcError {
@@ -86,7 +80,6 @@ impl core::fmt::Display for NcError {
                 "unstable system ({context}): aggregate demand {demand_bps} b/s >= capacity {capacity_bps} b/s"
             ),
             NcError::InvalidCurve(msg) => write!(f, "invalid curve: {msg}"),
-            NcError::UnknownPriority(p) => write!(f, "unknown priority level {p}"),
         }
     }
 }
@@ -100,9 +93,9 @@ mod proptests {
     use units::{DataRate, DataSize, Duration};
 
     /// Results of every scratch-backed entry point on one flow's curves:
-    /// the curves (left-over, output envelope, convolution, sum, envelope
-    /// difference, min, max) and the two deviations.
-    type ScratchRun = (Vec<Curve>, f64, f64);
+    /// the curves (left-over, convolution, sum, envelope difference, min)
+    /// and the deviation.
+    type ScratchRun = (Vec<Curve>, f64);
 
     /// Runs every scratch-backed entry point on one flow's curves, in the
     /// order the per-port analysis calls them.
@@ -113,15 +106,12 @@ mod proptests {
         cross: &Curve,
     ) -> Result<ScratchRun, NcError> {
         let lo = minplus::leftover(beta, cross)?;
-        let out = minplus::deconvolve(own, &lo)?;
         let conv = minplus::convolve(beta, &lo);
         let sum = st_cross.add(cross);
         let back = sum.sub_envelope(cross);
         let min = st_cross.min(cross);
-        let max = st_cross.max(cross);
         let h = minplus::horizontal_deviation(own, &lo, None)?;
-        let v = minplus::vertical_deviation(own, &lo)?;
-        Ok((vec![lo, out, conv, sum, back, min, max], h, v))
+        Ok((vec![lo, conv, sum, back, min], h))
     }
 
     /// One flow's staircase on a `line`, delayed by `delay_us` µs and cut
@@ -248,14 +238,12 @@ mod proptests {
             capacity_mbps in 100u64..1_000,
         ) {
             let capacity = DataRate::from_mbps(capacity_mbps);
-            let mut mux = FcfsMux::new(capacity, Duration::from_micros(16));
+            let mut mux = Mux::fcfs(capacity, Duration::from_micros(16));
             let mut last = Duration::ZERO;
             for (k, s) in sizes.iter().enumerate() {
-                mux.add_flow(TokenBucket::for_message(
-                    DataSize::from_bytes(*s),
-                    Duration::from_millis(20),
-                ));
-                let d = mux.delay_bound().unwrap();
+                let frame = DataSize::from_bytes(*s);
+                mux.add_flow(0, TokenBucket::for_message(frame, Duration::from_millis(20)), frame);
+                let d = mux.delay_bound(0, None, false).unwrap();
                 prop_assert!(d >= last, "bound decreased after adding flow {k}");
                 last = d;
             }
@@ -264,7 +252,8 @@ mod proptests {
         /// Pay bursts only once: for a token-bucket flow crossing a sequence
         /// of rate-latency servers, the end-to-end delay bound obtained from
         /// the *convolved* network service curve never exceeds the sum of
-        /// the per-hop bounds (with the burst re-inflated at every hop).
+        /// the per-hop bounds (with the burst re-inflated at every hop by
+        /// that hop's delay bound, as [`Envelope::delayed`] propagates it).
         #[test]
         fn convolved_bound_never_exceeds_per_hop_sum(
             burst in 64u64..50_000,
@@ -288,8 +277,9 @@ mod proptests {
             let source = alpha;
             let mut hop_sum = Duration::ZERO;
             for server in &servers {
-                hop_sum += bounds::delay_bound(&alpha, server).unwrap();
-                alpha = bounds::output_burst(&alpha, server).unwrap();
+                let delay = bounds::delay_bound(&alpha, server).unwrap();
+                hop_sum += delay;
+                alpha = Envelope::from(alpha).delayed(delay).unwrap().token_bucket();
             }
 
             // Convolution: one rate-latency curve for the whole path.
@@ -307,8 +297,8 @@ mod proptests {
         }
 
         /// The general min-plus convolution agrees with the rate-latency
-        /// closed form (minimum rate, summed latencies) on random
-        /// rate-latency pairs.
+        /// closed form [`RateLatency::concatenate`] (minimum rate, summed
+        /// latencies) on random rate-latency pairs.
         #[test]
         fn general_convolution_matches_closed_form(
             rate_a_mbps in 1u64..1_000,
@@ -316,16 +306,17 @@ mod proptests {
             rate_b_mbps in 1u64..1_000,
             latency_b_us in 0u64..10_000,
         ) {
-            let a = Curve::rate_latency(rate_a_mbps as f64 * 1e6, latency_a_us as f64 * 1e-6).unwrap();
-            let b = Curve::rate_latency(rate_b_mbps as f64 * 1e6, latency_b_us as f64 * 1e-6).unwrap();
-            let general = minplus::convolve(&a, &b);
-            let closed = minplus::convolve_rate_latency(&a, &b).unwrap();
+            let a = RateLatency::new(DataRate::from_mbps(rate_a_mbps), Duration::from_micros(latency_a_us));
+            let b = RateLatency::new(DataRate::from_mbps(rate_b_mbps), Duration::from_micros(latency_b_us));
+            let general = minplus::convolve(&a.curve(), &b.curve());
+            let closed = a.concatenate(&b).curve();
             prop_assert!(general.approx_eq(&closed), "{general:?} vs {closed:?}");
         }
 
-        /// The general min-plus deconvolution agrees with the token-bucket
-        /// closed form `(b + r·T, r)` on random token-bucket/rate-latency
-        /// pairs.
+        /// Output-envelope propagation agrees with its definition on random
+        /// token-bucket/rate-latency pairs: the bucket [`Envelope::delayed`]
+        /// by the delay bound `D` is `(b + r·D, r)`, the input curve read
+        /// `D` later, in whole bits (`r·D` rounded down).
         #[test]
         fn general_deconvolution_matches_closed_form(
             burst in 64u64..100_000,
@@ -339,19 +330,13 @@ mod proptests {
             );
             let capacity = DataRate::from_mbps(capacity_mbps);
             prop_assume!(tb.rate().bps() < capacity.bps());
-            let beta = Curve::rate_latency(
-                capacity.as_f64_bps(),
-                latency_us as f64 * 1e-6,
-            ).unwrap();
-            let out = minplus::deconvolve(&tb.curve(), &beta).unwrap();
-            let closed_burst = minplus::output_burst_token_bucket(
-                tb.burst().as_f64_bits(),
-                tb.rate().as_f64_bps(),
-                capacity.as_f64_bps(),
-                latency_us as f64 * 1e-6,
-            ).unwrap();
-            let closed = Curve::affine(closed_burst, tb.rate().as_f64_bps()).unwrap();
-            prop_assert!(out.approx_eq(&closed), "{out:?} vs {closed:?}");
+            let server = RateLatency::new(capacity, Duration::from_micros(latency_us));
+            let delay = bounds::delay_bound(&tb, &server).unwrap();
+            let out = Envelope::from(tb).delayed(delay).unwrap().token_bucket();
+            prop_assert_eq!(out.rate(), tb.rate());
+            let read_later = tb.curve().eval(delay.as_secs_f64());
+            let gap = read_later - out.burst().as_f64_bits();
+            prop_assert!((-1e-6..1.0 + 1e-6).contains(&gap), "{out:?} vs {read_later}");
         }
 
         /// The general left-over service curve agrees with the closed-form
@@ -404,7 +389,7 @@ mod proptests {
             let beta = RateLatency::new(capacity, Duration::from_micros(latency_us));
             // Fresh at the source…
             let st = Envelope::staircase(length, period, capacity);
-            let h_st = minplus::horizontal_deviation(&st.curve(), &beta.curve(), None).unwrap();
+            let h_st = minplus::horizontal_deviation(&st.effective_curve(), &beta.curve(), None).unwrap();
             let h_tb = minplus::horizontal_deviation(&tb.curve(), &beta.curve(), None).unwrap();
             prop_assert!(h_st <= h_tb + 1e-12, "fresh: {h_st} > {h_tb}");
             // …and after propagating through an upstream delay, where the
@@ -412,8 +397,8 @@ mod proptests {
             let delay = Duration::from_micros(delay_us);
             let st_out = st.delayed(delay).unwrap();
             let tb_out = Envelope::from(tb).delayed(delay).unwrap();
-            let h_st = minplus::horizontal_deviation(&st_out.curve(), &beta.curve(), None).unwrap();
-            let h_tb = minplus::horizontal_deviation(&tb_out.curve(), &beta.curve(), None).unwrap();
+            let h_st = minplus::horizontal_deviation(&st_out.effective_curve(), &beta.curve(), None).unwrap();
+            let h_tb = minplus::horizontal_deviation(&tb_out.effective_curve(), &beta.curve(), None).unwrap();
             prop_assert!(h_st <= h_tb + 1e-12, "delayed: {h_st} > {h_tb}");
         }
 
@@ -436,12 +421,12 @@ mod proptests {
                 .iter()
                 .map(|&q| if byte_mode { q * 1_518 } else { q })
                 .collect();
-            let mut wrr = mux::WrrMux::new(capacity, Duration::from_micros(16), accounting, &quanta);
+            let mut wrr = Mux::wrr(capacity, Duration::from_micros(16), accounting, &quanta);
             for (p, &s) in sizes[..n].iter().enumerate() {
                 wrr.add_flow(p, TokenBucket::for_message(
                     DataSize::from_bytes(s),
                     Duration::from_millis(200),
-                ), DataSize::from_bytes(s)).unwrap();
+                ), DataSize::from_bytes(s));
             }
             let port = RateLatency::new(capacity, Duration::from_micros(16));
             let residuals: Vec<RateLatency> = (0..n)
@@ -471,20 +456,20 @@ mod proptests {
             let byte_mode = byte_flag == 1;
             let capacity = DataRate::from_mbps(capacity_mbps);
             let accounting = if byte_mode { mux::WrrAccounting::Bytes } else { mux::WrrAccounting::Frames };
-            let mut wrr = mux::WrrMux::new(capacity, Duration::from_micros(16), accounting, &[quantum]);
-            let mut fcfs = FcfsMux::new(capacity, Duration::from_micros(16));
+            let mut wrr = Mux::wrr(capacity, Duration::from_micros(16), accounting, &[quantum]);
+            let mut fcfs = Mux::fcfs(capacity, Duration::from_micros(16));
             for &s in &sizes {
                 let flow = TokenBucket::for_message(
                     DataSize::from_bytes(s),
                     Duration::from_millis(20),
                 );
-                wrr.add_flow(0, flow, DataSize::from_bytes(s)).unwrap();
-                fcfs.add_flow(flow);
+                wrr.add_flow(0, flow, DataSize::from_bytes(s));
+                fcfs.add_flow(0, flow, DataSize::from_bytes(s));
             }
             let residual = wrr.residual_service(0).unwrap();
             prop_assert_eq!(residual.rate(), capacity);
             prop_assert_eq!(residual.latency(), Duration::from_micros(16));
-            prop_assert_eq!(wrr.delay_bound(0).unwrap(), fcfs.delay_bound().unwrap());
+            prop_assert_eq!(wrr.delay_bound(0, None, false), fcfs.delay_bound(0, None, false));
         }
 
         /// In a strict-priority multiplexer the bound of a higher priority
@@ -499,18 +484,20 @@ mod proptests {
             n_levels in 2usize..6,
         ) {
             let capacity = DataRate::from_mbps(capacity_mbps);
-            let mut mux = StaticPriorityMux::new(n_levels, capacity, Duration::from_micros(16));
+            let mut mux = Mux::static_priority(n_levels, capacity, Duration::from_micros(16));
             for p in 0..n_levels {
                 mux.add_flow(p, TokenBucket::for_message(
                     DataSize::from_bytes(size),
                     Duration::from_millis(20),
-                )).unwrap();
+                ), DataSize::from_bytes(size));
             }
-            let report = mux.analyze().unwrap();
-            for w in report.windows(2) {
-                prop_assert!(w[0].delay_bound <= w[1].delay_bound,
-                    "priority {} bound {} > priority {} bound {}",
-                    w[0].priority, w[0].delay_bound, w[1].priority, w[1].delay_bound);
+            mux.check_stability().unwrap();
+            let bounds: Vec<Duration> = (0..n_levels)
+                .map(|p| mux.delay_bound(p, None, false).unwrap())
+                .collect();
+            for (p, w) in bounds.windows(2).enumerate() {
+                prop_assert!(w[0] <= w[1],
+                    "priority {p} bound {} > priority {} bound {}", w[0], p + 1, w[1]);
             }
         }
 
@@ -562,7 +549,7 @@ mod proptests {
                     DataSize::from_bytes(64 + (i * 97) % 1_455),
                     Duration::from_millis(5 + (i * 7) % 45),
                     line,
-                ).curve());
+                ).effective_curve());
             }
             prop_assert!(aggregate.points().len() > 100);
             for c in [&cross_tb, &st_cross] {
@@ -578,7 +565,6 @@ mod proptests {
                 }
                 prop_assert_eq!(reused.0.len(), fresh.0.len());
                 prop_assert_eq!(reused.1, fresh.1);
-                prop_assert_eq!(reused.2, fresh.2);
             }
             // In-place simplify on a random (possibly collinear-heavy) raw
             // breakpoint list.
@@ -602,13 +588,10 @@ mod proptests {
 
         /// Every min-plus entry point agrees with the preserved
         /// candidate-enumeration implementation ([`minplus::reference`]) on
-        /// campaign-shaped operand families.  The convex slope-merge
-        /// convolution, the general (non-convex) convolution, the left-over
-        /// hull, the two-pointer add and envelope difference, the sweep
-        /// min/max combine and both deviations are pinned **bitwise**; the
-        /// balanced-reduction deconvolution computes the same function
-        /// through a different association order, so it is pinned with the
-        /// relative-tolerance [`Curve::approx_eq`].
+        /// campaign-shaped operand families, **bitwise**: the convex
+        /// slope-merge convolution, the general (non-convex) convolution,
+        /// the left-over hull, the two-pointer add and envelope difference,
+        /// the sweep min combine and the horizontal deviation.
         ///
         /// The families run one after another on one thread, so every entry
         /// point reuses the thread-local scratch: a ~600-breakpoint port
@@ -658,7 +641,7 @@ mod proptests {
                     DataSize::from_bytes(64 + (i * 97) % 1_455),
                     Duration::from_millis(5 + (i * 7) % 45),
                     line,
-                ).curve())
+                ).effective_curve().into_owned())
                 .collect();
             let mut aggregate = port[0].clone();
             for member in &port[1..] {
@@ -713,25 +696,13 @@ mod proptests {
                 let lo_min = st_cross.min(c);
                 let min_ref = reference::min(&st_cross, c);
                 prop_assert_eq!(lo_min.points(), min_ref.points());
-                let lo_max = st_cross.max(c);
-                let max_ref = reference::max(&st_cross, c);
-                prop_assert_eq!(lo_max.points(), max_ref.points());
+                prop_assert_eq!(lo_min.final_slope(), min_ref.final_slope());
 
-                // Deviations: monotone-cursor candidates vs O(n·m) rescans.
+                // Deviation: monotone-cursor candidates vs O(n·m) rescans.
                 prop_assert_eq!(
                     minplus::horizontal_deviation(own_curve, &lo, None).unwrap(),
                     reference::horizontal_deviation(own_curve, &lo).unwrap()
                 );
-                prop_assert_eq!(
-                    minplus::vertical_deviation(own_curve, &lo).unwrap(),
-                    reference::vertical_deviation(own_curve, &lo).unwrap()
-                );
-
-                // Balanced-reduction deconvolution: same upper envelope,
-                // different association order.
-                let out = minplus::deconvolve(own_curve, &lo).unwrap();
-                let out_ref = reference::deconvolve(own_curve, &lo).unwrap();
-                prop_assert!(out.approx_eq(&out_ref), "{out:?} vs {out_ref:?}");
             }
         }
 

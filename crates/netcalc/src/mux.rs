@@ -1,9 +1,10 @@
 //! Multiplexer analysis: the paper's FCFS and strict-priority delay bounds,
-//! plus the weighted-round-robin extension.
+//! plus the weighted-round-robin extension, behind one class-indexed
+//! [`Mux`].
 //!
 //! A station (or a switch output port) multiplexes the shaped flows it
 //! carries onto one physical link of capacity `C` preceded by a bounded
-//! technological latency `t_techno`.  Three policies are analysed:
+//! technological latency `t_techno`.  Three disciplines are analysed:
 //!
 //! * **FCFS** — a single queue; the bound is the same for every flow:
 //!   `D = Σ_{i ∈ S} b_i / C + t_techno`.
@@ -12,395 +13,35 @@
 //!   transmission.  For priority `p` (0 = highest):
 //!   `D_p = (Σ_{i ∈ ∪_{q≤p} S_q} b_i + max_{j ∈ ∪_{q>p} S_q} b_j) /
 //!          (C − Σ_{i ∈ ∪_{q<p} S_q} r_i) + t_techno`.
-//! * **Weighted round robin** ([`WrrMux`]) — one queue per class served
-//!   cyclically under per-class quanta (frame-counted, or byte-counted with
-//!   deficit carry-over).  Class `p` sees a residual rate-latency service
-//!   of rate `φ_p / Σφ · C` whose latency is inflated by the other classes'
+//! * **Weighted round robin** — one queue per class served cyclically
+//!   under per-class quanta (frame-counted, or byte-counted with deficit
+//!   carry-over).  Class `p` sees a residual rate-latency service of rate
+//!   `φ_p / Σφ · C` whose latency is inflated by the other classes'
 //!   maximal quanta plus one maximal frame of non-preemption — see
-//!   [`WrrMux::residual_service`] for the exact accounting.
+//!   [`Mux::residual_service`] for the exact accounting.
 //!
-//! The multiplexers hold each flow's token bucket and compute only these
-//! closed forms; the unit tests cross-check them against the general curve
-//! machinery (aggregate token bucket against a residual rate-latency
-//! service curve).  A caller that knows a class's aggregate arrival curve
-//! (e.g. the sum of the staircase envelopes of periodic sources) passes it
-//! to [`Mux::delay_bound`], which reports the minimum of the closed form
-//! and that curve's [`crate::minplus::horizontal_deviation`] against the
-//! class's residual service.
+//! A [`Mux`] holds each flow's token bucket and frame size in its class's
+//! queue and computes only these closed forms; the unit tests cross-check
+//! them against the general curve machinery (a class's token-bucket total
+//! against its residual rate-latency service curve).  A caller that knows
+//! a class's aggregate arrival curve (e.g. the sum of the staircase
+//! envelopes of periodic sources) passes it to [`Mux::delay_bound`], which
+//! reports the minimum of the closed form and that curve's
+//! [`crate::minplus::horizontal_deviation`] against the class's residual
+//! service.
 //!
-//! The policy-generic [`Mux`] dispatch wraps the three multiplexers behind
-//! one class-indexed interface so the analysis layers select the residual
-//! service per port from the unified scheduling policy instead of matching
-//! on per-crate policy enums.
+//! Class indices are clamped to the available queues (FCFS has one), the
+//! same collapse rule the traffic classifier and the simulator use.
 
-use crate::arrival::{ArrivalBound, TokenBucket};
+use crate::arrival::TokenBucket;
 use crate::bounds;
 use crate::curve::Curve;
-use crate::envelope::Envelope;
-use crate::service::{RateLatency, ServiceBound};
+use crate::service::RateLatency;
 use crate::NcError;
-use serde::{Deserialize, Serialize};
 use units::{DataRate, DataSize, Duration};
 
-/// Analysis of a FCFS multiplexer fed by shaped flows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FcfsMux {
-    capacity: DataRate,
-    ttechno: Duration,
-    flows: Vec<TokenBucket>,
-}
-
-impl FcfsMux {
-    /// Creates an empty FCFS multiplexer in front of a link of capacity
-    /// `capacity` with relaying-delay bound `ttechno`.
-    pub fn new(capacity: DataRate, ttechno: Duration) -> Self {
-        FcfsMux {
-            capacity,
-            ttechno,
-            flows: Vec::new(),
-        }
-    }
-
-    /// Adds a shaped flow to the multiplexer.
-    pub fn add_flow(&mut self, flow: TokenBucket) {
-        self.flows.push(flow);
-    }
-
-    /// Adds every flow from an iterator.
-    pub fn add_flows<I: IntoIterator<Item = TokenBucket>>(&mut self, flows: I) {
-        self.flows.extend(flows);
-    }
-
-    /// The flows currently multiplexed.
-    pub fn flows(&self) -> &[TokenBucket] {
-        &self.flows
-    }
-
-    /// The link capacity `C`.
-    pub fn capacity(&self) -> DataRate {
-        self.capacity
-    }
-
-    /// The technological latency bound `t_techno`.
-    pub fn ttechno(&self) -> Duration {
-        self.ttechno
-    }
-
-    /// The aggregate sustained rate `Σ r_i`.
-    pub fn aggregate_rate(&self) -> DataRate {
-        self.flows.iter().map(|f| f.rate()).sum()
-    }
-
-    /// The aggregate burst `Σ b_i`.
-    pub fn aggregate_burst(&self) -> DataSize {
-        self.flows.iter().map(|f| f.burst()).sum()
-    }
-
-    /// Link utilization `Σ r_i / C`.
-    pub fn utilization(&self) -> f64 {
-        self.aggregate_rate().utilization_of(self.capacity)
-    }
-
-    /// Checks long-term stability (`Σ r_i ≤ C`), returning the offending
-    /// rates otherwise.
-    pub fn check_stability(&self) -> Result<(), NcError> {
-        let demand = self.aggregate_rate();
-        if demand > self.capacity {
-            Err(NcError::Unstable {
-                context: "FCFS multiplexer".into(),
-                demand_bps: demand.bps(),
-                capacity_bps: self.capacity.bps(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// The paper's FCFS latency bound `D = Σ b_i / C + t_techno`, identical
-    /// for every flow through the multiplexer.
-    pub fn delay_bound(&self) -> Result<Duration, NcError> {
-        self.check_stability()?;
-        let queueing = self.capacity.transmission_time(self.aggregate_burst());
-        Ok(queueing + self.ttechno)
-    }
-
-    /// The same bound obtained through the general curve machinery
-    /// (aggregate token bucket vs. rate-latency `β_{C, t_techno}`), used to
-    /// cross-validate [`FcfsMux::delay_bound`].
-    pub fn delay_bound_via_curves(&self) -> Result<Duration, NcError> {
-        self.check_stability()?;
-        let aggregate = TokenBucket::aggregate_all(&self.flows);
-        deviation_via_curves(&aggregate, &self.service_curve())
-    }
-
-    /// The worst-case backlog in the multiplexer queue.
-    pub fn backlog_bound(&self) -> Result<DataSize, NcError> {
-        self.check_stability()?;
-        let aggregate = TokenBucket::aggregate_all(&self.flows);
-        bounds::backlog_bound(&aggregate, &self.service_curve())
-    }
-
-    /// The rate-latency service curve offered by the outgoing link.
-    pub fn service_curve(&self) -> RateLatency {
-        RateLatency::new(self.capacity, self.ttechno)
-    }
-
-    /// The output envelope of one of the multiplexed flows after traversing
-    /// this element.
-    ///
-    /// The FCFS element delays any bit of flow `i` by at most
-    /// [`FcfsMux::delay_bound`], so the output is bounded by the input
-    /// envelope read that much later ([`Envelope::delayed`]): the
-    /// token-bucket summary inflates to `(b_i + r_i·D, r_i)` and any extra
-    /// constraint shifts left by `D`.
-    pub fn output_envelope(&self, flow: &Envelope) -> Result<Envelope, NcError> {
-        flow.delayed(self.delay_bound()?)
-    }
-}
-
-/// `⌈h(γ_{r,b}, β_{R,T})⌉` on the general piecewise-linear curves of a
-/// token bucket and a rate-latency server: the curve-engine side of the
-/// `delay_bound_via_curves` cross-checks.
-fn deviation_via_curves(flow: &TokenBucket, service: &RateLatency) -> Result<Duration, NcError> {
-    let h = crate::minplus::horizontal_deviation(&flow.curve(), &service.curve(), None)?;
-    Ok(Duration::from_secs_f64_ceil(h))
-}
-
-/// Per-priority results of a strict-priority multiplexer analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PriorityLevelReport {
-    /// Priority level (0 = highest).
-    pub priority: usize,
-    /// Number of flows at this level.
-    pub flow_count: usize,
-    /// The paper's delay bound `D_p` for this level.
-    pub delay_bound: Duration,
-    /// Worst-case backlog of the queues at priority ≤ p.
-    pub backlog_bound: DataSize,
-    /// Residual service rate `C − Σ_{q<p} r_i` seen by this level.
-    pub residual_rate: DataRate,
-    /// Aggregate burst of levels ≤ p (the numerator's first term).
-    pub aggregate_burst: DataSize,
-    /// Worst lower-priority frame that can block this level.
-    pub blocking_burst: DataSize,
-}
-
-/// Analysis of a strict-priority (802.1p) multiplexer with `n` levels,
-/// level 0 being the most urgent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StaticPriorityMux {
-    capacity: DataRate,
-    ttechno: Duration,
-    levels: Vec<Vec<TokenBucket>>,
-}
-
-impl StaticPriorityMux {
-    /// Creates a strict-priority multiplexer with `levels` empty priority
-    /// queues (the paper uses 4).
-    pub fn new(levels: usize, capacity: DataRate, ttechno: Duration) -> Self {
-        StaticPriorityMux {
-            capacity,
-            ttechno,
-            levels: vec![Vec::new(); levels.max(1)],
-        }
-    }
-
-    /// Number of priority levels.
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The link capacity `C`.
-    pub fn capacity(&self) -> DataRate {
-        self.capacity
-    }
-
-    /// The technological latency bound `t_techno`.
-    pub fn ttechno(&self) -> Duration {
-        self.ttechno
-    }
-
-    /// Adds a shaped flow at priority `priority` (0 = highest).
-    pub fn add_flow(&mut self, priority: usize, flow: TokenBucket) -> Result<(), NcError> {
-        self.levels
-            .get_mut(priority)
-            .ok_or(NcError::UnknownPriority(priority))?
-            .push(flow);
-        Ok(())
-    }
-
-    /// The flows registered at a given priority.
-    pub fn flows_at(&self, priority: usize) -> Result<&[TokenBucket], NcError> {
-        self.levels
-            .get(priority)
-            .map(|v| v.as_slice())
-            .ok_or(NcError::UnknownPriority(priority))
-    }
-
-    /// Total number of flows across all levels.
-    pub fn flow_count(&self) -> usize {
-        self.levels.iter().map(|l| l.len()).sum()
-    }
-
-    /// Aggregate sustained rate over all levels.
-    pub fn aggregate_rate(&self) -> DataRate {
-        self.levels.iter().flatten().map(|f| f.rate()).sum()
-    }
-
-    /// Link utilization over all levels.
-    pub fn utilization(&self) -> f64 {
-        self.aggregate_rate().utilization_of(self.capacity)
-    }
-
-    /// Sum of sustained rates of priorities strictly higher than `priority`
-    /// (i.e. levels `q < p`).
-    fn higher_rate(&self, priority: usize) -> DataRate {
-        self.levels[..priority]
-            .iter()
-            .flatten()
-            .map(|f| f.rate())
-            .sum()
-    }
-
-    /// Sum of bursts of priorities `q ≤ p`.
-    fn cumulative_burst(&self, priority: usize) -> DataSize {
-        self.levels[..=priority]
-            .iter()
-            .flatten()
-            .map(|f| f.burst())
-            .sum()
-    }
-
-    /// Largest burst among strictly lower priorities (`q > p`), i.e. the
-    /// non-preemptable frame that can block level `p`; zero for the lowest
-    /// level.
-    fn lower_blocking_burst(&self, priority: usize) -> DataSize {
-        self.levels[priority + 1..]
-            .iter()
-            .flatten()
-            .map(|f| f.burst())
-            .fold(DataSize::ZERO, DataSize::max)
-    }
-
-    /// The residual service rate `C − Σ_{q<p} r_i` available to level `p`,
-    /// or an error if higher priorities already saturate the link.
-    pub fn residual_rate(&self, priority: usize) -> Result<DataRate, NcError> {
-        if priority >= self.levels.len() {
-            return Err(NcError::UnknownPriority(priority));
-        }
-        let hp = self.higher_rate(priority);
-        if hp >= self.capacity {
-            return Err(NcError::Unstable {
-                context: format!("priority {priority} residual rate"),
-                demand_bps: hp.bps(),
-                capacity_bps: self.capacity.bps(),
-            });
-        }
-        Ok(self.capacity - hp)
-    }
-
-    /// The residual rate-latency service curve seen by priority `p`:
-    /// rate `C − Σ_{q<p} r_i` and latency
-    /// `t_techno + max_{q>p} b_j / (C − Σ_{q<p} r_i)`.
-    ///
-    /// The horizontal deviation of the aggregate `(Σ_{q≤p} b, Σ_{q≤p} r)`
-    /// token bucket against this curve is exactly the paper's `D_p`.
-    pub fn residual_service(&self, priority: usize) -> Result<RateLatency, NcError> {
-        let rate = self.residual_rate(priority)?;
-        let blocking = rate.transmission_time(self.lower_blocking_burst(priority));
-        Ok(RateLatency::new(rate, self.ttechno + blocking))
-    }
-
-    /// Checks long-term stability of every level: the residual rate of each
-    /// level must exceed the aggregate sustained rate of levels `q ≤ p`.
-    pub fn check_stability(&self) -> Result<(), NcError> {
-        for p in 0..self.levels.len() {
-            let residual = self.residual_rate(p)?;
-            let demand: DataRate = self.levels[..=p].iter().flatten().map(|f| f.rate()).sum();
-            if demand > residual + self.higher_rate(p) {
-                // Equivalent to Σ_{q≤p} r > C.
-                return Err(NcError::Unstable {
-                    context: format!("priority {p} cumulative load"),
-                    demand_bps: demand.bps(),
-                    capacity_bps: self.capacity.bps(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The paper's strict-priority delay bound for level `priority`:
-    ///
-    /// `D_p = (Σ_{i∈∪_{q≤p} S_q} b_i + max_{j∈∪_{q>p} S_q} b_j) /
-    ///        (C − Σ_{i∈∪_{q<p} S_q} r_i) + t_techno`.
-    pub fn delay_bound(&self, priority: usize) -> Result<Duration, NcError> {
-        let residual = self.residual_rate(priority)?;
-        let numerator = self.cumulative_burst(priority) + self.lower_blocking_burst(priority);
-        Ok(residual.transmission_time(numerator) + self.ttechno)
-    }
-
-    /// The closed-form bound via the general curve machinery (aggregate
-    /// token bucket of levels ≤ p against
-    /// [`StaticPriorityMux::residual_service`]); used to cross-validate
-    /// [`StaticPriorityMux::delay_bound`].
-    pub fn delay_bound_via_curves(&self, priority: usize) -> Result<Duration, NcError> {
-        let service = self.residual_service(priority)?;
-        deviation_via_curves(&self.cumulative_bucket(priority, &service)?, &service)
-    }
-
-    /// The worst-case backlog of the queues holding priorities ≤ p.
-    pub fn backlog_bound(&self, priority: usize) -> Result<DataSize, NcError> {
-        let service = self.residual_service(priority)?;
-        bounds::backlog_bound(&self.cumulative_bucket(priority, &service)?, &service)
-    }
-
-    /// The aggregate token bucket of levels `q ≤ p`, or an error when its
-    /// rate exceeds the level's residual rate.
-    fn cumulative_bucket(
-        &self,
-        priority: usize,
-        service: &RateLatency,
-    ) -> Result<TokenBucket, NcError> {
-        let aggregate = TokenBucket::aggregate_all(self.levels[..=priority].iter().flatten());
-        if aggregate.rate() > service.rate() {
-            return Err(NcError::Unstable {
-                context: format!("priority {priority} cumulative load"),
-                demand_bps: aggregate.rate().bps(),
-                capacity_bps: service.rate().bps(),
-            });
-        }
-        Ok(aggregate)
-    }
-
-    /// Full per-level report (one entry per priority level, ordered from the
-    /// highest priority to the lowest).
-    pub fn analyze(&self) -> Result<Vec<PriorityLevelReport>, NcError> {
-        self.check_stability()?;
-        (0..self.levels.len())
-            .map(|p| {
-                Ok(PriorityLevelReport {
-                    priority: p,
-                    flow_count: self.levels[p].len(),
-                    delay_bound: self.delay_bound(p)?,
-                    backlog_bound: self.backlog_bound(p)?,
-                    residual_rate: self.residual_rate(p)?,
-                    aggregate_burst: self.cumulative_burst(p),
-                    blocking_burst: self.lower_blocking_burst(p),
-                })
-            })
-            .collect()
-    }
-
-    /// The output envelope of one flow of priority `priority` after
-    /// traversing this element ([`Envelope::delayed`] by the level's delay
-    /// bound).
-    pub fn output_envelope(&self, priority: usize, flow: &Envelope) -> Result<Envelope, NcError> {
-        flow.delayed(self.delay_bound(priority)?)
-    }
-}
-
 /// How a weighted-round-robin quantum is accounted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WrrAccounting {
     /// `quantum` whole frames per visit (classic WRR).
     Frames,
@@ -409,60 +50,51 @@ pub enum WrrAccounting {
     Bytes,
 }
 
-/// One flow registered with a [`WrrMux`]: its token bucket plus the
-/// physical frame size its packets keep on the wire (bucket bursts
-/// inflate as a flow propagates, frame sizes do not — and the WRR quantum
-/// accounting works on frames).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WrrFlow {
-    /// The flow's token bucket at this multiplexer.
-    pub bucket: TokenBucket,
-    /// The flow's maximal physical frame size.
-    pub frame: DataSize,
+/// The scheduling discipline of a [`Mux`].
+#[derive(Debug, Clone, PartialEq)]
+enum Discipline {
+    /// A single FIFO.
+    Fcfs,
+    /// Non-preemptive strict priority, level 0 the most urgent.
+    StaticPriority,
+    /// Weighted round robin, one quantum per class.
+    Wrr {
+        accounting: WrrAccounting,
+        quanta: Vec<u64>,
+    },
 }
 
-/// Per-class results of a weighted-round-robin multiplexer analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WrrClassReport {
-    /// Class index.
-    pub class: usize,
-    /// Number of flows in the class.
-    pub flow_count: usize,
-    /// The class's quantum (frames or bytes per visit).
-    pub quantum: u64,
-    /// The class's delay bound.
-    pub delay_bound: Duration,
-    /// Worst-case backlog of the class queue.
-    pub backlog_bound: DataSize,
-    /// Residual service rate `φ_p / Σφ · C` of the class.
-    pub residual_rate: DataRate,
-    /// Residual service latency (quantum interference + non-preemption +
-    /// `t_techno`).
-    pub residual_latency: Duration,
-}
+/// A flow's token bucket at the multiplexer and its physical frame size:
+/// bucket bursts inflate as a flow propagates, frame sizes do not, and the
+/// WRR quantum accounting works on frames.
+type Queue = Vec<(TokenBucket, DataSize)>;
 
-/// Analysis of a weighted-round-robin multiplexer with per-class quanta.
-///
-/// The server cycles through the classes; a visit to class `p` serves up
-/// to its quantum (whole frames under [`WrrAccounting::Frames`], bytes
-/// with deficit carry-over under [`WrrAccounting::Bytes`]) and the frame
-/// in transmission is never preempted.  While class `p` stays backlogged,
-/// every full cycle guarantees it `g_p` bits and costs at most `i_j` bits
-/// per competing class `j`, so the class sees the residual rate-latency
-/// service computed by [`WrrMux::residual_service`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WrrMux {
+/// A multiplexer fed by shaped flows under one scheduling discipline, with
+/// one queue per class.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mux {
+    discipline: Discipline,
     capacity: DataRate,
     ttechno: Duration,
-    accounting: WrrAccounting,
-    quanta: Vec<u64>,
-    classes: Vec<Vec<WrrFlow>>,
+    classes: Vec<Queue>,
 }
 
-impl WrrMux {
-    /// Creates a WRR multiplexer with one queue per quantum entry (at
-    /// least one; zero quanta are floored to one frame/byte).
-    pub fn new(
+impl Mux {
+    /// A FCFS multiplexer in front of a link of capacity `capacity` with
+    /// relaying-delay bound `ttechno`.
+    pub fn fcfs(capacity: DataRate, ttechno: Duration) -> Self {
+        Mux::new(Discipline::Fcfs, 1, capacity, ttechno)
+    }
+
+    /// A strict-priority multiplexer with `levels` queues (at least one;
+    /// the paper uses 4).
+    pub fn static_priority(levels: usize, capacity: DataRate, ttechno: Duration) -> Self {
+        Mux::new(Discipline::StaticPriority, levels.max(1), capacity, ttechno)
+    }
+
+    /// A weighted-round-robin multiplexer with one queue per quantum entry
+    /// (at least one; zero quanta are floored to one frame/byte).
+    pub fn wrr(
         capacity: DataRate,
         ttechno: Duration,
         accounting: WrrAccounting,
@@ -473,356 +105,103 @@ impl WrrMux {
         } else {
             quanta.iter().map(|&q| q.max(1)).collect()
         };
-        WrrMux {
+        let classes = quanta.len();
+        Mux::new(
+            Discipline::Wrr { accounting, quanta },
+            classes,
             capacity,
             ttechno,
-            accounting,
-            classes: vec![Vec::new(); quanta.len()],
-            quanta,
+        )
+    }
+
+    fn new(discipline: Discipline, classes: usize, capacity: DataRate, ttechno: Duration) -> Self {
+        Mux {
+            discipline,
+            capacity,
+            ttechno,
+            classes: vec![Vec::new(); classes],
         }
-    }
-
-    /// Number of classes.
-    pub fn class_count(&self) -> usize {
-        self.quanta.len()
-    }
-
-    /// The link capacity `C`.
-    pub fn capacity(&self) -> DataRate {
-        self.capacity
-    }
-
-    /// The technological latency bound `t_techno`.
-    pub fn ttechno(&self) -> Duration {
-        self.ttechno
-    }
-
-    /// The quantum accounting unit.
-    pub fn accounting(&self) -> WrrAccounting {
-        self.accounting
-    }
-
-    /// Adds a shaped flow with physical frame size `frame` to `class`.
-    pub fn add_flow(
-        &mut self,
-        class: usize,
-        bucket: TokenBucket,
-        frame: DataSize,
-    ) -> Result<(), NcError> {
-        self.classes
-            .get_mut(class)
-            .ok_or(NcError::UnknownPriority(class))?
-            .push(WrrFlow { bucket, frame });
-        Ok(())
-    }
-
-    /// The flows registered in a class.
-    pub fn flows_at(&self, class: usize) -> Result<&[WrrFlow], NcError> {
-        self.classes
-            .get(class)
-            .map(|v| v.as_slice())
-            .ok_or(NcError::UnknownPriority(class))
-    }
-
-    /// Total number of flows across all classes.
-    pub fn flow_count(&self) -> usize {
-        self.classes.iter().map(|c| c.len()).sum()
-    }
-
-    /// Aggregate sustained rate over all classes.
-    pub fn aggregate_rate(&self) -> DataRate {
-        self.classes.iter().flatten().map(|f| f.bucket.rate()).sum()
-    }
-
-    /// Link utilization over all classes.
-    pub fn utilization(&self) -> f64 {
-        self.aggregate_rate().utilization_of(self.capacity)
-    }
-
-    /// Largest physical frame of a class, in bits (0 for an empty class).
-    fn max_frame_bits(&self, class: usize) -> u64 {
-        self.classes[class]
-            .iter()
-            .map(|f| f.frame.bits())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Smallest physical frame of a class, in bits (0 for an empty class).
-    fn min_frame_bits(&self, class: usize) -> u64 {
-        self.classes[class]
-            .iter()
-            .map(|f| f.frame.bits())
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Bits one full visit **guarantees** class `p` while it is backlogged:
-    /// `quantum` frames of its smallest frame, or the byte quantum itself
-    /// (deficit carry-over makes byte quanta exact in the long run).
-    fn guaranteed_bits(&self, class: usize) -> u64 {
-        match self.accounting {
-            WrrAccounting::Frames => self.quanta[class] * self.min_frame_bits(class),
-            WrrAccounting::Bytes => self.quanta[class] * 8,
-        }
-    }
-
-    /// Bits one visit lets class `j` **take** from the link at most:
-    /// `quantum` frames of its largest frame, or the byte quantum.
-    fn interference_bits(&self, class: usize) -> u64 {
-        match self.accounting {
-            WrrAccounting::Frames => self.quanta[class] * self.max_frame_bits(class),
-            WrrAccounting::Bytes => self.quanta[class] * 8,
-        }
-    }
-
-    /// Sum of per-visit interference over the *other, non-empty* classes —
-    /// empty classes never hold traffic, so a live scheduler skips them
-    /// instantly and they inflate nothing.
-    fn other_interference_bits(&self, class: usize) -> u64 {
-        (0..self.quanta.len())
-            .filter(|&j| j != class && !self.classes[j].is_empty())
-            .map(|j| self.interference_bits(j))
-            .sum()
-    }
-
-    /// The one-off latency bits on top of the steady per-round
-    /// interference: one non-preemptable frame of another class, plus (in
-    /// byte mode) each competitor's possible deficit overshoot of up to one
-    /// of its frames and the own class's carry-over `L_p/Q_p` share of a
-    /// round.
-    fn one_off_bits(&self, class: usize) -> u64 {
-        let others =
-            || (0..self.quanta.len()).filter(move |&j| j != class && !self.classes[j].is_empty());
-        let blocking = others().map(|j| self.max_frame_bits(j)).max().unwrap_or(0);
-        match self.accounting {
-            WrrAccounting::Frames => blocking,
-            WrrAccounting::Bytes => {
-                let overshoot: u64 = others().map(|j| self.max_frame_bits(j)).sum();
-                let quantum = self.quanta[class] * 8;
-                let carry = (self.max_frame_bits(class) as f64
-                    * self.other_interference_bits(class) as f64
-                    / quantum as f64)
-                    .ceil() as u64;
-                blocking + overshoot + carry
-            }
-        }
-    }
-
-    /// The residual service rate of class `p`: the link capacity scaled by
-    /// the class's guaranteed share of a round,
-    /// `C · g_p / (g_p + Σ_{j≠p} i_j)` — equal to the quantum share
-    /// `φ_p / Σφ · C` under byte accounting (rounded down, staying
-    /// pessimistic).  Zero for an empty class under frame accounting.
-    pub fn residual_rate(&self, class: usize) -> Result<DataRate, NcError> {
-        if class >= self.quanta.len() {
-            return Err(NcError::UnknownPriority(class));
-        }
-        let g = self.guaranteed_bits(class) as f64;
-        let i = self.other_interference_bits(class) as f64;
-        if g <= 0.0 {
-            return Ok(DataRate::ZERO);
-        }
-        Ok(DataRate::from_bps(
-            (self.capacity.as_f64_bps() * g / (g + i)).floor() as u64,
-        ))
-    }
-
-    /// The residual rate-latency service curve seen by class `p`:
-    ///
-    /// `β_p = (φ_p / Σφ · C) · (t − Θ_p)⁺` with
-    /// `Θ_p = t_techno + (Σ_{j≠p} i_j + o_p) / C`,
-    ///
-    /// where `i_j` is class `j`'s maximal per-visit quantum in bits and
-    /// `o_p` the one-off bits: one maximal non-preemptable frame of another
-    /// class, plus the byte-mode deficit corrections (each competitor may
-    /// overshoot its quantum by almost one of its frames once, and the own
-    /// class may leave up to one frame of credit unspent per round,
-    /// `L_p/Q_p · Σ_{j≠p} i_j`).  The latency is rounded **up**, the rate
-    /// **down**, so the curve stays pessimistic.
-    ///
-    /// With a single (non-empty) class the residual is exactly the full
-    /// port service `β_{C, t_techno}` — the FCFS service curve.
-    pub fn residual_service(&self, class: usize) -> Result<RateLatency, NcError> {
-        let rate = self.residual_rate(class)?;
-        let latency_bits = self.other_interference_bits(class) + self.one_off_bits(class);
-        let latency = self
-            .capacity
-            .transmission_time(DataSize::from_bits(latency_bits));
-        Ok(RateLatency::new(rate, self.ttechno + latency))
-    }
-
-    /// Checks long-term stability: every non-empty class's aggregate
-    /// sustained rate must fit its residual rate.
-    pub fn check_stability(&self) -> Result<(), NcError> {
-        for p in 0..self.quanta.len() {
-            if self.classes[p].is_empty() {
-                continue;
-            }
-            let demand: DataRate = self.classes[p].iter().map(|f| f.bucket.rate()).sum();
-            let residual = self.residual_rate(p)?;
-            if demand > residual {
-                return Err(NcError::Unstable {
-                    context: format!("WRR class {p} residual rate"),
-                    demand_bps: demand.bps(),
-                    capacity_bps: residual.bps(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The delay bound of class `p`: the aggregate class token bucket
-    /// against [`WrrMux::residual_service`] — closed form
-    /// `D_p = Θ_p + Σ_{i∈S_p} b_i / (φ_p/Σφ · C)`.  An empty class's bound
-    /// is its residual latency.
-    pub fn delay_bound(&self, class: usize) -> Result<Duration, NcError> {
-        if class >= self.quanta.len() {
-            return Err(NcError::UnknownPriority(class));
-        }
-        let service = self.residual_service(class)?;
-        if self.classes[class].is_empty() {
-            return Ok(service.latency());
-        }
-        bounds::delay_bound(&self.class_bucket(class, &service)?, &service)
-    }
-
-    /// The worst-case backlog of class `p`'s queue.
-    pub fn backlog_bound(&self, class: usize) -> Result<DataSize, NcError> {
-        if class >= self.quanta.len() {
-            return Err(NcError::UnknownPriority(class));
-        }
-        if self.classes[class].is_empty() {
-            return Ok(DataSize::ZERO);
-        }
-        let service = self.residual_service(class)?;
-        bounds::backlog_bound(&self.class_bucket(class, &service)?, &service)
-    }
-
-    /// The aggregate token bucket of class `p`, or an error when its rate
-    /// exceeds the class's residual rate.
-    fn class_bucket(&self, class: usize, service: &RateLatency) -> Result<TokenBucket, NcError> {
-        let aggregate = TokenBucket::aggregate_all(self.classes[class].iter().map(|f| f.bucket));
-        if aggregate.rate() > service.rate() {
-            return Err(NcError::Unstable {
-                context: format!("WRR class {class} residual rate"),
-                demand_bps: aggregate.rate().bps(),
-                capacity_bps: service.rate().bps(),
-            });
-        }
-        Ok(aggregate)
-    }
-
-    /// Full per-class report, ordered by class index.
-    pub fn analyze(&self) -> Result<Vec<WrrClassReport>, NcError> {
-        self.check_stability()?;
-        (0..self.quanta.len())
-            .map(|p| {
-                let service = self.residual_service(p)?;
-                Ok(WrrClassReport {
-                    class: p,
-                    flow_count: self.classes[p].len(),
-                    quantum: self.quanta[p],
-                    delay_bound: self.delay_bound(p)?,
-                    backlog_bound: self.backlog_bound(p)?,
-                    residual_rate: service.rate(),
-                    residual_latency: service.latency(),
-                })
-            })
-            .collect()
-    }
-
-    /// The output envelope of one flow of class `class` after traversing
-    /// this element ([`Envelope::delayed`] by the class's delay bound).
-    pub fn output_envelope(&self, class: usize, flow: &Envelope) -> Result<Envelope, NcError> {
-        flow.delayed(self.delay_bound(class)?)
-    }
-}
-
-/// The policy-generic multiplexer: one class-indexed interface over the
-/// three disciplines, so a caller holding the unified scheduling policy can
-/// build the right analysis without matching on policy enums at every
-/// stage.
-///
-/// Class indices are clamped to the available queues (FCFS has one), the
-/// same collapse rule the traffic classifier and the simulator use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Mux {
-    /// A single FIFO.
-    Fcfs(FcfsMux),
-    /// Non-preemptive strict priority.
-    StaticPriority(StaticPriorityMux),
-    /// Weighted round robin.
-    Wrr(WrrMux),
-}
-
-impl Mux {
-    /// A FCFS multiplexer.
-    pub fn fcfs(capacity: DataRate, ttechno: Duration) -> Self {
-        Mux::Fcfs(FcfsMux::new(capacity, ttechno))
-    }
-
-    /// A strict-priority multiplexer with `levels` queues.
-    pub fn static_priority(levels: usize, capacity: DataRate, ttechno: Duration) -> Self {
-        Mux::StaticPriority(StaticPriorityMux::new(levels, capacity, ttechno))
-    }
-
-    /// A weighted-round-robin multiplexer over per-class quanta.
-    pub fn wrr(
-        capacity: DataRate,
-        ttechno: Duration,
-        accounting: WrrAccounting,
-        quanta: &[u64],
-    ) -> Self {
-        Mux::Wrr(WrrMux::new(capacity, ttechno, accounting, quanta))
     }
 
     /// Number of queues the discipline serves.
     pub fn class_count(&self) -> usize {
-        match self {
-            Mux::Fcfs(_) => 1,
-            Mux::StaticPriority(m) => m.level_count(),
-            Mux::Wrr(m) => m.class_count(),
-        }
+        self.classes.len()
     }
 
     /// Clamps a requested class to the available queues.
-    fn clamp(&self, class: usize) -> usize {
-        class.min(self.class_count().saturating_sub(1))
+    pub fn clamp(&self, class: usize) -> usize {
+        class.min(self.classes.len().saturating_sub(1))
+    }
+
+    /// `true` when class `p`'s queue set is every class `q ≤ p` (strict
+    /// priority), `false` when it is class `p` alone (FCFS, WRR); see
+    /// [`Mux::class_bucket`].
+    pub fn is_cumulative(&self) -> bool {
+        self.discipline == Discipline::StaticPriority
     }
 
     /// Adds a shaped flow with physical frame size `frame` at `class`
-    /// (clamped; FCFS ignores the class, FCFS and strict priority ignore
-    /// the frame size).
-    pub fn add_flow(
-        &mut self,
-        class: usize,
-        bucket: TokenBucket,
-        frame: DataSize,
-    ) -> Result<(), NcError> {
+    /// (clamped; FCFS and strict priority ignore the frame size).
+    pub fn add_flow(&mut self, class: usize, bucket: TokenBucket, frame: DataSize) {
         let class = self.clamp(class);
-        match self {
-            Mux::Fcfs(m) => {
-                m.add_flow(bucket);
-                Ok(())
-            }
-            Mux::StaticPriority(m) => m.add_flow(class, bucket),
-            Mux::Wrr(m) => m.add_flow(class, bucket, frame),
-        }
+        self.classes[class].push((bucket, frame));
     }
 
-    /// Checks long-term stability of every class.
+    /// Checks long-term stability of every class: the whole load must fit
+    /// the link under FCFS, the cumulative load of levels `q ≤ p` under
+    /// strict priority (whose higher levels must also leave level `p` a
+    /// residual rate), and each non-empty class's load its residual rate
+    /// under WRR.
     pub fn check_stability(&self) -> Result<(), NcError> {
-        match self {
-            Mux::Fcfs(m) => m.check_stability(),
-            Mux::StaticPriority(m) => m.check_stability(),
-            Mux::Wrr(m) => m.check_stability(),
+        match &self.discipline {
+            Discipline::Fcfs => {
+                let demand = self.class_bucket(0).rate();
+                if demand > self.capacity {
+                    return Err(unstable("FCFS multiplexer".into(), demand, self.capacity));
+                }
+            }
+            Discipline::StaticPriority => {
+                for p in 0..self.classes.len() {
+                    self.priority_rate(p)?;
+                    let demand = self.class_bucket(p).rate();
+                    if demand > self.capacity {
+                        return Err(unstable(
+                            format!("priority {p} cumulative load"),
+                            demand,
+                            self.capacity,
+                        ));
+                    }
+                }
+            }
+            Discipline::Wrr { accounting, quanta } => {
+                for p in 0..self.classes.len() {
+                    if self.classes[p].is_empty() {
+                        continue;
+                    }
+                    let demand = self.class_bucket(p).rate();
+                    let residual = self.wrr_service(p, *accounting, quanta).rate();
+                    if demand > residual {
+                        return Err(unstable(
+                            format!("WRR class {p} residual rate"),
+                            demand,
+                            residual,
+                        ));
+                    }
+                }
+            }
         }
+        Ok(())
     }
 
     /// The delay bound of `class` (clamped; identical for every class
     /// under FCFS): the policy's closed form, refined by the class's
     /// aggregate arrival curve when the caller passes one.
+    ///
+    /// The closed forms are the paper's FCFS bound `Σ b_i / C + t_techno`,
+    /// its strict-priority bound `D_p` (see the module docs), and under WRR
+    /// the class's token-bucket total against
+    /// [`Mux::residual_service`], `D_p = Θ_p + Σ_{i∈S_p} b_i / (φ_p/Σφ · C)`
+    /// (an empty class's bound is its residual latency).
     ///
     /// `aggregate` sums the same flows the closed form sums as token
     /// buckets ([`Mux::class_bucket`]): every flow under FCFS, the levels
@@ -847,11 +226,36 @@ impl Mux {
         early_exit: bool,
     ) -> Result<Duration, NcError> {
         let class = self.clamp(class);
-        let closed = match self {
-            Mux::Fcfs(m) => m.delay_bound(),
-            Mux::StaticPriority(m) => m.delay_bound(class),
-            Mux::Wrr(m) => m.delay_bound(class),
-        }?;
+        let closed = match &self.discipline {
+            Discipline::Fcfs => {
+                self.check_stability()?;
+                let queueing = self
+                    .capacity
+                    .transmission_time(self.class_bucket(0).burst());
+                queueing + self.ttechno
+            }
+            Discipline::StaticPriority => {
+                let rate = self.priority_rate(class)?;
+                let numerator = self.class_bucket(class).burst() + self.blocking_burst(class);
+                rate.transmission_time(numerator) + self.ttechno
+            }
+            Discipline::Wrr { accounting, quanta } => {
+                let service = self.wrr_service(class, *accounting, quanta);
+                if self.classes[class].is_empty() {
+                    service.latency()
+                } else {
+                    let bucket = self.class_bucket(class);
+                    if bucket.rate() > service.rate() {
+                        return Err(unstable(
+                            format!("WRR class {class} residual rate"),
+                            bucket.rate(),
+                            service.rate(),
+                        ));
+                    }
+                    bounds::delay_bound(&bucket, &service)?
+                }
+            }
+        };
         let Some(aggregate) = aggregate else {
             return Ok(closed);
         };
@@ -872,38 +276,160 @@ impl Mux {
     /// integers, so the total is exact.
     pub fn class_bucket(&self, class: usize) -> TokenBucket {
         let class = self.clamp(class);
-        match self {
-            Mux::Fcfs(m) => TokenBucket::aggregate_all(m.flows()),
-            Mux::StaticPriority(m) => {
-                TokenBucket::aggregate_all(m.levels[..=class].iter().flatten())
+        let first = if self.is_cumulative() { 0 } else { class };
+        total(&self.classes[first..=class])
+    }
+
+    /// The residual rate-latency service seen by `class` (clamped).
+    ///
+    /// * FCFS: the full port service `β_{C, t_techno}`.
+    /// * Strict priority: rate `C − Σ_{q<p} r_i` and latency
+    ///   `t_techno + max_{q>p} b_j / (C − Σ_{q<p} r_i)`; the horizontal
+    ///   deviation of the levels' `q ≤ p` token-bucket total against it is
+    ///   exactly the paper's `D_p`.  An error when the higher levels
+    ///   saturate the link.
+    /// * WRR: `β_p = (φ_p / Σφ · C) · (t − Θ_p)⁺` with
+    ///   `Θ_p = t_techno + (Σ_{j≠p} i_j + o_p) / C`, where `i_j` is class
+    ///   `j`'s maximal per-visit quantum in bits (`q_j` of its largest
+    ///   frames, or the byte quantum) and `o_p` the one-off bits: one
+    ///   maximal non-preemptable frame of another class, plus the byte-mode
+    ///   deficit corrections (each competitor may overshoot its quantum by
+    ///   almost one of its frames once, and the own class may leave up to
+    ///   one frame of credit unspent per round, `L_p/Q_p · Σ_{j≠p} i_j`).
+    ///   The rate is `C · g_p / (g_p + Σ_{j≠p} i_j)` with `g_p` the bits one
+    ///   visit guarantees the class (`q_p` of its smallest frames, or the
+    ///   byte quantum) — the quantum share `φ_p / Σφ · C` under byte
+    ///   accounting, zero for an empty class under frame accounting.  Empty
+    ///   classes never hold traffic, so a live scheduler skips them and
+    ///   they inflate nothing.  The latency is rounded **up**, the rate
+    ///   **down**, so the curve stays pessimistic; with a single
+    ///   (non-empty) class it is exactly the FCFS service curve.
+    pub fn residual_service(&self, class: usize) -> Result<RateLatency, NcError> {
+        let class = self.clamp(class);
+        match &self.discipline {
+            Discipline::Fcfs => Ok(RateLatency::new(self.capacity, self.ttechno)),
+            Discipline::StaticPriority => {
+                let rate = self.priority_rate(class)?;
+                let blocking = rate.transmission_time(self.blocking_burst(class));
+                Ok(RateLatency::new(rate, self.ttechno + blocking))
             }
-            Mux::Wrr(m) => TokenBucket::aggregate_all(m.classes[class].iter().map(|f| f.bucket)),
+            Discipline::Wrr { accounting, quanta } => {
+                Ok(self.wrr_service(class, *accounting, quanta))
+            }
         }
     }
 
-    /// The residual rate-latency service seen by `class` (clamped): the
-    /// full port service under FCFS, the priority residual under strict
-    /// priority, the quantum-share residual under WRR.
-    pub fn residual_service(&self, class: usize) -> Result<RateLatency, NcError> {
+    /// The service a flow of `class` (clamped) is blind-multiplexed on
+    /// against the rest of its queue set ([`Mux::class_bucket`]):
+    /// `β_{C,t}` under FCFS, `β_{C, t + l/C}` with `l` the largest
+    /// lower-priority burst under strict priority (non-preemptive
+    /// blocking; the higher levels are part of the cross traffic rather
+    /// than a reduced rate), the class's quantum-share residual
+    /// ([`Mux::residual_service`]) under WRR.
+    pub fn leftover_base(&self, class: usize) -> RateLatency {
         let class = self.clamp(class);
-        match self {
-            Mux::Fcfs(m) => Ok(m.service_curve()),
-            Mux::StaticPriority(m) => m.residual_service(class),
-            Mux::Wrr(m) => m.residual_service(class),
+        match &self.discipline {
+            Discipline::Fcfs | Discipline::StaticPriority => {
+                let blocking = self.capacity.transmission_time(self.blocking_burst(class));
+                RateLatency::new(self.capacity, self.ttechno + blocking)
+            }
+            Discipline::Wrr { accounting, quanta } => self.wrr_service(class, *accounting, quanta),
         }
+    }
+
+    /// The residual service rate `C − Σ_{q<p} r_i` left to strict-priority
+    /// level `p`, or an error when the higher levels saturate the link.
+    fn priority_rate(&self, priority: usize) -> Result<DataRate, NcError> {
+        let higher = total(&self.classes[..priority]).rate();
+        if higher >= self.capacity {
+            return Err(unstable(
+                format!("priority {priority} residual rate"),
+                higher,
+                self.capacity,
+            ));
+        }
+        Ok(self.capacity - higher)
+    }
+
+    /// The largest burst queued in a class after `class` — under strict
+    /// priority the non-preemptable frame that can block level `class`;
+    /// zero for the last class.
+    fn blocking_burst(&self, class: usize) -> DataSize {
+        self.classes[class + 1..]
+            .iter()
+            .flatten()
+            .map(|(bucket, _)| bucket.burst())
+            .fold(DataSize::ZERO, DataSize::max)
+    }
+
+    /// [`Mux::residual_service`] of WRR class `class`.
+    fn wrr_service(&self, class: usize, accounting: WrrAccounting, quanta: &[u64]) -> RateLatency {
+        let frames = |j: usize| self.classes[j].iter().map(|(_, frame)| frame.bits());
+        let max_frame = |j: usize| frames(j).max().unwrap_or(0);
+        // The bits one visit lets class `j` send: `frame` is its smallest
+        // frame for what the visit guarantees, its largest for what the
+        // visit may take.
+        let quantum_bits = |j: usize, frame: u64| match accounting {
+            WrrAccounting::Frames => quanta[j] * frame,
+            WrrAccounting::Bytes => quanta[j] * 8,
+        };
+        let others = || (0..quanta.len()).filter(|&j| j != class && !self.classes[j].is_empty());
+        let interference: u64 = others().map(|j| quantum_bits(j, max_frame(j))).sum();
+        let guaranteed = quantum_bits(class, frames(class).min().unwrap_or(0)) as f64;
+        let rate = if guaranteed <= 0.0 {
+            DataRate::ZERO
+        } else {
+            let share =
+                self.capacity.as_f64_bps() * guaranteed / (guaranteed + interference as f64);
+            DataRate::from_bps(share.floor() as u64)
+        };
+        let blocking = others().map(max_frame).max().unwrap_or(0);
+        let one_off = match accounting {
+            WrrAccounting::Frames => blocking,
+            WrrAccounting::Bytes => {
+                let overshoot: u64 = others().map(max_frame).sum();
+                let quantum = quanta[class] * 8;
+                let carry =
+                    (max_frame(class) as f64 * interference as f64 / quantum as f64).ceil() as u64;
+                blocking + overshoot + carry
+            }
+        };
+        let latency = self
+            .capacity
+            .transmission_time(DataSize::from_bits(interference + one_off));
+        RateLatency::new(rate, self.ttechno + latency)
+    }
+}
+
+/// The token-bucket total of every flow in `queues`.
+fn total(queues: &[Queue]) -> TokenBucket {
+    TokenBucket::aggregate_all(queues.iter().flatten().map(|(bucket, _)| bucket))
+}
+
+/// The overload of a stage: `demand` meets or exceeds `capacity`.
+fn unstable(context: String, demand: DataRate, capacity: DataRate) -> NcError {
+    NcError::Unstable {
+        context,
+        demand_bps: demand.bps(),
+        capacity_bps: capacity.bps(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ArrivalBound;
+    use crate::envelope::Envelope;
+    use crate::minplus::horizontal_deviation;
 
     fn tb(bytes: u64, period_ms: u64) -> TokenBucket {
         TokenBucket::for_message(
             DataSize::from_bytes(bytes),
             Duration::from_millis(period_ms),
         )
+    }
+
+    fn frame(bytes: u64) -> DataSize {
+        DataSize::from_bytes(bytes)
     }
 
     fn c10() -> DataRate {
@@ -914,64 +440,89 @@ mod tests {
         Duration::from_micros(16)
     }
 
+    /// `mux` loaded with `flows`, each `(class, bytes, period_ms)` with its
+    /// message as its frame.
+    fn loaded(mut mux: Mux, flows: &[(usize, u64, u64)]) -> Mux {
+        for &(class, bytes, period_ms) in flows {
+            mux.add_flow(class, tb(bytes, period_ms), frame(bytes));
+        }
+        mux
+    }
+
+    /// The closed-form delay bound of `class`.
+    fn bound(mux: &Mux, class: usize) -> Duration {
+        mux.delay_bound(class, None, false).unwrap()
+    }
+
+    /// `⌈h(γ, β)⌉` of `class`'s token-bucket total against its residual
+    /// service on the general piecewise-linear curves: the curve-engine
+    /// side of the closed-form cross-checks.
+    fn deviation_via_curves(mux: &Mux, class: usize) -> Duration {
+        let service = mux.residual_service(class).unwrap();
+        let bucket = mux.class_bucket(class).curve();
+        Duration::from_secs_f64_ceil(horizontal_deviation(&bucket, &service.curve(), None).unwrap())
+    }
+
     // ---------------- FCFS ----------------
 
     #[test]
     fn fcfs_bound_matches_hand_calculation() {
         // Three flows of 100, 200, 300 bytes: Σ b = 600 B = 4800 bits.
         // D = 4800 / 10^7 + 16 us = 480 us + 16 us = 496 us.
-        let mut mux = FcfsMux::new(c10(), t16());
-        mux.add_flows([tb(100, 20), tb(200, 40), tb(300, 160)]);
-        assert_eq!(mux.delay_bound().unwrap(), Duration::from_micros(496));
-        assert_eq!(mux.flows().len(), 3);
-        assert_eq!(mux.aggregate_burst(), DataSize::from_bytes(600));
+        let flows = [(0, 100, 20), (1, 200, 40), (2, 300, 160)];
+        let mux = loaded(Mux::fcfs(c10(), t16()), &flows);
+        assert_eq!(bound(&mux, 0), Duration::from_micros(496));
+        assert_eq!(mux.class_bucket(0).burst(), DataSize::from_bytes(600));
     }
 
     #[test]
     fn fcfs_bound_agrees_with_curve_machinery() {
-        let mut mux = FcfsMux::new(c10(), t16());
-        mux.add_flows([tb(64, 20), tb(1518, 160), tb(256, 40), tb(512, 80)]);
-        let a = mux.delay_bound().unwrap();
-        let b = mux.delay_bound_via_curves().unwrap();
+        let flows = [(0, 64, 20), (0, 1518, 160), (0, 256, 40), (0, 512, 80)];
+        let mux = loaded(Mux::fcfs(c10(), t16()), &flows);
+        let (a, b) = (bound(&mux, 0), deviation_via_curves(&mux, 0));
         assert!(a.as_nanos().abs_diff(b.as_nanos()) <= 1, "{a} vs {b}");
     }
 
     #[test]
     fn fcfs_empty_mux_has_pure_latency_bound() {
-        let mux = FcfsMux::new(c10(), t16());
-        assert_eq!(mux.delay_bound().unwrap(), t16());
-        assert_eq!(mux.backlog_bound().unwrap(), DataSize::ZERO);
-        assert_eq!(mux.utilization(), 0.0);
-    }
-
-    #[test]
-    fn fcfs_detects_overload() {
-        let mut mux = FcfsMux::new(DataRate::from_kbps(10), Duration::ZERO);
-        // 1518 bytes every 1 ms is ~12 Mbps >> 10 kbps.
-        mux.add_flow(tb(1518, 1));
-        assert!(mux.check_stability().is_err());
-        assert!(mux.delay_bound().is_err());
-        assert!(mux.backlog_bound().is_err());
-    }
-
-    #[test]
-    fn fcfs_backlog_bound() {
-        let mut mux = FcfsMux::new(c10(), t16());
-        mux.add_flow(tb(1000, 20));
-        // Backlog = b + r·T = 8000 bits + 400_000 b/s * 16e-6 s = 8000 + 6.4 -> 8007 (ceil).
-        let q = mux.backlog_bound().unwrap();
-        assert!(
-            q >= DataSize::from_bits(8_006) && q <= DataSize::from_bits(8_008),
-            "{q}"
+        let mux = Mux::fcfs(c10(), t16());
+        assert_eq!(bound(&mux, 0), t16());
+        assert_eq!(
+            mux.class_bucket(0),
+            TokenBucket::new(DataSize::ZERO, DataRate::ZERO)
         );
     }
 
     #[test]
+    fn fcfs_detects_overload() {
+        // 1518 bytes every 1 ms is ~12 Mbps >> 10 kbps.
+        let mux = loaded(
+            Mux::fcfs(DataRate::from_kbps(10), Duration::ZERO),
+            &[(0, 1518, 1)],
+        );
+        assert!(mux.check_stability().is_err());
+        assert!(mux.delay_bound(0, None, false).is_err());
+    }
+
+    #[test]
+    fn fcfs_backlog_bound() {
+        // The FCFS queue is bounded through its token-bucket total, the
+        // whole port's (1000 B every 20 ms: 8000 bits at 400 kb/s), against
+        // the port's service: the backlog b + r·T = 8000 + 400_000 b/s ·
+        // 16e-6 s = 8006.4 bits.
+        let mux = loaded(Mux::fcfs(c10(), t16()), &[(0, 1000, 20)]);
+        let total = mux.class_bucket(0);
+        assert_eq!(total, tb(1000, 20));
+        let latency = mux.residual_service(0).unwrap().latency();
+        let backlog = total.burst() + total.rate().bits_in(latency);
+        assert_eq!(backlog, DataSize::from_bits(8_006));
+    }
+
+    #[test]
     fn fcfs_output_envelope_inflates_burst() {
-        let mut mux = FcfsMux::new(c10(), t16());
-        mux.add_flows([tb(1000, 20), tb(500, 20)]);
+        let mux = loaded(Mux::fcfs(c10(), t16()), &[(0, 1000, 20), (0, 500, 20)]);
         let f = Envelope::from(tb(1000, 20));
-        let out = mux.output_envelope(&f).unwrap();
+        let out = f.delayed(bound(&mux, 0)).unwrap();
         assert!(out.burst() > f.burst());
         assert_eq!(out.rate(), f.rate());
     }
@@ -983,12 +534,9 @@ mod tests {
     /// * P0: one 64-byte urgent flow, T = 20 ms  -> b = 512 bits, r = 25.6 kbps
     /// * P1: one 1000-byte periodic flow, T = 40 ms -> b = 8_000 bits, r = 200 kbps
     /// * P2: one 1518-byte sporadic flow, T = 160 ms -> b = 12_144 bits, r = 75.9 kbps
-    fn example_mux() -> StaticPriorityMux {
-        let mut mux = StaticPriorityMux::new(3, c10(), t16());
-        mux.add_flow(0, tb(64, 20)).unwrap();
-        mux.add_flow(1, tb(1000, 40)).unwrap();
-        mux.add_flow(2, tb(1518, 160)).unwrap();
-        mux
+    fn example_mux() -> Mux {
+        let flows = [(0, 64, 20), (1, 1000, 40), (2, 1518, 160)];
+        loaded(Mux::static_priority(3, c10(), t16()), &flows)
     }
 
     #[test]
@@ -996,14 +544,14 @@ mod tests {
         let mux = example_mux();
         // P0: (512 + max(8000, 12144)) / 10^7 + 16 us
         //   = 12656 / 10^7 s + 16 us = 1265.6 us + 16 us = 1281.6 -> 1282 us (ceil at ns precision: 1281.6 us).
-        let d0 = mux.delay_bound(0).unwrap();
+        let d0 = bound(&mux, 0);
         assert_eq!(d0, Duration::from_nanos(1_265_600 + 16_000));
         // P1: (512 + 8000 + 12144) / (10^7 − 25600) + 16 us.
-        let d1 = mux.delay_bound(1).unwrap();
+        let d1 = bound(&mux, 1);
         let expect_ns = (20_656.0_f64 / (10_000_000.0 - 25_600.0) * 1e9).ceil() as u64 + 16_000;
         assert_eq!(d1.as_nanos(), expect_ns);
         // P2: (512 + 8000 + 12144 + 0) / (10^7 − 25600 − 200000) + 16 us.
-        let d2 = mux.delay_bound(2).unwrap();
+        let d2 = bound(&mux, 2);
         let expect_ns = (20_656.0_f64 / (10_000_000.0 - 225_600.0) * 1e9).ceil() as u64 + 16_000;
         assert_eq!(d2.as_nanos(), expect_ns);
     }
@@ -1012,8 +560,8 @@ mod tests {
     fn priority_bound_agrees_with_curve_machinery() {
         let mux = example_mux();
         for p in 0..3 {
-            let direct = mux.delay_bound(p).unwrap();
-            let via_curves = mux.delay_bound_via_curves(p).unwrap();
+            let direct = bound(&mux, p);
+            let via_curves = deviation_via_curves(&mux, p);
             assert!(
                 direct.as_nanos().abs_diff(via_curves.as_nanos()) <= 2,
                 "p{p}: {direct} vs {via_curves}"
@@ -1026,10 +574,9 @@ mod tests {
         // The point of the paper: the urgent class gets a much smaller bound
         // under strict priority than under FCFS with the same flow set.
         let mux = example_mux();
-        let mut fcfs = FcfsMux::new(c10(), t16());
-        fcfs.add_flows([tb(64, 20), tb(1000, 40), tb(1518, 160)]);
-        let d_fcfs = fcfs.delay_bound().unwrap();
-        let d_p0 = mux.delay_bound(0).unwrap();
+        let flows = [(0, 64, 20), (0, 1000, 40), (0, 1518, 160)];
+        let d_fcfs = bound(&loaded(Mux::fcfs(c10(), t16()), &flows), 0);
+        let d_p0 = bound(&mux, 0);
         assert!(
             d_p0 < d_fcfs,
             "priority 0 bound {d_p0} not below FCFS bound {d_fcfs}"
@@ -1039,57 +586,74 @@ mod tests {
     #[test]
     fn lowest_priority_has_no_blocking_term() {
         let mux = example_mux();
-        let report = mux.analyze().unwrap();
-        assert_eq!(report[2].blocking_burst, DataSize::ZERO);
-        assert!(report[0].blocking_burst > DataSize::ZERO);
+        // Nothing below the lowest level can block it: its residual
+        // latency is t_techno alone, and it is blind-multiplexed on the
+        // bare port service.
+        assert_eq!(mux.residual_service(2).unwrap().latency(), t16());
+        assert_eq!(mux.leftover_base(2), RateLatency::new(c10(), t16()));
+        // Level 0 waits for the largest lower-priority frame, 1518 B.
+        assert!(mux.residual_service(0).unwrap().latency() > t16());
+        let blocking = c10().transmission_time(frame(1518));
+        assert_eq!(
+            mux.leftover_base(0),
+            RateLatency::new(c10(), t16() + blocking)
+        );
     }
 
     #[test]
     fn report_is_ordered_and_complete() {
         let mux = example_mux();
-        let report = mux.analyze().unwrap();
-        assert_eq!(report.len(), 3);
-        for (p, lvl) in report.iter().enumerate() {
-            assert_eq!(lvl.priority, p);
-            assert_eq!(lvl.flow_count, 1);
-            assert!(lvl.residual_rate <= c10());
-            assert!(lvl.delay_bound > Duration::ZERO);
+        assert_eq!(mux.class_count(), 3);
+        mux.check_stability().unwrap();
+        let services: Vec<RateLatency> = (0..3).map(|p| mux.residual_service(p).unwrap()).collect();
+        for (p, service) in services.iter().enumerate() {
+            assert!(service.rate() <= c10());
+            assert!(bound(&mux, p) > Duration::ZERO);
         }
+        // Each level's queue set adds one flow.
+        assert_eq!(mux.class_bucket(0), tb(64, 20));
+        assert_eq!(
+            mux.class_bucket(2).burst(),
+            DataSize::from_bytes(64 + 1000 + 1518)
+        );
         // Residual rate decreases with priority index.
-        assert!(report[0].residual_rate >= report[1].residual_rate);
-        assert!(report[1].residual_rate >= report[2].residual_rate);
+        assert!(services[0].rate() >= services[1].rate());
+        assert!(services[1].rate() >= services[2].rate());
     }
 
     #[test]
     fn unknown_priority_is_rejected() {
-        let mut mux = StaticPriorityMux::new(2, c10(), t16());
-        assert!(matches!(
-            mux.add_flow(5, tb(64, 20)),
-            Err(NcError::UnknownPriority(5))
-        ));
-        assert!(mux.flows_at(7).is_err());
-        assert!(mux.delay_bound(3).is_err());
+        // A priority past the last level is not an error: it is clamped to
+        // the lowest level, like the traffic classifier.
+        let mut mux = Mux::static_priority(2, c10(), t16());
+        mux.add_flow(5, tb(64, 20), frame(64));
+        assert_eq!(mux.class_bucket(0).burst(), DataSize::ZERO);
+        assert_eq!(mux.class_bucket(1), tb(64, 20));
+        assert_eq!(mux.class_bucket(7), tb(64, 20));
+        assert_eq!(bound(&mux, 3), bound(&mux, 1));
     }
 
     #[test]
     fn saturated_higher_priorities_make_lower_levels_unstable() {
-        let mut mux = StaticPriorityMux::new(2, DataRate::from_kbps(100), Duration::ZERO);
         // 1518 bytes every 20 ms ≈ 607 kbps > 100 kbps.
-        mux.add_flow(0, tb(1518, 20)).unwrap();
-        mux.add_flow(1, tb(64, 20)).unwrap();
-        assert!(mux.residual_rate(1).is_err());
-        assert!(mux.delay_bound(1).is_err());
+        let mux = loaded(
+            Mux::static_priority(2, DataRate::from_kbps(100), Duration::ZERO),
+            &[(0, 1518, 20), (1, 64, 20)],
+        );
+        assert!(mux.residual_service(1).is_err());
+        assert!(mux.delay_bound(1, None, false).is_err());
         assert!(mux.check_stability().is_err());
-        assert!(mux.analyze().is_err());
     }
 
     #[test]
     fn cumulative_overload_detected_at_own_level() {
-        // Higher priorities fit, but adding this level's own rate overloads C.
-        let mut mux = StaticPriorityMux::new(2, DataRate::from_kbps(700), Duration::ZERO);
-        mux.add_flow(0, tb(1518, 20)).unwrap(); // ~607 kbps
-        mux.add_flow(1, tb(1518, 20)).unwrap(); // another ~607 kbps
-        assert!(mux.residual_rate(1).is_ok());
+        // Higher priorities fit, but adding this level's own rate overloads C:
+        // ~607 kbps at each of the two levels.
+        let mux = loaded(
+            Mux::static_priority(2, DataRate::from_kbps(700), Duration::ZERO),
+            &[(0, 1518, 20), (1, 1518, 20)],
+        );
+        assert!(mux.residual_service(1).is_ok());
         assert!(mux.check_stability().is_err());
     }
 
@@ -1106,83 +670,75 @@ mod tests {
         let bulk = Envelope::staircase(DataSize::from_bytes(750), period, peak);
         let mut mux = Mux::static_priority(2, DataRate::from_mbps(1), Duration::ZERO);
         for (p, flow) in [&urgent, &bulk].into_iter().enumerate() {
-            mux.add_flow(p, flow.token_bucket(), flow.burst()).unwrap();
+            mux.add_flow(p, flow.token_bucket(), flow.burst());
         }
         mux.check_stability().unwrap();
         // Level 0 keeps the refinement (600k ≤ 1M residual).
-        let level0 = urgent.curve();
+        let level0 = urgent.effective_curve().into_owned();
         assert!(
             mux.delay_bound(0, Some(&level0), true).unwrap()
                 <= mux.delay_bound(0, None, true).unwrap()
         );
         // Closed form: (12_000 + 6_000 bits) / (1M − 600k) = 45 ms.
-        let cumulative = level0.add(&bulk.curve());
+        let cumulative = level0.add(&bulk.effective_curve());
         let bound = mux.delay_bound(1, Some(&cumulative), true).unwrap();
         assert_eq!(mux.delay_bound(1, Some(&cumulative), false).unwrap(), bound);
         assert_eq!(bound, Duration::from_millis(45));
-        // The closed-form backlog is itself a deviation against the
-        // residual, so in this regime it stays (correctly) unavailable.
-        let Mux::StaticPriority(sp) = &mux else {
-            unreachable!("built as a strict-priority mux")
-        };
-        assert!(matches!(sp.backlog_bound(1), Err(NcError::Unstable { .. })));
+        // The level's token-bucket total outruns its residual service.
+        assert!(mux.class_bucket(1).rate() > mux.residual_service(1).unwrap().rate());
     }
 
     #[test]
     fn empty_levels_are_allowed() {
-        let mut mux = StaticPriorityMux::new(4, c10(), t16());
-        mux.add_flow(1, tb(1000, 40)).unwrap();
-        let report = mux.analyze().unwrap();
-        assert_eq!(report[0].flow_count, 0);
+        let mux = loaded(Mux::static_priority(4, c10(), t16()), &[(1, 1000, 40)]);
+        assert_eq!(mux.class_count(), 4);
+        mux.check_stability().unwrap();
+        assert_eq!(mux.class_bucket(0).burst(), DataSize::ZERO);
         // An empty highest level still suffers blocking from lower levels.
-        assert!(report[0].delay_bound > t16());
-        assert_eq!(report.len(), 4);
+        assert!(bound(&mux, 0) > t16());
     }
 
     #[test]
     fn output_envelope_inflates_burst_by_level_delay() {
         let mux = example_mux();
         let f = Envelope::from(tb(64, 20));
-        let out = mux.output_envelope(0, &f).unwrap();
+        let out = f.delayed(bound(&mux, 0)).unwrap();
         assert!(out.burst() >= f.burst());
         assert_eq!(out.rate(), f.rate());
     }
 
     // ---------------- Weighted round robin ----------------
 
-    fn frame(bytes: u64) -> DataSize {
-        DataSize::from_bytes(bytes)
+    /// Three classes with frame quanta 2:1:1 and one flow each.
+    fn example_wrr() -> Mux {
+        let flows = [(0, 64, 20), (1, 1000, 40), (2, 1518, 160)];
+        loaded(
+            Mux::wrr(c10(), t16(), WrrAccounting::Frames, &[2, 1, 1]),
+            &flows,
+        )
     }
 
-    /// Three classes with frame quanta 2:1:1 and one flow each.
-    fn example_wrr() -> WrrMux {
-        let mut mux = WrrMux::new(c10(), t16(), WrrAccounting::Frames, &[2, 1, 1]);
-        mux.add_flow(0, tb(64, 20), frame(64)).unwrap();
-        mux.add_flow(1, tb(1000, 40), frame(1000)).unwrap();
-        mux.add_flow(2, tb(1518, 160), frame(1518)).unwrap();
-        mux
+    /// Byte quanta 6000:2000:2000 with one flow per class.
+    fn byte_wrr() -> Mux {
+        let flows = [(0, 1000, 40), (1, 1000, 40), (2, 1518, 160)];
+        loaded(
+            Mux::wrr(c10(), t16(), WrrAccounting::Bytes, &[6000, 2000, 2000]),
+            &flows,
+        )
     }
 
     #[test]
     fn wrr_single_class_residual_is_the_fcfs_service_curve() {
+        let flows = [(0, 64, 20), (0, 1000, 40), (0, 1518, 160)];
+        let fcfs = loaded(Mux::fcfs(c10(), t16()), &flows);
         for accounting in [WrrAccounting::Frames, WrrAccounting::Bytes] {
-            let mut wrr = WrrMux::new(c10(), t16(), accounting, &[3]);
-            let mut fcfs = FcfsMux::new(c10(), t16());
-            for f in [tb(64, 20), tb(1000, 40), tb(1518, 160)] {
-                wrr.add_flow(0, f, DataSize::from_bits(f.burst().bits()))
-                    .unwrap();
-                fcfs.add_flow(f);
-            }
+            let wrr = loaded(Mux::wrr(c10(), t16(), accounting, &[3]), &flows);
             // With no competing class there is no quantum interference and
             // no non-preemption blocking: the residual is β_{C, t_techno}.
             let residual = wrr.residual_service(0).unwrap();
             assert_eq!(residual.rate(), c10(), "{accounting:?}");
             assert_eq!(residual.latency(), t16(), "{accounting:?}");
-            assert_eq!(
-                wrr.delay_bound(0).unwrap(),
-                fcfs.delay_bound().unwrap(),
-                "{accounting:?}"
-            );
+            assert_eq!(bound(&wrr, 0), bound(&fcfs, 0), "{accounting:?}");
         }
     }
 
@@ -1208,13 +764,11 @@ mod tests {
     #[test]
     fn wrr_byte_quanta_give_the_exact_rate_share() {
         // Byte quanta 6000:2000:2000 → shares 60/20/20 of 10 Mbps.
-        let mut mux = WrrMux::new(c10(), t16(), WrrAccounting::Bytes, &[6000, 2000, 2000]);
-        mux.add_flow(0, tb(1000, 40), frame(1000)).unwrap();
-        mux.add_flow(1, tb(1000, 40), frame(1000)).unwrap();
-        mux.add_flow(2, tb(1518, 160), frame(1518)).unwrap();
-        assert_eq!(mux.residual_rate(0).unwrap(), DataRate::from_mbps(6));
-        assert_eq!(mux.residual_rate(1).unwrap(), DataRate::from_mbps(2));
-        assert_eq!(mux.residual_rate(2).unwrap(), DataRate::from_mbps(2));
+        let mux = byte_wrr();
+        let rate = |p| mux.residual_service(p).unwrap().rate();
+        assert_eq!(rate(0), DataRate::from_mbps(6));
+        assert_eq!(rate(1), DataRate::from_mbps(2));
+        assert_eq!(rate(2), DataRate::from_mbps(2));
         // Latency of class 0: t_techno + (ΣQ' + ΣL' + L_max' + L_0·ΣQ'/Q_0)/C
         // with ΣQ' = 4000·8 bits, ΣL' = (1000+1518)·8, L_max' = 1518·8,
         // L_0 = 1000·8, Q_0 = 6000·8.
@@ -1230,147 +784,182 @@ mod tests {
     #[test]
     fn wrr_report_is_ordered_and_complete() {
         let mux = example_wrr();
-        let report = mux.analyze().unwrap();
-        assert_eq!(report.len(), 3);
-        for (p, class) in report.iter().enumerate() {
-            assert_eq!(class.class, p);
-            assert_eq!(class.flow_count, 1);
-            assert!(class.delay_bound > Duration::ZERO);
-            assert!(class.residual_rate <= c10());
-            assert!(class.residual_latency >= t16());
+        assert_eq!(mux.class_count(), 3);
+        mux.check_stability().unwrap();
+        let flows = [tb(64, 20), tb(1000, 40), tb(1518, 160)];
+        for (p, flow) in flows.iter().enumerate() {
+            // Each class's queue set is the class alone.
+            assert_eq!(mux.class_bucket(p), *flow);
+            let service = mux.residual_service(p).unwrap();
+            assert!(bound(&mux, p) > Duration::ZERO);
+            assert!(service.rate() <= c10());
+            assert!(service.latency() >= t16());
         }
-        assert_eq!(report[0].quantum, 2);
-        assert!(mux.utilization() > 0.0 && mux.utilization() < 1.0);
-        assert_eq!(mux.flow_count(), 3);
     }
 
     #[test]
     fn wrr_detects_class_overload() {
         // Class 1 gets a tiny quantum share but carries ~6 Mbps.
-        let mut mux = WrrMux::new(c10(), Duration::ZERO, WrrAccounting::Bytes, &[15_000, 100]);
-        mux.add_flow(0, tb(64, 20), frame(64)).unwrap();
-        mux.add_flow(1, tb(1518, 2), frame(1518)).unwrap();
+        let mux = loaded(
+            Mux::wrr(c10(), Duration::ZERO, WrrAccounting::Bytes, &[15_000, 100]),
+            &[(0, 64, 20), (1, 1518, 2)],
+        );
         assert!(mux.check_stability().is_err());
-        assert!(mux.delay_bound(1).is_err());
-        assert!(mux.analyze().is_err());
+        assert!(mux.delay_bound(1, None, false).is_err());
         // The under-loaded class is still fine on its own.
-        assert!(mux.delay_bound(0).is_ok());
+        assert!(mux.delay_bound(0, None, false).is_ok());
     }
 
     #[test]
     fn wrr_empty_class_has_latency_only_bound() {
-        let mut mux = WrrMux::new(c10(), t16(), WrrAccounting::Frames, &[1, 1]);
-        mux.add_flow(1, tb(1518, 40), frame(1518)).unwrap();
-        let d0 = mux.delay_bound(0).unwrap();
+        let mux = loaded(
+            Mux::wrr(c10(), t16(), WrrAccounting::Frames, &[1, 1]),
+            &[(1, 1518, 40)],
+        );
+        let d0 = bound(&mux, 0);
         assert_eq!(d0, mux.residual_service(0).unwrap().latency());
         assert!(d0 > t16(), "empty class still blocked by the other class");
-        assert_eq!(mux.backlog_bound(0).unwrap(), DataSize::ZERO);
     }
 
     #[test]
     fn wrr_unknown_class_is_rejected() {
-        let mut mux = WrrMux::new(c10(), t16(), WrrAccounting::Frames, &[1, 1]);
-        assert!(matches!(
-            mux.add_flow(5, tb(64, 20), frame(64)),
-            Err(NcError::UnknownPriority(5))
-        ));
-        assert!(mux.flows_at(7).is_err());
-        assert!(mux.delay_bound(3).is_err());
-        assert!(mux.backlog_bound(3).is_err());
+        // A class past the last one is not an error: it is clamped to the
+        // last class, like the traffic classifier.
+        let mut mux = Mux::wrr(c10(), t16(), WrrAccounting::Frames, &[1, 1]);
+        mux.add_flow(5, tb(64, 20), frame(64));
+        assert_eq!(mux.class_bucket(1), tb(64, 20));
+        assert_eq!(bound(&mux, 3), bound(&mux, 1));
+        assert_eq!(mux.residual_service(9), mux.residual_service(1));
     }
 
     #[test]
     fn wrr_bound_is_sound_for_the_rate_share_closed_form() {
         // Closed form spot check, byte quanta: D_0 = Θ_0 + b_0 / ρ_0.
-        let mut mux = WrrMux::new(c10(), t16(), WrrAccounting::Bytes, &[6000, 2000, 2000]);
-        mux.add_flow(0, tb(1000, 40), frame(1000)).unwrap();
-        mux.add_flow(1, tb(1000, 40), frame(1000)).unwrap();
-        mux.add_flow(2, tb(1518, 160), frame(1518)).unwrap();
+        let mux = byte_wrr();
         let service = mux.residual_service(0).unwrap();
         let expected = service.latency() + service.rate().transmission_time(frame(1000));
-        let got = mux.delay_bound(0).unwrap();
+        let got = bound(&mux, 0);
         assert!(
             got.as_nanos().abs_diff(expected.as_nanos()) <= 1,
             "{got} vs {expected}"
         );
     }
 
-    // ---------------- policy-generic dispatch ----------------
+    // ---------------- one multiplexer, three disciplines ----------------
 
     #[test]
     fn mux_dispatch_matches_the_direct_multiplexers() {
-        let flows = [tb(64, 20), tb(1000, 40), tb(1518, 160)];
-
-        let mut direct_fcfs = FcfsMux::new(c10(), t16());
-        let mut via_fcfs = Mux::fcfs(c10(), t16());
-        for (p, f) in flows.iter().enumerate() {
-            direct_fcfs.add_flow(*f);
-            via_fcfs
-                .add_flow(p, *f, DataSize::from_bits(f.burst().bits()))
-                .unwrap();
-        }
-        assert_eq!(via_fcfs.class_count(), 1);
-        for p in 0..3 {
-            assert_eq!(
-                via_fcfs.delay_bound(p, None, true).unwrap(),
-                direct_fcfs.delay_bound().unwrap()
-            );
-        }
-        assert_eq!(
-            via_fcfs.residual_service(0).unwrap(),
-            direct_fcfs.service_curve()
+        let flows = [(0, 64, 20), (1, 1000, 40), (2, 1518, 160)];
+        let fcfs = loaded(Mux::fcfs(c10(), t16()), &flows);
+        let sp = loaded(Mux::static_priority(3, c10(), t16()), &flows);
+        let wrr = loaded(
+            Mux::wrr(c10(), t16(), WrrAccounting::Frames, &[2, 1, 1]),
+            &flows,
         );
-
-        let mut direct_sp = StaticPriorityMux::new(3, c10(), t16());
-        let mut via_sp = Mux::static_priority(3, c10(), t16());
-        for (p, f) in flows.iter().enumerate() {
-            direct_sp.add_flow(p, *f).unwrap();
-            via_sp
-                .add_flow(p, *f, DataSize::from_bits(f.burst().bits()))
-                .unwrap();
-        }
+        assert_eq!(
+            (fcfs.class_count(), sp.class_count(), wrr.class_count()),
+            (1, 3, 3)
+        );
+        assert!(sp.is_cumulative() && !fcfs.is_cumulative() && !wrr.is_cumulative());
+        let buckets = [tb(64, 20), tb(1000, 40), tb(1518, 160)];
         for p in 0..3 {
+            // FCFS sums every flow, strict priority the levels up to p,
+            // WRR the class alone.
+            assert_eq!(fcfs.class_bucket(p), TokenBucket::aggregate_all(buckets));
             assert_eq!(
-                via_sp.delay_bound(p, None, true).unwrap(),
-                direct_sp.delay_bound(p).unwrap()
+                sp.class_bucket(p),
+                TokenBucket::aggregate_all(&buckets[..=p])
             );
+            assert_eq!(wrr.class_bucket(p), buckets[p]);
+            // FCFS is one class: every class reads the same bound and the
+            // bare port service.
+            assert_eq!(bound(&fcfs, p), bound(&fcfs, 0));
             assert_eq!(
-                via_sp.residual_service(p).unwrap(),
-                direct_sp.residual_service(p).unwrap()
+                fcfs.residual_service(p).unwrap(),
+                RateLatency::new(c10(), t16())
             );
+            // Every bound is the class's total through its residual
+            // service, up to the closed forms' nanosecond rounding.
+            for mux in [&fcfs, &sp, &wrr] {
+                let service = mux.residual_service(p).unwrap();
+                let through = bounds::delay_bound(&mux.class_bucket(p), &service).unwrap();
+                let d = bound(mux, p);
+                assert!(
+                    d.as_nanos().abs_diff(through.as_nanos()) <= 2,
+                    "{d} vs {through}"
+                );
+            }
         }
         // Out-of-range classes are clamped, exactly like the classifier.
+        assert_eq!(bound(&sp, 9), bound(&sp, 2));
+    }
+
+    #[test]
+    fn overload_errors_are_pinned_per_discipline() {
+        // These errors reach admission rejection reasons on the wire, so
+        // their context text, demand and capacity are pinned whole.
+        let unstable = |context: &str, demand_bps, capacity_bps| NcError::Unstable {
+            context: context.to_string(),
+            demand_bps,
+            capacity_bps,
+        };
+
+        // FCFS: 1518 B every 1 ms is 12.144 Mbps on a 10 kbps link.
+        let fcfs = loaded(
+            Mux::fcfs(DataRate::from_kbps(10), Duration::ZERO),
+            &[(0, 1518, 1)],
+        );
+        let overload = unstable("FCFS multiplexer", 12_144_000, 10_000);
+        assert_eq!(fcfs.check_stability(), Err(overload.clone()));
+        assert_eq!(fcfs.delay_bound(0, None, false), Err(overload));
+
+        // Strict priority, residual saturation: level 0 takes exactly the
+        // whole link (607.2 kbps), which its own cumulative load allows,
+        // and leaves level 1 no residual rate.
+        let sp = loaded(
+            Mux::static_priority(3, DataRate::from_bps(607_200), Duration::ZERO),
+            &[(0, 1518, 20), (1, 64, 20)],
+        );
+        let saturated = unstable("priority 1 residual rate", 607_200, 607_200);
+        assert_eq!(sp.check_stability(), Err(saturated.clone()));
+        assert_eq!(sp.delay_bound(1, None, false), Err(saturated));
         assert_eq!(
-            via_sp.delay_bound(9, None, true).unwrap(),
-            direct_sp.delay_bound(2).unwrap()
+            sp.delay_bound(2, None, false),
+            Err(unstable("priority 2 residual rate", 632_800, 607_200))
         );
 
-        let mut direct_wrr = WrrMux::new(c10(), t16(), WrrAccounting::Frames, &[2, 1, 1]);
-        let mut via_wrr = Mux::wrr(c10(), t16(), WrrAccounting::Frames, &[2, 1, 1]);
-        for (p, f) in flows.iter().enumerate() {
-            let fr = DataSize::from_bits(f.burst().bits());
-            direct_wrr.add_flow(p, *f, fr).unwrap();
-            via_wrr.add_flow(p, *f, fr).unwrap();
-        }
-        via_wrr.check_stability().unwrap();
-        for p in 0..3 {
-            assert_eq!(
-                via_wrr.delay_bound(p, None, true).unwrap(),
-                direct_wrr.delay_bound(p).unwrap()
-            );
-        }
+        // Strict priority, cumulative load: levels 0 and 1 fit one at a
+        // time (607.2 kbps each on 700 kbps) but not together.  The closed
+        // form reads only the residual rate, so the bound itself exists;
+        // the stability check is what rejects the port.
+        let sp = loaded(
+            Mux::static_priority(2, DataRate::from_kbps(700), Duration::ZERO),
+            &[(0, 1518, 20), (1, 1518, 20)],
+        );
+        assert_eq!(
+            sp.check_stability(),
+            Err(unstable("priority 1 cumulative load", 1_214_400, 700_000))
+        );
+        assert!(sp.delay_bound(1, None, false).is_ok());
+
+        // WRR in bytes: class 1's 100 B quantum against class 0's 15000 B
+        // leaves it ⌊10 Mbps · 800 / 120800⌋ = 66225 b/s for 6.072 Mbps.
+        let wrr = loaded(
+            Mux::wrr(c10(), Duration::ZERO, WrrAccounting::Bytes, &[15_000, 100]),
+            &[(0, 64, 20), (1, 1518, 2)],
+        );
+        let overload = unstable("WRR class 1 residual rate", 6_072_000, 66_225);
+        assert_eq!(wrr.check_stability(), Err(overload.clone()));
+        assert_eq!(wrr.delay_bound(1, None, false), Err(overload));
     }
 
     #[test]
     fn single_level_priority_equals_fcfs() {
         // With a single priority level and no lower-priority blocking, the
         // strict-priority formula degenerates to the FCFS formula.
-        let mut sp = StaticPriorityMux::new(1, c10(), t16());
-        let mut fcfs = FcfsMux::new(c10(), t16());
-        for f in [tb(64, 20), tb(1000, 40), tb(1518, 160)] {
-            sp.add_flow(0, f).unwrap();
-            fcfs.add_flow(f);
-        }
-        assert_eq!(sp.delay_bound(0).unwrap(), fcfs.delay_bound().unwrap());
+        let flows = [(0, 64, 20), (0, 1000, 40), (0, 1518, 160)];
+        let sp = loaded(Mux::static_priority(1, c10(), t16()), &flows);
+        let fcfs = loaded(Mux::fcfs(c10(), t16()), &flows);
+        assert_eq!(bound(&sp, 0), bound(&fcfs, 0));
     }
 }

@@ -1,19 +1,9 @@
-//! Service curves: rate-latency and constant-rate servers.
+//! Service curves: rate-latency servers.
 
 use crate::arrival::TokenBucket;
 use crate::curve::Curve;
 use serde::{Deserialize, Serialize};
-use units::{DataRate, DataSize, Duration};
-
-/// Anything that lower-bounds the service offered by a network element.
-pub trait ServiceBound {
-    /// The convex piecewise-linear service curve, in (seconds, bits).
-    fn curve(&self) -> Curve;
-    /// The long-term service rate, in bits per second.
-    fn rate(&self) -> DataRate;
-    /// The worst-case dead time before service starts, in seconds.
-    fn latency(&self) -> Duration;
-}
+use units::{DataRate, Duration};
 
 /// A rate-latency service curve `β_{R,T}(t) = R·(t − T)⁺`.
 ///
@@ -32,14 +22,6 @@ impl RateLatency {
         RateLatency { rate, latency }
     }
 
-    /// A pure constant-rate server (zero latency).
-    pub fn constant_rate(rate: DataRate) -> Self {
-        RateLatency {
-            rate,
-            latency: Duration::ZERO,
-        }
-    }
-
     /// The guaranteed service rate.
     pub fn rate(&self) -> DataRate {
         self.rate
@@ -48,6 +30,12 @@ impl RateLatency {
     /// The worst-case initial latency.
     pub fn latency(&self) -> Duration {
         self.latency
+    }
+
+    /// The convex service curve `R·(t − T)⁺`, in (seconds, bits).
+    pub fn curve(&self) -> Curve {
+        Curve::rate_latency(self.rate.as_f64_bps(), self.latency.as_secs_f64())
+            .expect("rate-latency parameters are always a valid curve")
     }
 
     /// The concatenation of two rate-latency servers traversed in sequence:
@@ -59,29 +47,6 @@ impl RateLatency {
             rate: self.rate.min(next.rate),
             latency: self.latency + next.latency,
         }
-    }
-
-    /// The residual (left-over) rate-latency service seen by traffic that
-    /// shares this server with higher-priority interference of sustained
-    /// rate `hp_rate`, and that can additionally be blocked for
-    /// `blocking` seconds by a lower-priority frame already in transmission.
-    ///
-    /// Returns `None` when the interference saturates the server
-    /// (`hp_rate ≥ rate`), i.e. no finite residual service exists.
-    pub fn residual(&self, hp_rate: DataRate, blocking: Duration) -> Option<RateLatency> {
-        if hp_rate >= self.rate {
-            return None;
-        }
-        Some(RateLatency {
-            rate: self.rate - hp_rate,
-            latency: self.latency + blocking,
-        })
-    }
-
-    /// The time this server needs to fully transmit `size` bits in the worst
-    /// case (latency plus transmission at the guaranteed rate).
-    pub fn completion_time(&self, size: DataSize) -> Duration {
-        self.latency + self.rate.transmission_time(size)
     }
 
     /// The blind-multiplexing **left-over service curve** seen by one flow
@@ -134,24 +99,12 @@ impl RateLatency {
     }
 }
 
-impl ServiceBound for RateLatency {
-    fn curve(&self) -> Curve {
-        Curve::rate_latency(self.rate.as_f64_bps(), self.latency.as_secs_f64())
-            .expect("rate-latency parameters are always a valid curve")
-    }
-
-    fn rate(&self) -> DataRate {
-        self.rate
-    }
-
-    fn latency(&self) -> Duration {
-        self.latency
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::delay_bound;
+    use crate::mux::Mux;
+    use units::DataSize;
 
     #[test]
     fn accessors_and_curve() {
@@ -165,8 +118,10 @@ mod tests {
 
     #[test]
     fn constant_rate_has_zero_latency() {
-        let s = RateLatency::constant_rate(DataRate::from_mbps(100));
-        assert_eq!(s.latency(), Duration::ZERO);
+        // A constant-rate server is the rate-latency server without dead
+        // time: its curve starts rising at the origin.
+        let s = RateLatency::new(DataRate::from_mbps(100), Duration::ZERO);
+        assert_eq!(s.curve().points(), &[(0.0, 0.0)]);
         assert!((s.curve().eval(0.001) - 100_000.0).abs() < 1e-3);
     }
 
@@ -181,19 +136,28 @@ mod tests {
 
     #[test]
     fn residual_service() {
-        let s = RateLatency::new(DataRate::from_mbps(10), Duration::from_micros(16));
-        let res = s
-            .residual(DataRate::from_mbps(4), Duration::from_micros(100))
-            .unwrap();
+        // A strict-priority level's residual service: 4 Mbps of
+        // higher-priority interference leaves 6 Mbps of a 10 Mbps / 16 µs
+        // port, after a 600-bit lower-priority frame blocks it for
+        // 600 / 6·10^6 s = 100 µs.
+        let port = |higher: u64| {
+            let mut mux =
+                Mux::static_priority(3, DataRate::from_mbps(10), Duration::from_micros(16));
+            let frame = DataSize::from_bits(600);
+            mux.add_flow(
+                0,
+                TokenBucket::new(frame, DataRate::from_mbps(higher)),
+                frame,
+            );
+            mux.add_flow(2, TokenBucket::new(frame, DataRate::from_bps(1)), frame);
+            mux
+        };
+        let res = port(4).residual_service(1).unwrap();
         assert_eq!(res.rate(), DataRate::from_mbps(6));
         assert_eq!(res.latency(), Duration::from_micros(116));
         // Saturated by interference.
-        assert!(s
-            .residual(DataRate::from_mbps(10), Duration::ZERO)
-            .is_none());
-        assert!(s
-            .residual(DataRate::from_mbps(11), Duration::ZERO)
-            .is_none());
+        assert!(port(10).residual_service(1).is_err());
+        assert!(port(11).residual_service(1).is_err());
     }
 
     #[test]
@@ -229,12 +193,15 @@ mod tests {
 
     #[test]
     fn completion_time() {
+        // The worst-case completion time of a lone burst is the delay bound
+        // `T + b/R` of a token bucket that holds only that burst.
         let s = RateLatency::new(DataRate::from_mbps(10), Duration::from_micros(16));
+        let completion = |size| delay_bound(&TokenBucket::new(size, DataRate::ZERO), &s).unwrap();
         // 100 bytes = 800 bits -> 80 us, plus 16 us latency.
         assert_eq!(
-            s.completion_time(DataSize::from_bytes(100)),
+            completion(DataSize::from_bytes(100)),
             Duration::from_micros(96)
         );
-        assert_eq!(s.completion_time(DataSize::ZERO), Duration::from_micros(16));
+        assert_eq!(completion(DataSize::ZERO), Duration::from_micros(16));
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! * [`units`] — exact integer time / size / rate quantities;
 //! * [`netcalc`] — Network Calculus (arrival/service curves, delay bounds,
-//!   FCFS, strict-priority and weighted-round-robin multiplexer formulas
-//!   behind the policy-generic [`netcalc::Mux`] dispatch);
+//!   output envelopes, and the FCFS, strict-priority and
+//!   weighted-round-robin multiplexer formulas of one [`netcalc::Mux`]
+//!   type);
 //! * [`ethernet`] — frames, 802.1Q/p tags, PHY timing, links, switches,
 //!   topologies;
 //! * [`milstd1553`] — the MIL-STD-1553B baseline (scheduling, analysis,

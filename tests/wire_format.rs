@@ -39,7 +39,14 @@ fn nc_error_json_shapes_are_pinned() {
             NcError::InvalidCurve("empty".to_string()),
             r#"{"InvalidCurve":"empty"}"#,
         ),
-        (NcError::UnknownPriority(5), r#"{"UnknownPriority":5}"#),
+        (
+            NcError::Unstable {
+                context: "FCFS multiplexer".to_string(),
+                demand_bps: 12_144_000,
+                capacity_bps: 10_000,
+            },
+            r#"{"Unstable":{"context":"FCFS multiplexer","demand_bps":12144000,"capacity_bps":10000}}"#,
+        ),
     ];
     for (error, pinned) in cases {
         let json = serde_json::to_string(&error).unwrap();
