@@ -219,10 +219,6 @@ pub fn execute_scenario_with(
 ) -> ScenarioResult {
     let workload = scenario.build_workload();
     let fabric = scenario.build_fabric(&workload);
-    debug_assert_eq!(
-        scenario.build_topology(&workload).end_systems().len(),
-        workload.stations.len()
-    );
     let config = scenario.network_config();
     let model = envelope_override.unwrap_or(scenario.envelope);
     let tb_analysis = analyze_multi_hop_with(

@@ -10,10 +10,7 @@
 //! no matter how many workers execute the campaign or in which order.
 
 use ethernet::fabric::Fabric;
-use ethernet::link::Link;
-use ethernet::phy::Phy;
-use ethernet::switch::{SwitchModel, WrrUnit, WrrWeights};
-use ethernet::topology::Topology;
+use ethernet::switch::{WrrUnit, WrrWeights};
 use netcalc::EnvelopeModel;
 use netsim::{
     Babbler, FaultModel, HealthMonitor, LinkFault, Phasing, SimConfig, SporadicModel, TrunkFailover,
@@ -274,26 +271,6 @@ impl Scenario {
     /// simulation route over.
     pub fn build_fabric(&self, workload: &Workload) -> Fabric {
         self.fabric.build(workload.stations.len())
-    }
-
-    /// Builds the concrete [`Topology`] this scenario's fabric expands to:
-    /// the scenario's switches running its policy, trunk links between
-    /// them, one full-duplex link per workload station, everything at the
-    /// scenario's rate.
-    pub fn build_topology(&self, workload: &Workload) -> Topology {
-        let policy = self.approach.scheduling_policy(4);
-        let switch = SwitchModel::new("campaign-switch", workload.stations.len(), policy)
-            .with_relaying_latency(self.ttechno);
-        let phy = match self.link_rate.bps() {
-            10_000_000 => Phy::TenMbps,
-            100_000_000 => Phy::FastEthernet,
-            1_000_000_000 => Phy::GigabitEthernet,
-            _ => Phy::Custom(self.link_rate),
-        };
-        let (topology, _, _) = self
-            .build_fabric(workload)
-            .to_topology(&switch, Link::new(phy));
-        topology
     }
 
     /// The simulation configuration of this scenario: the analysed policy,
@@ -681,22 +658,7 @@ mod tests {
             assert!(!w.messages.is_empty());
             let fabric = scenario.build_fabric(&w);
             assert_eq!(fabric.switch_count(), scenario.fabric.switch_count());
-            let topo = scenario.build_topology(&w);
-            assert_eq!(topo.end_systems().len(), w.stations.len());
-            assert_eq!(topo.switches().len(), fabric.switch_count());
-            // Every message's topology route matches the fabric's.
-            for m in &w.messages {
-                let route = topo
-                    .route(
-                        topo.end_systems()[m.source.0],
-                        topo.end_systems()[m.destination.0],
-                    )
-                    .expect("fabric topologies are connected");
-                assert_eq!(
-                    route.hop_count(),
-                    fabric.link_count(m.source.0, m.destination.0)
-                );
-            }
+            assert_eq!(fabric.station_count(), w.stations.len());
         }
     }
 

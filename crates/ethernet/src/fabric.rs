@@ -13,13 +13,7 @@
 //!   port sequence and propagates arrival curves hop by hop;
 //! * the **simulator** (`netsim::Simulator::with_fabric`) forwards frames
 //!   across the cascaded switches using the same next-hop tables.
-//!
-//! A [`Fabric`] can be lowered to a full [`Topology`] with
-//! [`Fabric::to_topology`]; the two agree on every route (see the tests).
 
-use crate::link::Link;
-use crate::switch::SwitchModel;
-use crate::topology::{NodeId, Topology};
 use core::fmt;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -331,50 +325,43 @@ impl Fabric {
         // fabric): fall back to a parallel standby link on the same pair.
         Some(failed_pair)
     }
-
-    /// Lowers the fabric to a full [`Topology`]: switches first (same
-    /// indices), then one end system per station (in station order), every
-    /// link carrying `link`.  Returns the topology together with the switch
-    /// and station node ids.
-    pub fn to_topology(
-        &self,
-        model: &SwitchModel,
-        link: Link,
-    ) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
-        let mut topo = Topology::new();
-        let switch_ids: Vec<NodeId> = (0..self.switch_count)
-            .map(|s| {
-                let mut m = model.clone();
-                m.name = format!("{}-{s}", model.name);
-                topo.add_switch(m)
-            })
-            .collect();
-        for &(a, b) in &self.trunks {
-            topo.connect(switch_ids[a], switch_ids[b], link)
-                .expect("validated trunk");
-        }
-        let station_ids: Vec<NodeId> = self
-            .station_switch
-            .iter()
-            .enumerate()
-            .map(|(i, &sw)| {
-                topo.attach_end_system(format!("station-{i}"), switch_ids[sw], link)
-                    .map(|(id, _)| id)
-                    .expect("validated attachment")
-            })
-            .collect();
-        (topo, switch_ids, station_ids)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phy::Phy;
-    use crate::switch::SchedulingPolicy;
 
-    fn model() -> SwitchModel {
-        SwitchModel::new("sw", 16, SchedulingPolicy::StrictPriority { levels: 4 })
+    /// The switch path from `src`'s switch to `dst`'s, found by a
+    /// breadth-first search over [`Fabric::trunks`] that shares nothing
+    /// with the fabric's next-hop tables.
+    fn searched_switch_path(fabric: &Fabric, src: usize, dst: usize) -> Vec<usize> {
+        let (from, to) = (fabric.switch_of(src), fabric.switch_of(dst));
+        let mut parent = vec![None; fabric.switch_count()];
+        parent[from] = Some(from);
+        let mut queue = VecDeque::from([from]);
+        while let Some(current) = queue.pop_front() {
+            for &(a, b) in fabric.trunks() {
+                let next = if current == a {
+                    b
+                } else if current == b {
+                    a
+                } else {
+                    continue;
+                };
+                if parent[next].is_none() {
+                    parent[next] = Some(current);
+                    queue.push_back(next);
+                }
+            }
+        }
+        let mut path = vec![to];
+        let mut node = to;
+        while node != from {
+            node = parent[node].expect("fabrics are connected");
+            path.push(node);
+        }
+        path.reverse();
+        path
     }
 
     #[test]
@@ -452,31 +439,23 @@ mod tests {
     }
 
     #[test]
-    fn to_topology_agrees_with_fabric_routing() {
+    fn routes_match_a_breadth_first_search_over_the_trunks() {
+        let line = Fabric::line(3, 6);
+        let failover = line
+            .with_failover(0, line.backup_for(0).expect("trunk 0 exists"))
+            .expect("backup reconnects");
         for fabric in [
             Fabric::single_switch(4),
-            Fabric::line(3, 6),
+            line,
             Fabric::star_of_stars(3, 7),
+            failover,
         ] {
-            let (topo, switch_ids, station_ids) =
-                fabric.to_topology(&model(), Link::new(Phy::FastEthernet));
-            assert_eq!(topo.switches().len(), fabric.switch_count());
-            assert_eq!(topo.end_systems().len(), fabric.station_count());
             for src in 0..fabric.station_count() {
                 for dst in 0..fabric.station_count() {
-                    if src == dst {
-                        continue;
-                    }
-                    let route = topo
-                        .route(station_ids[src], station_ids[dst])
-                        .expect("fabric topologies are connected");
-                    assert_eq!(route.hop_count(), fabric.link_count(src, dst));
-                    let switches: Vec<usize> = route
-                        .nodes()
-                        .iter()
-                        .filter_map(|n| switch_ids.iter().position(|s| s == n))
-                        .collect();
-                    assert_eq!(switches, fabric.switch_path(src, dst));
+                    let expected = searched_switch_path(&fabric, src, dst);
+                    // Uplink, one trunk per switch-to-switch step, delivery.
+                    assert_eq!(fabric.link_count(src, dst), expected.len() + 1);
+                    assert_eq!(fabric.switch_path(src, dst), expected);
                 }
             }
         }

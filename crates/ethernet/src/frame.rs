@@ -1,235 +1,52 @@
-//! Ethernet II frames (optionally 802.1Q tagged).
+//! The wire size of an 802.1Q-tagged Ethernet II frame.
 
-use crate::ethertype::EtherType;
-use crate::mac::MacAddress;
-use crate::vlan::VlanTag;
-use core::fmt;
-use serde::{Deserialize, Serialize};
 use units::DataSize;
 
-/// Minimum Ethernet frame size on the wire (header + payload + FCS), bytes.
-pub const MIN_FRAME_SIZE: u64 = 64;
-/// Maximum untagged Ethernet frame size on the wire, bytes.
-pub const MAX_FRAME_SIZE: u64 = 1518;
-/// Maximum payload (MTU) of an untagged frame, bytes.
+/// Maximum payload (MTU) of a frame, bytes.
 pub const MAX_PAYLOAD: u64 = 1500;
 /// Destination + source MAC + EtherType, bytes.
-pub const HEADER_SIZE: u64 = 14;
+const HEADER_SIZE: u64 = 14;
 /// Frame check sequence, bytes.
-pub const FCS_SIZE: u64 = 4;
+const FCS_SIZE: u64 = 4;
+/// Minimum untagged frame size (header + payload + FCS), bytes.
+const MIN_FRAME_SIZE: u64 = 64;
+/// The 802.1Q tag that carries the 802.1p priority, bytes.
+const VLAN_TAG_SIZE: u64 = 4;
 
-/// Errors raised when building or parsing a frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
-    /// The payload exceeds the 1500-byte MTU.
-    PayloadTooLarge(usize),
-    /// A byte buffer was too short to contain a valid frame.
-    Truncated {
-        /// Bytes required for the attempted parse.
-        needed: usize,
-        /// Bytes actually available.
-        got: usize,
-    },
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::PayloadTooLarge(n) => {
-                write!(f, "payload of {n} bytes exceeds the {MAX_PAYLOAD}-byte MTU")
-            }
-            FrameError::Truncated { needed, got } => {
-                write!(f, "buffer truncated: needed {needed} bytes, got {got}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-/// An Ethernet II frame, optionally carrying an 802.1Q tag.
+/// The size on the wire of the 802.1Q-tagged frame carrying `payload`
+/// (header, tag, payload, FCS; preamble and inter-frame gap excluded): the
+/// `b_i` a message contributes to the Network-Calculus formulas.
 ///
-/// The payload is stored as owned bytes; padding up to the 64-byte minimum
-/// frame size is *not* materialized but is accounted for by
-/// [`EthernetFrame::wire_size`], which is what every timing computation uses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EthernetFrame {
-    /// Destination MAC address.
-    pub destination: MacAddress,
-    /// Source MAC address.
-    pub source: MacAddress,
-    /// Optional 802.1Q tag (carries the 802.1p priority).
-    pub vlan: Option<VlanTag>,
-    /// EtherType of the payload.
-    pub ethertype: EtherType,
-    /// Payload bytes (at most [`MAX_PAYLOAD`]).
-    pub payload: Vec<u8>,
-}
-
-impl EthernetFrame {
-    /// Builds an untagged frame.
-    pub fn new(
-        destination: MacAddress,
-        source: MacAddress,
-        ethertype: EtherType,
-        payload: Vec<u8>,
-    ) -> Result<Self, FrameError> {
-        if payload.len() as u64 > MAX_PAYLOAD {
-            return Err(FrameError::PayloadTooLarge(payload.len()));
-        }
-        Ok(EthernetFrame {
-            destination,
-            source,
-            vlan: None,
-            ethertype,
-            payload,
-        })
-    }
-
-    /// Builds an 802.1Q-tagged frame.
-    pub fn new_tagged(
-        destination: MacAddress,
-        source: MacAddress,
-        vlan: VlanTag,
-        ethertype: EtherType,
-        payload: Vec<u8>,
-    ) -> Result<Self, FrameError> {
-        let mut frame = Self::new(destination, source, ethertype, payload)?;
-        frame.vlan = Some(vlan);
-        Ok(frame)
-    }
-
-    /// The frame size on the wire (header, optional tag, payload padded to
-    /// the minimum, FCS), **excluding** preamble and inter-frame gap.
-    ///
-    /// This is the `b_i` a message of this payload contributes to the
-    /// Network-Calculus formulas.
-    pub fn wire_size(&self) -> DataSize {
-        DataSize::from_bytes(Self::wire_size_bytes(
-            self.payload.len() as u64,
-            self.vlan.is_some(),
-        ))
-    }
-
-    /// The wire size (bytes) of a frame carrying `payload_bytes` of payload.
-    ///
-    /// Padding: the MAC enforces a 64-byte minimum on the *untagged* frame
-    /// length; a tag adds 4 bytes on top of whatever the untagged frame
-    /// would have been.
-    pub fn wire_size_bytes(payload_bytes: u64, tagged: bool) -> u64 {
-        let untagged = (HEADER_SIZE + payload_bytes + FCS_SIZE).max(MIN_FRAME_SIZE);
-        untagged
-            + if tagged {
-                VlanTag::WIRE_OVERHEAD_BYTES
-            } else {
-                0
-            }
-    }
-
-    /// The wire size of the largest standard frame (tagged or not) — the
-    /// blocking term a non-preemptable low-priority frame can impose.
-    pub fn max_wire_size(tagged: bool) -> DataSize {
-        DataSize::from_bytes(
-            MAX_FRAME_SIZE
-                + if tagged {
-                    VlanTag::WIRE_OVERHEAD_BYTES
-                } else {
-                    0
-                },
-        )
-    }
-
-    /// The 802.1p priority carried by the frame, if tagged.
-    pub fn priority(&self) -> Option<u8> {
-        self.vlan.map(|tag| tag.pcp.value())
-    }
-}
-
-impl fmt::Display for EthernetFrame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} -> {} {} {} ({} payload bytes, {} on wire)",
-            self.source,
-            self.destination,
-            self.vlan
-                .map(|t| t.to_string())
-                .unwrap_or_else(|| "untagged".into()),
-            self.ethertype,
-            self.payload.len(),
-            self.wire_size()
-        )
-    }
+/// The payload counts in whole bytes.  The MAC pads the *untagged* frame to
+/// its 64-byte minimum, and the tag adds 4 bytes on top.
+pub fn frame_size(payload: DataSize) -> DataSize {
+    let untagged = (HEADER_SIZE + payload.bytes() + FCS_SIZE).max(MIN_FRAME_SIZE);
+    DataSize::from_bytes(untagged + VLAN_TAG_SIZE)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vlan::Pcp;
 
-    fn macs() -> (MacAddress, MacAddress) {
-        (MacAddress::local(1), MacAddress::local(2))
+    fn size_bytes(payload_bytes: u64) -> u64 {
+        frame_size(DataSize::from_bytes(payload_bytes)).bytes()
     }
 
     #[test]
     fn small_payload_is_padded_to_minimum() {
-        let (dst, src) = macs();
-        let frame = EthernetFrame::new(dst, src, EtherType::AVIONICS_RAW, vec![0u8; 10]).unwrap();
-        assert_eq!(frame.wire_size(), DataSize::from_bytes(64));
-        // An empty payload is also padded.
-        let empty = EthernetFrame::new(dst, src, EtherType::AVIONICS_RAW, vec![]).unwrap();
-        assert_eq!(empty.wire_size(), DataSize::from_bytes(64));
+        // A tagged minimum frame is 68 bytes (64 + 4).
+        assert_eq!(size_bytes(0), 68);
+        assert_eq!(size_bytes(46), 68);
     }
 
     #[test]
     fn large_payload_is_not_padded() {
-        let (dst, src) = macs();
-        let frame = EthernetFrame::new(dst, src, EtherType::IPV4, vec![0u8; 1000]).unwrap();
-        assert_eq!(frame.wire_size(), DataSize::from_bytes(1018));
-        let max = EthernetFrame::new(dst, src, EtherType::IPV4, vec![0u8; 1500]).unwrap();
-        assert_eq!(max.wire_size(), DataSize::from_bytes(MAX_FRAME_SIZE));
+        assert_eq!(size_bytes(47), 69);
+        assert_eq!(size_bytes(MAX_PAYLOAD), 1522);
     }
 
     #[test]
     fn tag_adds_four_bytes() {
-        let (dst, src) = macs();
-        let tag = VlanTag::new(Pcp::from_paper_priority(0), false, 1);
-        let frame =
-            EthernetFrame::new_tagged(dst, src, tag, EtherType::AVIONICS_RAW, vec![0u8; 100])
-                .unwrap();
-        assert_eq!(frame.wire_size(), DataSize::from_bytes(14 + 100 + 4 + 4));
-        assert_eq!(frame.priority(), Some(7));
-        assert_eq!(
-            EthernetFrame::max_wire_size(true),
-            DataSize::from_bytes(1522)
-        );
-        assert_eq!(
-            EthernetFrame::max_wire_size(false),
-            DataSize::from_bytes(1518)
-        );
-    }
-
-    #[test]
-    fn oversized_payload_is_rejected() {
-        let (dst, src) = macs();
-        let err = EthernetFrame::new(dst, src, EtherType::IPV4, vec![0u8; 1501]).unwrap_err();
-        assert_eq!(err, FrameError::PayloadTooLarge(1501));
-        assert!(err.to_string().contains("1501"));
-    }
-
-    #[test]
-    fn untagged_frame_has_no_priority() {
-        let (dst, src) = macs();
-        let frame = EthernetFrame::new(dst, src, EtherType::IPV4, vec![0u8; 46]).unwrap();
-        assert_eq!(frame.priority(), None);
-        assert!(frame.to_string().contains("untagged"));
-    }
-
-    #[test]
-    fn wire_size_bytes_tagged_minimum() {
-        // A tagged minimum frame is 68 bytes (64 + 4).
-        assert_eq!(EthernetFrame::wire_size_bytes(0, true), 68);
-        assert_eq!(EthernetFrame::wire_size_bytes(46, false), 64);
-        assert_eq!(EthernetFrame::wire_size_bytes(47, false), 65);
+        assert_eq!(size_bytes(100), 14 + 100 + 4 + 4);
     }
 }

@@ -1,41 +1,26 @@
-//! Full-duplex switched Ethernet substrate.
+//! Full-duplex switched Ethernet, as far as the delay analysis and the
+//! simulator read it.
 //!
 //! The paper replaces the MIL-STD-1553B bus with COTS Full-Duplex Switched
-//! Ethernet: end systems connect to a store-and-forward switch over
+//! Ethernet: end systems connect to store-and-forward switches over
 //! full-duplex links (no CSMA/CD, no collisions), and the urgent traffic is
-//! tagged with 802.1p priorities.  This crate models the parts of Ethernet
-//! that the delay analysis and the simulator depend on:
+//! tagged with 802.1p priorities.  The analysis needs three things from
+//! Ethernet:
 //!
-//! * frame formats and their on-the-wire overheads ([`frame`], [`vlan`],
-//!   [`wire`]),
-//! * PHY generations and their timing (preamble, inter-frame gap, minimum /
-//!   maximum frame sizes) ([`phy`]),
-//! * links, store-and-forward switches and full network topologies with
-//!   route computation ([`link`], [`switch`], [`topology`]).
-//!
-//! All timing helpers return exact integer [`units::Duration`]s rounded up,
-//! so every downstream worst-case figure stays pessimistic.
+//! * the size `b_i` of the 802.1Q-tagged frame a payload occupies on the
+//!   wire ([`frame_size`]),
+//! * the output-port scheduling policy ([`SchedulingPolicy`]),
+//! * the switch cascade and its routes ([`Fabric`]) — the one network model
+//!   the analysis, the simulator, the campaign and the admission service
+//!   share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ethertype;
 pub mod fabric;
 pub mod frame;
-pub mod link;
-pub mod mac;
-pub mod phy;
 pub mod switch;
-pub mod topology;
-pub mod vlan;
-pub mod wire;
 
-pub use ethertype::EtherType;
 pub use fabric::{Fabric, FabricError};
-pub use frame::{EthernetFrame, FrameError, MAX_PAYLOAD, MIN_FRAME_SIZE};
-pub use link::Link;
-pub use mac::MacAddress;
-pub use phy::Phy;
-pub use switch::{SchedulingPolicy, SwitchModel, WrrUnit, WrrWeights, MAX_WRR_CLASSES};
-pub use topology::{NodeId, PortId, Route, Topology, TopologyError};
-pub use vlan::{Pcp, VlanTag};
+pub use frame::{frame_size, MAX_PAYLOAD};
+pub use switch::{SchedulingPolicy, WrrUnit, WrrWeights, MAX_WRR_CLASSES};

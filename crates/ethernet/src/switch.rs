@@ -1,8 +1,7 @@
-//! Store-and-forward switch model and the workspace's single
-//! [`SchedulingPolicy`] type.
+//! Output-port scheduling: the workspace's single [`SchedulingPolicy`]
+//! type.
 
 use serde::{Deserialize, Serialize};
-use units::{DataSize, Duration};
 
 /// Maximum number of classes a weighted-round-robin port can carve.
 ///
@@ -67,9 +66,9 @@ impl WrrWeights {
 ///
 /// This is the **single** policy type of the workspace: the analytic stack
 /// (`rtswitch-core`), the discrete-event simulator (`netsim`, which
-/// re-exports it), the campaign sweep and the topology models all consume
-/// this one enum, so adding a policy means adding one variant here plus its
-/// residual-service multiplexer and its simulator service discipline.
+/// re-exports it) and the campaign sweep all consume this one enum, so
+/// adding a policy means adding one variant here plus its residual-service
+/// multiplexer and its simulator service discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SchedulingPolicy {
     /// A single FIFO queue per output port.
@@ -108,65 +107,6 @@ impl SchedulingPolicy {
     }
 }
 
-/// Configuration of a store-and-forward Ethernet switch.
-///
-/// The paper abstracts the switch as a bounded "technological" relaying
-/// latency `t_techno` (fabric traversal, lookup, store-and-forward
-/// processing — everything except output queueing, which the Network
-/// Calculus accounts for separately).  The simulator uses the same split:
-/// a frame entering the switch becomes eligible for output scheduling
-/// `relaying_latency` after it has been fully received.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SwitchModel {
-    /// Human-readable switch name.
-    pub name: String,
-    /// Number of ports.
-    pub ports: usize,
-    /// Bounded relaying latency `t_techno`.
-    pub relaying_latency: Duration,
-    /// Output-port scheduling policy.
-    pub policy: SchedulingPolicy,
-    /// Optional per-output-port buffer capacity; `None` models unbounded
-    /// buffers (the analysis then bounds the backlog), `Some` lets the
-    /// simulator exercise loss under the shaping ablation.
-    pub buffer_capacity: Option<DataSize>,
-}
-
-impl SwitchModel {
-    /// A switch with the paper's parameters: 16 µs relaying latency and the
-    /// given policy, unbounded buffers.
-    pub fn new(name: impl Into<String>, ports: usize, policy: SchedulingPolicy) -> Self {
-        SwitchModel {
-            name: name.into(),
-            ports,
-            relaying_latency: Duration::from_micros(16),
-            policy,
-            buffer_capacity: None,
-        }
-    }
-
-    /// Overrides the relaying latency (`t_techno`).
-    pub fn with_relaying_latency(mut self, latency: Duration) -> Self {
-        self.relaying_latency = latency;
-        self
-    }
-
-    /// Limits the per-output-port buffer capacity.
-    pub fn with_buffer_capacity(mut self, capacity: DataSize) -> Self {
-        self.buffer_capacity = Some(capacity);
-        self
-    }
-
-    /// `true` if an output queue currently holding `queued` bits can accept
-    /// another frame of `frame` bits without overflowing.
-    pub fn accepts(&self, queued: DataSize, frame: DataSize) -> bool {
-        match self.buffer_capacity {
-            None => true,
-            Some(cap) => queued + frame <= cap,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,36 +140,5 @@ mod tests {
         let many = WrrWeights::new(&[1; 32], WrrUnit::Frames);
         assert_eq!(many.classes, MAX_WRR_CLASSES);
         assert_eq!(many.active_quanta().len(), MAX_WRR_CLASSES);
-    }
-
-    #[test]
-    fn defaults_match_paper() {
-        let sw = SwitchModel::new("sw0", 24, SchedulingPolicy::StrictPriority { levels: 4 });
-        assert_eq!(sw.relaying_latency, Duration::from_micros(16));
-        assert_eq!(sw.buffer_capacity, None);
-        assert_eq!(sw.ports, 24);
-    }
-
-    #[test]
-    fn builders_override_fields() {
-        let sw = SwitchModel::new("sw0", 8, SchedulingPolicy::Fcfs)
-            .with_relaying_latency(Duration::from_micros(5))
-            .with_buffer_capacity(DataSize::from_kib(64));
-        assert_eq!(sw.relaying_latency, Duration::from_micros(5));
-        assert_eq!(sw.buffer_capacity, Some(DataSize::from_kib(64)));
-    }
-
-    #[test]
-    fn unbounded_buffer_accepts_everything() {
-        let sw = SwitchModel::new("sw0", 8, SchedulingPolicy::Fcfs);
-        assert!(sw.accepts(DataSize::from_kib(10_000), DataSize::from_bytes(1518)));
-    }
-
-    #[test]
-    fn bounded_buffer_rejects_overflow() {
-        let sw = SwitchModel::new("sw0", 8, SchedulingPolicy::Fcfs)
-            .with_buffer_capacity(DataSize::from_bytes(2000));
-        assert!(sw.accepts(DataSize::from_bytes(400), DataSize::from_bytes(1518)));
-        assert!(!sw.accepts(DataSize::from_bytes(600), DataSize::from_bytes(1518)));
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! This crate provides:
 //!
-//! * word- and message-level timing of the protocol ([`word`], [`message`]),
-//! * remote terminals and the BC transaction table ([`terminal`],
+//! * message-level timing of the protocol from its word timing constants
+//!   ([`message`], [`word`]),
+//! * remote-terminal addresses and the BC transaction table ([`terminal`],
 //!   [`transaction`]),
 //! * construction of major/minor frame schedules from a periodic message set
 //!   and admission checks, including frame-structure *synthesis* for
@@ -67,6 +68,6 @@ pub use analysis::{BusAnalysis, MessageResponseBound};
 pub use message::{MessageTiming, TransferType};
 pub use schedule::{MajorFrameSchedule, MinorFrame, ScheduleError, Scheduler};
 pub use sim::{BusSimulation, ObservedMessageStats};
-pub use terminal::{RemoteTerminal, RtAddress};
+pub use terminal::RtAddress;
 pub use transaction::Transaction;
-pub use word::{Word, WordKind, BUS_RATE, WORD_BITS, WORD_TIME};
+pub use word::{BUS_RATE, WORD_BITS, WORD_TIME};

@@ -1,4 +1,4 @@
-//! Remote terminals and their addressing.
+//! Remote-terminal addressing.
 
 use core::fmt;
 use serde::{Deserialize, Serialize};
@@ -42,31 +42,6 @@ impl fmt::Display for RtAddress {
     }
 }
 
-/// A remote terminal: one avionics subsystem hanging off the 1553B bus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RemoteTerminal {
-    /// Bus address of the terminal.
-    pub address: RtAddress,
-    /// Subsystem name (e.g. "inertial-nav", "radar", "stores-mgmt").
-    pub name: String,
-}
-
-impl RemoteTerminal {
-    /// Creates a remote terminal.
-    pub fn new(address: RtAddress, name: impl Into<String>) -> Self {
-        RemoteTerminal {
-            address,
-            name: name.into(),
-        }
-    }
-}
-
-impl fmt::Display for RemoteTerminal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({})", self.name, self.address)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,7 +65,5 @@ mod tests {
     fn display() {
         assert_eq!(RtAddress::new(7).unwrap().to_string(), "RT7");
         assert_eq!(RtAddress::BROADCAST.to_string(), "RT*");
-        let rt = RemoteTerminal::new(RtAddress::new(3).unwrap(), "radar");
-        assert_eq!(rt.to_string(), "radar (RT3)");
     }
 }

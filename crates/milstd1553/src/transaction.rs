@@ -2,7 +2,6 @@
 
 use crate::message::{MessageTiming, TransferType};
 use crate::terminal::RtAddress;
-use crate::word::Word;
 use core::fmt;
 use serde::{Deserialize, Serialize};
 use units::Duration;
@@ -102,41 +101,6 @@ impl Transaction {
     pub fn duration(&self) -> Duration {
         self.timing().duration()
     }
-
-    /// The command word(s) the BC issues for this transaction, in emission
-    /// order.
-    pub fn command_words(&self) -> Vec<Word> {
-        match self.transfer {
-            TransferType::BcToRt => vec![Word::command(
-                self.destination.expect("BC->RT has a destination").value(),
-                false,
-                self.subaddress,
-                self.data_words,
-            )],
-            TransferType::RtToBc => vec![Word::command(
-                self.source.expect("RT->BC has a source").value(),
-                true,
-                self.subaddress,
-                self.data_words,
-            )],
-            TransferType::RtToRt => vec![
-                // Receive command to the destination first, then the
-                // transmit command to the source (per the standard).
-                Word::command(
-                    self.destination.expect("RT->RT has a destination").value(),
-                    false,
-                    self.subaddress,
-                    self.data_words,
-                ),
-                Word::command(
-                    self.source.expect("RT->RT has a source").value(),
-                    true,
-                    self.subaddress,
-                    self.data_words,
-                ),
-            ],
-        }
-    }
 }
 
 impl fmt::Display for Transaction {
@@ -178,29 +142,6 @@ mod tests {
         let t = Transaction::bc_to_rt("m", rt(1), 1, 4);
         assert_eq!(t.duration(), Duration::from_micros(136));
         assert_eq!(t.timing().payload_bytes(), 8);
-    }
-
-    #[test]
-    fn command_words_match_transfer_type() {
-        let t = Transaction::bc_to_rt("m", rt(5), 3, 8);
-        let words = t.command_words();
-        assert_eq!(words.len(), 1);
-        assert_eq!(words[0].rt_address(), 5);
-        assert!(!words[0].is_transmit());
-        assert_eq!(words[0].word_count(), 8);
-
-        let t = Transaction::rt_to_bc("m", rt(6), 3, 8);
-        let words = t.command_words();
-        assert_eq!(words.len(), 1);
-        assert!(words[0].is_transmit());
-
-        let t = Transaction::rt_to_rt("m", rt(7), rt(8), 3, 8);
-        let words = t.command_words();
-        assert_eq!(words.len(), 2);
-        assert_eq!(words[0].rt_address(), 8);
-        assert!(!words[0].is_transmit());
-        assert_eq!(words[1].rt_address(), 7);
-        assert!(words[1].is_transmit());
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! MIL-STD-1553B words and their wire timing.
+//! MIL-STD-1553B word timing: the constants every transaction's bus
+//! occupation is built from.
 
-use core::fmt;
-use serde::{Deserialize, Serialize};
 use units::{DataRate, Duration};
 
 /// The bus bit rate: 1 Mbps Manchester-II encoded.
@@ -24,113 +23,6 @@ pub const MAX_RESPONSE_TIME: Duration = Duration::from_micros(12);
 /// Minimum intermessage gap the BC must leave between transactions.
 pub const INTERMESSAGE_GAP: Duration = Duration::from_micros(4);
 
-/// The three word kinds of the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WordKind {
-    /// Command word (sent by the bus controller).
-    Command,
-    /// Status word (sent by a remote terminal).
-    Status,
-    /// Data word.
-    Data,
-}
-
-/// A 16-bit 1553B word plus its kind (the sync waveform distinguishes
-/// command/status from data on the real bus).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Word {
-    /// Which sync pattern the word carries.
-    pub kind: WordKind,
-    /// The 16 payload bits.
-    pub value: u16,
-}
-
-impl Word {
-    /// Builds a command word from its fields: RT address (5 bits),
-    /// transmit/receive bit, subaddress (5 bits) and word count (5 bits,
-    /// 0 encodes 32).
-    pub fn command(rt_address: u8, transmit: bool, subaddress: u8, word_count: u8) -> Self {
-        let rt = (rt_address & 0x1F) as u16;
-        let tr = transmit as u16;
-        let sa = (subaddress & 0x1F) as u16;
-        let wc = (word_count % MAX_DATA_WORDS) as u16 & 0x1F;
-        Word {
-            kind: WordKind::Command,
-            value: (rt << 11) | (tr << 10) | (sa << 5) | wc,
-        }
-    }
-
-    /// Builds a status word for an RT address with all status flags clear.
-    pub fn status(rt_address: u8) -> Self {
-        Word {
-            kind: WordKind::Status,
-            value: ((rt_address & 0x1F) as u16) << 11,
-        }
-    }
-
-    /// Builds a data word.
-    pub fn data(value: u16) -> Self {
-        Word {
-            kind: WordKind::Data,
-            value,
-        }
-    }
-
-    /// The RT address field (command and status words).
-    pub fn rt_address(&self) -> u8 {
-        (self.value >> 11) as u8 & 0x1F
-    }
-
-    /// The transmit/receive bit of a command word (`true` = RT transmits).
-    pub fn is_transmit(&self) -> bool {
-        (self.value >> 10) & 1 == 1
-    }
-
-    /// The subaddress / mode field of a command word.
-    pub fn subaddress(&self) -> u8 {
-        (self.value >> 5) as u8 & 0x1F
-    }
-
-    /// The number of data words a command word announces (field value 0
-    /// means 32).
-    pub fn word_count(&self) -> u8 {
-        let wc = (self.value & 0x1F) as u8;
-        if wc == 0 {
-            MAX_DATA_WORDS
-        } else {
-            wc
-        }
-    }
-
-    /// The odd-parity bit the word carries on the wire.
-    pub fn parity_bit(&self) -> bool {
-        // Odd parity over the 16 data bits.
-        self.value.count_ones().is_multiple_of(2)
-    }
-}
-
-impl fmt::Display for Word {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            WordKind::Command => write!(
-                f,
-                "CMD rt={} {} sa={} wc={}",
-                self.rt_address(),
-                if self.is_transmit() { "TX" } else { "RX" },
-                self.subaddress(),
-                self.word_count()
-            ),
-            WordKind::Status => write!(f, "STATUS rt={}", self.rt_address()),
-            WordKind::Data => write!(f, "DATA 0x{:04x}", self.value),
-        }
-    }
-}
-
-/// The wire time of `n` consecutive words.
-pub fn words_time(n: u64) -> Duration {
-    WORD_TIME * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,62 +34,5 @@ mod tests {
             BUS_RATE.transmission_time(units::DataSize::from_bits(WORD_BITS)),
             WORD_TIME
         );
-        assert_eq!(words_time(3), Duration::from_micros(60));
-        assert_eq!(words_time(0), Duration::ZERO);
-    }
-
-    #[test]
-    fn command_word_field_roundtrip() {
-        let w = Word::command(17, true, 5, 12);
-        assert_eq!(w.kind, WordKind::Command);
-        assert_eq!(w.rt_address(), 17);
-        assert!(w.is_transmit());
-        assert_eq!(w.subaddress(), 5);
-        assert_eq!(w.word_count(), 12);
-    }
-
-    #[test]
-    fn word_count_zero_means_thirty_two() {
-        let w = Word::command(1, false, 1, 0);
-        assert_eq!(w.word_count(), 32);
-        let w = Word::command(1, false, 1, 32);
-        assert_eq!(w.word_count(), 32);
-    }
-
-    #[test]
-    fn rt_address_is_masked_to_five_bits() {
-        let w = Word::command(63, false, 0, 1);
-        assert_eq!(w.rt_address(), 31);
-        let s = Word::status(40);
-        assert_eq!(s.rt_address(), 8);
-    }
-
-    #[test]
-    fn status_and_data_words() {
-        let s = Word::status(9);
-        assert_eq!(s.kind, WordKind::Status);
-        assert_eq!(s.rt_address(), 9);
-        let d = Word::data(0xBEEF);
-        assert_eq!(d.kind, WordKind::Data);
-        assert_eq!(d.value, 0xBEEF);
-    }
-
-    #[test]
-    fn parity_is_odd() {
-        // 0x0001 has one set bit -> parity bit must be clear... odd parity
-        // means the total number of ones (data + parity) is odd.
-        assert!(!Word::data(0x0001).parity_bit());
-        assert!(Word::data(0x0003).parity_bit());
-        assert!(Word::data(0x0000).parity_bit());
-    }
-
-    #[test]
-    fn display_formats() {
-        assert_eq!(
-            Word::command(2, false, 3, 4).to_string(),
-            "CMD rt=2 RX sa=3 wc=4"
-        );
-        assert_eq!(Word::status(2).to_string(), "STATUS rt=2");
-        assert_eq!(Word::data(0xAB).to_string(), "DATA 0x00ab");
     }
 }

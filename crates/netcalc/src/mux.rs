@@ -201,7 +201,11 @@ impl Mux {
     /// its strict-priority bound `D_p` (see the module docs), and under WRR
     /// the class's token-bucket total against
     /// [`Mux::residual_service`], `D_p = Θ_p + Σ_{i∈S_p} b_i / (φ_p/Σφ · C)`
-    /// (an empty class's bound is its residual latency).
+    /// (an empty class's bound is its residual latency).  Each returns the
+    /// error [`Mux::check_stability`] reports for `class`'s own condition
+    /// when that fails: under strict priority both the residual rate and
+    /// the cumulative load `Σ_{q≤p} r ≤ C`, which the closed form alone
+    /// would not read.
     ///
     /// `aggregate` sums the same flows the closed form sums as token
     /// buckets ([`Mux::class_bucket`]): every flow under FCFS, the levels
@@ -236,7 +240,15 @@ impl Mux {
             }
             Discipline::StaticPriority => {
                 let rate = self.priority_rate(class)?;
-                let numerator = self.class_bucket(class).burst() + self.blocking_burst(class);
+                let bucket = self.class_bucket(class);
+                if bucket.rate() > self.capacity {
+                    return Err(unstable(
+                        format!("priority {class} cumulative load"),
+                        bucket.rate(),
+                        self.capacity,
+                    ));
+                }
+                let numerator = bucket.burst() + self.blocking_burst(class);
                 rate.transmission_time(numerator) + self.ttechno
             }
             Discipline::Wrr { accounting, quanta } => {
@@ -929,18 +941,16 @@ mod tests {
         );
 
         // Strict priority, cumulative load: levels 0 and 1 fit one at a
-        // time (607.2 kbps each on 700 kbps) but not together.  The closed
-        // form reads only the residual rate, so the bound itself exists;
-        // the stability check is what rejects the port.
+        // time (607.2 kbps each on 700 kbps) but not together.  The bound
+        // reports the overload the stability check does, although the
+        // residual rate `C − r_0` alone would leave level 1 a finite bound.
         let sp = loaded(
             Mux::static_priority(2, DataRate::from_kbps(700), Duration::ZERO),
             &[(0, 1518, 20), (1, 1518, 20)],
         );
-        assert_eq!(
-            sp.check_stability(),
-            Err(unstable("priority 1 cumulative load", 1_214_400, 700_000))
-        );
-        assert!(sp.delay_bound(1, None, false).is_ok());
+        let overload = unstable("priority 1 cumulative load", 1_214_400, 700_000);
+        assert_eq!(sp.check_stability(), Err(overload.clone()));
+        assert_eq!(sp.delay_bound(1, None, false), Err(overload));
 
         // WRR in bytes: class 1's 100 B quantum against class 0's 15000 B
         // leaves it ⌊10 Mbps · 800 / 120800⌋ = 66225 b/s for 6.072 Mbps.

@@ -23,7 +23,6 @@
 //! analysis, which turns babblers into extra cross-traffic envelopes and
 //! failovers into post-failover route re-analysis.
 
-use ethernet::frame::EthernetFrame;
 use serde::{Deserialize, Serialize};
 use units::{DataSize, Duration};
 use workload::StationId;
@@ -52,7 +51,7 @@ impl Babbler {
 
     /// Wire size of one babbled frame (padded, tagged Ethernet frame).
     pub fn wire_size(&self) -> DataSize {
-        DataSize::from_bytes(EthernetFrame::wire_size_bytes(self.payload.bytes(), true))
+        ethernet::frame_size(self.payload)
     }
 }
 

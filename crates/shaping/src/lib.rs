@@ -6,7 +6,6 @@
 //!
 //! * [`TokenBucketShaper`] — the per-stream regulator the paper installs in
 //!   every local node (`(b_i, r_i = b_i / T_i)`),
-//! * [`LeakyBucket`] — a rate-only pacing alternative used in ablations,
 //! * [`Regulator`] — a greedy shaper queue that holds packets until their
 //!   earliest conforming emission time,
 //! * [`FcfsQueue`] and [`PriorityQueues`] — the two multiplexer disciplines
@@ -19,14 +18,12 @@
 
 pub mod classifier;
 pub mod fcfs;
-pub mod leaky_bucket;
 pub mod priority;
 pub mod regulator;
 pub mod token_bucket;
 
 pub use classifier::{Classifier, TrafficClass};
 pub use fcfs::FcfsQueue;
-pub use leaky_bucket::LeakyBucket;
 pub use priority::PriorityQueues;
 pub use regulator::{Regulator, ReleaseDecision};
 pub use token_bucket::TokenBucketShaper;
@@ -49,7 +46,7 @@ impl Sized64 for units::DataSize {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use units::{DataRate, DataSize, Duration, Instant};
+    use units::{DataSize, Duration, Instant};
 
     proptest! {
         /// The output of a greedy token-bucket regulator always stays within
@@ -155,28 +152,6 @@ mod proptests {
             }
             prop_assert_eq!(accepted + queue.dropped(), arrivals.len() as u64);
             prop_assert_eq!(queue.len() as u64, accepted);
-        }
-
-        /// The leaky bucket never emits faster than its configured rate.
-        #[test]
-        fn leaky_bucket_spacing_matches_the_rate(
-            rate_kbps in 10u64..10_000,
-            sizes in proptest::collection::vec(64u64..1_600, 2..40),
-        ) {
-            let rate = DataRate::from_kbps(rate_kbps);
-            let mut bucket = LeakyBucket::new(rate);
-            let mut last_emit = Instant::EPOCH;
-            let mut last_size = DataSize::ZERO;
-            for (i, &bytes) in sizes.iter().enumerate() {
-                let size = DataSize::from_bytes(bytes);
-                let emitted = bucket.admit(Instant::EPOCH, size);
-                if i > 0 {
-                    let min_gap = rate.transmission_time(last_size);
-                    prop_assert!(emitted.since(last_emit) >= min_gap);
-                }
-                last_emit = emitted;
-                last_size = size;
-            }
         }
     }
 }

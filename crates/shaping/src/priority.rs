@@ -34,11 +34,6 @@ impl<T: Sized64> PriorityQueues<T> {
         }
     }
 
-    /// Number of priority levels.
-    pub fn level_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Enqueues an item at `priority` (clamped to the available levels);
     /// returns `false` if that level's queue dropped it.
     pub fn enqueue(&mut self, priority: usize, item: T) -> bool {
@@ -46,22 +41,19 @@ impl<T: Sized64> PriorityQueues<T> {
         self.queues[level].enqueue(item)
     }
 
-    /// The highest-priority non-empty level, if any.
-    pub fn busiest_level(&self) -> Option<usize> {
-        self.queues.iter().position(|q| !q.is_empty())
-    }
-
     /// Dequeues from the highest-priority non-empty level, returning the
     /// item and its level.
     pub fn dequeue(&mut self) -> Option<(usize, T)> {
-        let level = self.busiest_level()?;
+        let level = self.queues.iter().position(|q| !q.is_empty())?;
         self.queues[level].dequeue().map(|item| (level, item))
     }
 
     /// The head item of the highest-priority non-empty level.
     pub fn peek(&self) -> Option<(usize, &T)> {
-        let level = self.busiest_level()?;
-        self.queues[level].peek().map(|item| (level, item))
+        self.queues
+            .iter()
+            .enumerate()
+            .find_map(|(level, q)| q.peek().map(|item| (level, item)))
     }
 
     /// The head item of one specific level (`None` when the level is empty
@@ -130,8 +122,7 @@ mod tests {
         pq.enqueue(0, Pkt(100, "urgent"));
         pq.enqueue(1, Pkt(100, "periodic2"));
         assert_eq!(pq.len(), 4);
-        assert_eq!(pq.busiest_level(), Some(0));
-        assert_eq!(pq.peek().unwrap().1 .1, "urgent");
+        assert_eq!(pq.peek().unwrap(), (0, &Pkt(100, "urgent")));
         assert_eq!(pq.dequeue().unwrap(), (0, Pkt(100, "urgent")));
         assert_eq!(pq.dequeue().unwrap(), (1, Pkt(100, "periodic")));
         assert_eq!(pq.dequeue().unwrap(), (1, Pkt(100, "periodic2")));
@@ -187,7 +178,7 @@ mod tests {
     #[test]
     fn zero_levels_degenerates_to_one() {
         let mut pq = PriorityQueues::new(0);
-        assert_eq!(pq.level_count(), 1);
-        assert!(pq.enqueue(0, Pkt(1, "x")));
+        assert!(pq.enqueue(3, Pkt(1, "x")));
+        assert_eq!(pq.dequeue().unwrap(), (0, Pkt(1, "x")));
     }
 }

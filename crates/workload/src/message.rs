@@ -1,7 +1,6 @@
 //! Messages, stations and workloads.
 
 use core::fmt;
-use ethernet::frame::EthernetFrame;
 use netcalc::{Envelope, EnvelopeModel};
 use serde::{Deserialize, Serialize};
 use shaping::TrafficClass;
@@ -118,7 +117,7 @@ impl MessageSpec {
     /// helpers in [`case_study`](mod@crate::case_study) and
     /// [`generator`](crate::generator) never exceed it.
     pub fn frame_size(&self) -> DataSize {
-        DataSize::from_bytes(EthernetFrame::wire_size_bytes(self.payload.bytes(), true))
+        ethernet::frame_size(self.payload)
     }
 
     /// The shaper rate `r_i = b_i / T_i` of this message (frame size over

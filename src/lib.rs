@@ -9,8 +9,8 @@
 //!   output envelopes, and the FCFS, strict-priority and
 //!   weighted-round-robin multiplexer formulas of one [`netcalc::Mux`]
 //!   type);
-//! * [`ethernet`] — frames, 802.1Q/p tags, PHY timing, links, switches,
-//!   topologies;
+//! * [`ethernet`] — the one network model: tagged frame sizes, the
+//!   output-port scheduling policy and the switch fabric;
 //! * [`milstd1553`] — the MIL-STD-1553B baseline (scheduling, analysis,
 //!   simulation);
 //! * [`shaping`] — operational token buckets, regulators and multiplexers;

@@ -1,8 +1,8 @@
 //! Documentation link checker: every relative Markdown link in
-//! `README.md` and `docs/*.md` must resolve to an existing file, every
-//! `crates/<path>.rs:<line>` code reference in `docs/` must point inside a
-//! real file, and a named reference `` `name` — `crates/<path>.rs:<line>` ``
-//! must point at a line that still holds `name`.  CI runs this test
+//! `README.md` and `docs/*.md` must resolve to an existing file, and every
+//! `crates/<path>.rs:<line>` code reference there must be named,
+//! `` `name` — `crates/<path>.rs:<line>` ``, and point inside a real file
+//! at a line that still holds `name`.  CI runs this test
 //! explicitly so broken references fail the build, not just a reader.
 
 use std::fs;
@@ -93,31 +93,44 @@ fn relative_markdown_links_resolve() {
     );
 }
 
-/// `(name, path, line)` of every named code reference
-/// `` `name` — `crates/<path>:<line>` `` in `text`; either side of the dash
-/// may break the line.
-fn named_code_references(text: &str) -> Vec<(&str, &str, usize)> {
-    let mut anchors = Vec::new();
-    for (dash, _) in text.match_indices('—') {
-        let before = text[..dash].trim_end();
-        let after = text[dash + '—'.len_utf8()..].trim_start();
-        let (Some(before), Some(after)) =
-            (before.strip_suffix('`'), after.strip_prefix("`crates/"))
-        else {
+/// Characters that end a code reference token.
+fn ends_token(c: char) -> bool {
+    c.is_whitespace() || "`|()[]".contains(c)
+}
+
+/// `(name, path, line, token)` of every code reference
+/// `crates/<path>:<line>` in `text`, with the name of a named reference
+/// `` `name` — `crates/<path>:<line>` `` (either side of the dash may break
+/// the line) and `None` for an unnamed one.
+fn code_references(text: &str) -> Vec<(Option<&str>, &str, usize, &str)> {
+    let mut references = Vec::new();
+    for (start, _) in text.match_indices("crates/") {
+        if text[..start]
+            .chars()
+            .next_back()
+            .is_some_and(|c| !ends_token(c))
+        {
             continue;
-        };
-        let Some(name) = before.rfind('`').map(|open| &before[open + 1..]) else {
-            continue;
-        };
-        let target = after.split('`').next().unwrap_or(after);
-        let Some((path, line)) = target.rsplit_once(':') else {
-            continue;
-        };
-        if let (false, Ok(line)) = (name.contains('\n'), line.parse()) {
-            anchors.push((name, path, line));
         }
+        let token = text[start..].split(ends_token).next().unwrap_or_default();
+        let Some((path, line)) = token["crates/".len()..].rsplit_once(':') else {
+            continue;
+        };
+        // Keep the leading digit run so trailing punctuation ("…rs:127." at
+        // a sentence end) cannot hide a stale line number from the check.
+        let digits: String = line.chars().take_while(char::is_ascii_digit).collect();
+        let Ok(line) = digits.parse() else {
+            continue;
+        };
+        let name = text[..start]
+            .strip_suffix('`')
+            .and_then(|before| before.trim_end().strip_suffix('—'))
+            .and_then(|before| before.trim_end().strip_suffix('`'))
+            .and_then(|before| before.rfind('`').map(|open| &before[open + 1..]))
+            .filter(|name| !name.contains('\n'));
+        references.push((name, path, line, token));
     }
-    anchors
+    references
 }
 
 #[test]
@@ -126,48 +139,35 @@ fn code_line_references_point_into_real_files() {
     let mut broken = Vec::new();
     for doc in doc_files() {
         let text = fs::read_to_string(&doc).expect("doc readable");
-        for token in text.split(|c: char| c.is_whitespace() || "`|()[]".contains(c)) {
-            let Some(rest) = token.strip_prefix("crates/") else {
+        let doc_name = doc.strip_prefix(&root).unwrap_or(&doc).display();
+        for (name, path, line, token) in code_references(&text) {
+            let Ok(source) = fs::read_to_string(root.join("crates").join(path)) else {
+                broken.push(format!("{doc_name}: {token} — file missing"));
                 continue;
             };
-            let Some((path, line)) = rest.rsplit_once(':') else {
+            let count = source.lines().count();
+            if line == 0 || line > count {
+                broken.push(format!(
+                    "{doc_name}: {token} — line out of range (file has {count} lines)"
+                ));
+                continue;
+            }
+            // A reference must name its item, and still point at it: the
+            // last identifier of the name (`for_message` of
+            // `TokenBucket::for_message`) appears on the cited line.
+            let Some(name) = name else {
+                broken.push(format!(
+                    "{doc_name}: {token} — unnamed; write `name` — `crates/{path}:{line}`"
+                ));
                 continue;
             };
-            // Keep the leading digit run so trailing punctuation
-            // ("…rs:127." at a sentence end) cannot hide a stale line
-            // number from the check.
-            let digits: String = line.chars().take_while(char::is_ascii_digit).collect();
-            if digits.is_empty() {
-                continue;
-            }
-            let line: usize = digits.parse().expect("digit run fits usize");
-            let file = root.join("crates").join(path);
-            let doc_name = doc.strip_prefix(&root).unwrap_or(&doc).display();
-            match fs::read_to_string(&file) {
-                Err(_) => broken.push(format!("{doc_name}: {token} — file missing")),
-                Ok(source) => {
-                    let count = source.lines().count();
-                    if line == 0 || line > count {
-                        broken.push(format!(
-                            "{doc_name}: {token} — line out of range (file has {count} lines)"
-                        ));
-                    }
-                }
-            }
-        }
-        // A named reference must still point at its item: the last
-        // identifier of the name (`for_message` of
-        // `TokenBucket::for_message`) appears on the cited line.
-        for (name, path, line) in named_code_references(&text) {
             let ident = name
                 .rsplit(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
                 .find(|part| !part.is_empty())
                 .unwrap_or(name);
-            let doc_name = doc.strip_prefix(&root).unwrap_or(&doc).display();
-            let source = fs::read_to_string(root.join("crates").join(path)).unwrap_or_default();
             if !source
                 .lines()
-                .nth(line.saturating_sub(1))
+                .nth(line - 1)
                 .is_some_and(|held| held.contains(ident))
             {
                 broken.push(format!(
