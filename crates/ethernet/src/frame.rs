@@ -34,19 +34,28 @@ mod tests {
 
     #[test]
     fn small_payload_is_padded_to_minimum() {
-        // A tagged minimum frame is 68 bytes (64 + 4).
+        assert_eq!(size_bytes(10), 68);
+        // An empty payload is also padded.
         assert_eq!(size_bytes(0), 68);
-        assert_eq!(size_bytes(46), 68);
     }
 
     #[test]
     fn large_payload_is_not_padded() {
-        assert_eq!(size_bytes(47), 69);
+        assert_eq!(size_bytes(1000), 1022);
         assert_eq!(size_bytes(MAX_PAYLOAD), 1522);
     }
 
     #[test]
     fn tag_adds_four_bytes() {
         assert_eq!(size_bytes(100), 14 + 100 + 4 + 4);
+    }
+
+    #[test]
+    fn wire_size_bytes_tagged_minimum() {
+        // A tagged minimum frame is 68 bytes (64 + 4): the MAC pads the
+        // untagged frame, so padding stops at a 46-byte payload.
+        assert_eq!(size_bytes(0), 68);
+        assert_eq!(size_bytes(46), 68);
+        assert_eq!(size_bytes(47), 69);
     }
 }

@@ -145,6 +145,22 @@ mod tests {
     }
 
     #[test]
+    fn command_words_match_transfer_type() {
+        // One command word for BC->RT and RT->BC; RT->RT needs a receive
+        // command to the destination and a transmit command to the source.
+        let t = Transaction::bc_to_rt("m", rt(5), 3, 8);
+        assert_eq!(t.timing().command_words(), 1);
+        assert_eq!(t.timing().data_words, 8);
+
+        let t = Transaction::rt_to_bc("m", rt(6), 3, 8);
+        assert_eq!(t.timing().command_words(), 1);
+
+        let t = Transaction::rt_to_rt("m", rt(7), rt(8), 3, 8);
+        assert_eq!(t.timing().command_words(), 2);
+        assert_eq!(t.timing().data_words, 8);
+    }
+
+    #[test]
     fn display_includes_label_and_duration() {
         let t = Transaction::bc_to_rt("fuel-qty", rt(2), 1, 2);
         let s = t.to_string();
