@@ -24,10 +24,19 @@
 //! [`analyze_multi_hop_with`](rtswitch_core::analyze_multi_hop_with) of the
 //! current flow set — a property the crate's `cache_soundness` test
 //! enforces after every random mutation.
+//!
+//! The walk is given only the flows crossing a dirty port: those the
+//! cached dirty ports list, less a revoked flow, plus an admitted or
+//! modified one on its new path.  Each carries its place in the registration
+//! order of the changed flow set, the message index a from-scratch workload
+//! would give it.  Registration order is [`FlowId`] order, because ids only
+//! grow and flows are only appended or removed, so that place is a binary
+//! search on the active flows.  A query therefore costs its dirty closure,
+//! not the number of active flows.
 
 use rtswitch_core::{
     flow_ports, walk_ports, AnalysisError, Approach, FabricPort, MultiHopMessageBound,
-    MultiHopReport, NetworkConfig, PortResults, WalkResults,
+    MultiHopReport, NetworkConfig, PortResults, WalkFlow, WalkResults,
 };
 
 use ethernet::{Fabric, SchedulingPolicy};
@@ -179,7 +188,8 @@ pub struct CacheStats {
     pub flows_recomputed: usize,
     /// Flows whose bound was kept verbatim.
     pub flows_reused: usize,
-    /// The recomputed ports, in analysis order.
+    /// The recomputed ports in port order: station uplinks by station, then
+    /// trunks by switch pair, then switch output ports by station.
     pub recomputed_ports: Vec<String>,
 }
 
@@ -326,18 +336,32 @@ pub(crate) struct Delta {
     pub(crate) bounds: Vec<(FlowId, MultiHopMessageBound)>,
 }
 
+impl RegistryOp {
+    /// The flow the op adds, removes or replaces.
+    fn id(&self) -> FlowId {
+        match self {
+            RegistryOp::Add { id, .. }
+            | RegistryOp::Remove { id }
+            | RegistryOp::Replace { id, .. } => *id,
+        }
+    }
+
+    /// The flow's spec and path after the op, or `None` when it leaves.
+    fn change(&self) -> Option<(&FlowSpec, &[FabricPort])> {
+        match self {
+            RegistryOp::Add { spec, path, .. } | RegistryOp::Replace { spec, path, .. } => {
+                Some((spec, path))
+            }
+            RegistryOp::Remove { .. } => None,
+        }
+    }
+}
+
 /// A fully evaluated (but uncommitted) query.
 #[derive(Debug, Clone)]
 pub(crate) struct Preview {
     pub(crate) verdict: AdmissionVerdict,
     pub(crate) delta: Option<Delta>,
-}
-
-/// One tentative flow during a preview: its id, spec and routed path.
-struct TentativeFlow<'a> {
-    id: FlowId,
-    spec: &'a FlowSpec,
-    path: &'a [FabricPort],
 }
 
 /// The always-on admission-control engine.
@@ -422,30 +446,15 @@ impl AdmissionEngine {
             stats: EngineStats::default(),
             degraded: None,
         };
-        let paths: Vec<Vec<FabricPort>> = specs
-            .iter()
-            .map(|s| flow_ports(&engine.fabric, s.source, s.destination))
-            .collect();
-        let tentative: Vec<TentativeFlow<'_>> = specs
-            .iter()
-            .zip(&paths)
-            .enumerate()
-            .map(|(i, (spec, path))| TentativeFlow {
-                id: FlowId(i as u64),
-                spec,
-                path,
-            })
-            .collect();
         // Cold start: every port is recomputed.
-        let walk = engine.walk(&tentative, |_| true)?;
+        let ids: Vec<FlowId> = (0..engine.next_id).map(FlowId).collect();
+        let (paths, walk) =
+            engine.recompute_full(&ids, &specs.iter().collect::<Vec<_>>(), fabric)?;
         engine.cache = walk.ports.into_iter().collect();
         engine.bounds = walk.bounds.into_iter().collect();
-        for (i, (spec, path)) in specs.into_iter().zip(paths).enumerate() {
-            let id = FlowId(i as u64);
-            engine.flows.push(id);
-            engine.specs.insert(id, spec);
-            engine.paths.insert(id, path);
-        }
+        engine.specs = ids.iter().copied().zip(specs).collect();
+        engine.paths = ids.iter().copied().zip(paths).collect();
+        engine.flows = ids;
         Ok(engine)
     }
 
@@ -621,7 +630,8 @@ impl AdmissionEngine {
 
     /// From-scratch-equivalent re-analysis of `ids`/`specs` routed over
     /// `fabric`: every port is recomputed, so nothing stale survives.
-    /// Returns the routes with the walk.
+    /// `ids` must be in registration order, which is id order.  Returns the
+    /// routes with the walk.
     fn recompute_full(
         &self,
         ids: &[FlowId],
@@ -632,17 +642,29 @@ impl AdmissionEngine {
             .iter()
             .map(|s| flow_ports(fabric, s.source, s.destination))
             .collect();
-        let tentative: Vec<TentativeFlow<'_>> = ids
+        let messages: Vec<MessageSpec> = specs
             .iter()
-            .zip(specs)
-            .zip(&paths)
-            .map(|((id, spec), path)| TentativeFlow {
-                id: *id,
-                spec,
-                path,
-            })
+            .enumerate()
+            .map(|(i, spec)| spec.to_message_spec(MessageId(i)))
             .collect();
-        let walk = self.walk(&tentative, |_| true)?;
+        let flow = |i: usize| WalkFlow {
+            key: ids[i],
+            index: i,
+            path: &paths[i],
+            spec: Cow::Borrowed(&messages[i]),
+        };
+        let flows: Vec<WalkFlow<'_, FlowId>> = (0..ids.len()).map(flow).collect();
+        let walk = self.walk(
+            &flows,
+            |key| {
+                flow(
+                    ids.binary_search(&key)
+                        .expect("the walk asks only for its flows"),
+                )
+            },
+            |_| true,
+            &BTreeMap::new(),
+        )?;
         Ok((paths, walk))
     }
 
@@ -665,6 +687,7 @@ impl AdmissionEngine {
             .collect();
         let flows_recomputed = walk.bounds.len();
         self.flows = ids;
+        self.debug_assert_id_order();
         self.paths = self.flows.iter().copied().zip(paths).collect();
         self.cache = walk.ports.into_iter().collect();
         self.bounds = walk.bounds.into_iter().collect();
@@ -906,23 +929,15 @@ impl AdmissionEngine {
                 let path = flow_ports(&self.fabric, flow.source, flow.destination);
                 let seed: BTreeSet<FabricPort> = path.iter().copied().collect();
                 let dirty = projected.unwrap_or_else(|| self.closure_indexed(seed, None));
-                let mut tentative = self.tentative_flows();
-                tentative.push(TentativeFlow {
-                    id,
-                    spec: flow,
-                    path: &path,
-                });
                 self.preview_change(
-                    tentative,
-                    dirty,
-                    Some(id),
-                    flow.name.clone(),
-                    Decision::Admitted,
                     RegistryOp::Add {
                         id,
                         spec: flow.clone(),
-                        path: path.clone(),
+                        path,
                     },
+                    dirty,
+                    flow.name.clone(),
+                    Decision::Admitted,
                 )
             }
             AdmissionQuery::Revoke { flow } => {
@@ -935,18 +950,11 @@ impl AdmissionEngine {
                 };
                 let seed: BTreeSet<FabricPort> = self.paths[flow].iter().copied().collect();
                 let dirty = projected.unwrap_or_else(|| self.closure_indexed(seed, Some(*flow)));
-                let tentative: Vec<TentativeFlow<'_>> = self
-                    .tentative_flows()
-                    .into_iter()
-                    .filter(|t| t.id != *flow)
-                    .collect();
                 self.preview_change(
-                    tentative,
+                    RegistryOp::Remove { id: *flow },
                     dirty,
-                    Some(*flow),
                     spec.name.clone(),
                     Decision::Revoked,
-                    RegistryOp::Remove { id: *flow },
                 )
             }
             AdmissionQuery::Modify { flow, spec } => {
@@ -967,32 +975,15 @@ impl AdmissionEngine {
                 let mut seed: BTreeSet<FabricPort> = self.paths[flow].iter().copied().collect();
                 seed.extend(path.iter().copied());
                 let dirty = projected.unwrap_or_else(|| self.closure_indexed(seed, Some(*flow)));
-                let tentative: Vec<TentativeFlow<'_>> = self
-                    .tentative_flows()
-                    .into_iter()
-                    .map(|t| {
-                        if t.id == *flow {
-                            TentativeFlow {
-                                id: t.id,
-                                spec,
-                                path: &path,
-                            }
-                        } else {
-                            t
-                        }
-                    })
-                    .collect();
                 self.preview_change(
-                    tentative,
-                    dirty,
-                    Some(*flow),
-                    spec.name.clone(),
-                    Decision::Modified,
                     RegistryOp::Replace {
                         id: *flow,
                         spec: spec.clone(),
-                        path: path.clone(),
+                        path,
                     },
+                    dirty,
+                    spec.name.clone(),
+                    Decision::Modified,
                 )
             }
         }
@@ -1047,7 +1038,11 @@ impl AdmissionEngine {
                 self.paths.insert(id, path);
             }
             RegistryOp::Remove { id } => {
-                self.flows.retain(|f| *f != id);
+                let position = self
+                    .flows
+                    .binary_search(&id)
+                    .expect("a revoked flow is active");
+                self.flows.remove(position);
                 self.specs.remove(&id);
                 self.paths.remove(&id);
                 self.bounds.remove(&id);
@@ -1057,6 +1052,7 @@ impl AdmissionEngine {
                 self.paths.insert(id, path);
             }
         }
+        self.debug_assert_id_order();
         for port in delta.removed_ports {
             self.cache.remove(&port);
         }
@@ -1064,30 +1060,77 @@ impl AdmissionEngine {
         self.bounds.extend(delta.bounds);
     }
 
-    /// The current flow set as tentative flows.
-    fn tentative_flows(&self) -> Vec<TentativeFlow<'_>> {
-        self.flows
-            .iter()
-            .map(|id| TentativeFlow {
-                id: *id,
-                spec: &self.specs[id],
-                path: &self.paths[id],
-            })
-            .collect()
+    /// Registration order is id order: ids only grow, and flows are only
+    /// appended or removed.  Previews find a flow's place in it by binary
+    /// search.
+    fn debug_assert_id_order(&self) {
+        debug_assert!(
+            self.flows.windows(2).all(|pair| pair[0] < pair[1]),
+            "active flows are in id order"
+        );
     }
 
-    /// Shared tail of every preview: walk the dirty closure over the
-    /// tentative flow set, decide, and package the delta.
+    /// Flow `key` of the registry as `op` leaves it: its place in
+    /// registration order, its path and its spec.  The flow `op` removes
+    /// has none.
+    fn tentative_flow<'a>(&'a self, op: &'a RegistryOp, key: FlowId) -> WalkFlow<'a, FlowId> {
+        let position = self.flows.binary_search(&key);
+        let (index, spec, path) = match op.change() {
+            // An admitted flow is not registered yet and joins at the end.
+            Some((spec, path)) if key == op.id() => {
+                (position.unwrap_or_else(|end| end), spec, path)
+            }
+            change => {
+                let position = position.expect("a walk asks only for active flows");
+                // Flows after a removed one move up one place.
+                let shift = usize::from(change.is_none() && key > op.id());
+                (
+                    position - shift,
+                    &self.specs[&key],
+                    self.paths[&key].as_slice(),
+                )
+            }
+        };
+        WalkFlow {
+            key,
+            index,
+            path,
+            spec: Cow::Owned(spec.to_message_spec(MessageId(index))),
+        }
+    }
+
+    /// Shared tail of every preview: walk the dirty closure over the flows
+    /// its ports list, decide, and package the delta.
     fn preview_change(
         &self,
-        tentative: Vec<TentativeFlow<'_>>,
+        op: RegistryOp,
         dirty: BTreeSet<FabricPort>,
-        flow: Option<FlowId>,
         name: String,
         success: Decision,
-        op: RegistryOp,
     ) -> Preview {
-        let walk = match self.walk(&tentative, |port| dirty.contains(&port)) {
+        let flow = Some(op.id());
+        // Every flow crossing a dirty port after the change: the flows the
+        // cached dirty ports list, less a removed one, plus an added or
+        // replaced one on its new path.  Ids iterate in registration order.
+        let mut touched: BTreeSet<FlowId> = dirty
+            .iter()
+            .filter_map(|port| self.cache.get(port))
+            .flat_map(|results| results.flows().iter().copied())
+            .collect();
+        match op.change() {
+            Some(_) => touched.insert(op.id()),
+            None => touched.remove(&op.id()),
+        };
+        let touched: Vec<WalkFlow<'_, FlowId>> = touched
+            .into_iter()
+            .map(|key| self.tentative_flow(&op, key))
+            .collect();
+        let walk = match self.walk(
+            &touched,
+            |key| self.tentative_flow(&op, key),
+            |port| dirty.contains(&port),
+            &self.cache,
+        ) {
             Ok(walk) => walk,
             Err(err) => {
                 return Preview::rejected(flow, name, err.to_string());
@@ -1147,12 +1190,17 @@ impl AdmissionEngine {
             .count();
         let ports_total = self.cache.len() - removed_ports.len() + newly_occupied;
         let flows_recomputed = walk.bounds.len();
+        let flows_after = match op {
+            RegistryOp::Add { .. } => self.flows.len() + 1,
+            RegistryOp::Remove { .. } => self.flows.len() - 1,
+            RegistryOp::Replace { .. } => self.flows.len(),
+        };
         let cache = CacheStats {
             ports_total,
             ports_recomputed: ports.len(),
             ports_reused: ports_total.saturating_sub(ports.len()),
             flows_recomputed,
-            flows_reused: tentative.len().saturating_sub(flows_recomputed),
+            flows_reused: flows_after.saturating_sub(flows_recomputed),
             recomputed_ports: ports.keys().map(ToString::to_string).collect(),
         };
         match rejection {
@@ -1184,24 +1232,21 @@ impl AdmissionEngine {
         }
     }
 
-    /// The analysis walk over the tentative flow set, recomputing the
-    /// ports `recompute` selects and reading every other port from the
-    /// cache.
-    fn walk(
+    /// The analysis walk under the engine's settings over `flows`, the
+    /// flows crossing a port `recompute` selects, reading every other port
+    /// from `cache` and any flow from `lookup`.
+    fn walk<'a>(
         &self,
-        tentative: &[TentativeFlow<'_>],
+        flows: &[WalkFlow<'a, FlowId>],
+        lookup: impl Fn(FlowId) -> WalkFlow<'a, FlowId>,
         recompute: impl Fn(FabricPort) -> bool,
+        cache: &BTreeMap<FabricPort, PortResults<FlowId>>,
     ) -> Result<WalkResults<FlowId>, AnalysisError> {
-        let flows: Vec<(FlowId, &[FabricPort])> =
-            tentative.iter().map(|t| (t.id, t.path)).collect();
         walk_ports(
-            &flows,
-            // Positional message specs: the analysis labels flows by their
-            // index in the tentative registration order, exactly like a
-            // from-scratch workload would.
-            |i| Cow::Owned(tentative[i].spec.to_message_spec(MessageId(i))),
+            flows,
+            lookup,
             recompute,
-            &self.cache,
+            cache,
             &self.policy,
             &self.config,
             self.model,

@@ -18,7 +18,9 @@
 //!   analysis walk's results ([`rtswitch_core::PortResults`], keyed by
 //!   port).  The engine runs the walk itself over the dirty closure, so
 //!   incremental bounds are byte-identical to a fresh
-//!   [`rtswitch_core::analyze_multi_hop_with`], not merely close.
+//!   [`rtswitch_core::analyze_multi_hop_with`], not merely close.  The
+//!   walk is given only the flows the closure's ports list, so a query
+//!   costs its closure, not the number of active flows.
 //! * [`AdmissionEngine::evaluate_batch`] partitions a queue of queries
 //!   into *commuting groups* (pairwise-disjoint dirty closures), previews
 //!   each group concurrently on a worker pool and commits serially —

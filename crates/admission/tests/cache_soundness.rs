@@ -324,3 +324,98 @@ fn rejected_queries_leave_state_untouched() {
     assert_eq!(before, to_json(&engine.snapshot().report).unwrap());
     assert_eq!(engine.stats().rejected, 3);
 }
+
+/// The engine labels a flow by its place in registration order, found by
+/// binary search on the active flows: they must stay in id order.
+fn assert_registration_order(engine: &AdmissionEngine, context: &str) {
+    assert!(
+        engine
+            .active_flows()
+            .windows(2)
+            .all(|pair| pair[0] < pair[1]),
+        "active flows left id order after {context}"
+    );
+}
+
+/// Long churn on three-switch fabrics: revokes of early-registered flows
+/// (every later flow moves up one place), reroutes, one degrade/restore
+/// with a trunk failover and one batch.  After every step the state equals
+/// a from-scratch analysis and the active flows stay in id order.
+#[test]
+fn long_churn_on_three_switches_matches_scratch() {
+    // Release-sized like `horizon_cut_is_invisible`: a debug `cargo test`
+    // runs a short trace, CI runs the long one in release.
+    let steps = if cfg!(debug_assertions) { 24 } else { 320 };
+    let workload = base_workload();
+    let stations = workload.stations.len();
+    let config = NetworkConfig::paper_default();
+    for (shape, fabric) in [
+        Fabric::line(3, stations),
+        Fabric::star_of_stars(3, stations),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for approach in arms() {
+            for model in [EnvelopeModel::TokenBucket, EnvelopeModel::Staircase] {
+                let mut engine = AdmissionEngine::new(&workload, &fabric, &config, approach, model)
+                    .expect("seed workload is analysable");
+                let ops = trace_ops(40 + shape as u64, steps, stations);
+                let mut step = 0;
+                while step < ops.len() {
+                    let context = format!("step {step} ({approach} / {model:?} / shape {shape})");
+                    let active = engine.active_flows().to_vec();
+                    if step == 3 * steps / 4 {
+                        // One batch: up to sixteen ops, resolved against the
+                        // state the batch starts from.
+                        let end = ops.len().min(step + 16);
+                        let queries: Vec<AdmissionQuery> = ops[step..end]
+                            .iter()
+                            .map(|op| resolve(op, &active))
+                            .collect();
+                        engine.evaluate_batch(&queries, 2);
+                        step = end;
+                    } else if step == steps / 4 {
+                        let backup = fabric.backup_for(0).expect("three-switch trees reconnect");
+                        let verdict = engine.degrade(
+                            &[babbler_spec(1, 0)],
+                            Some(FailoverPlan { trunk: 0, backup }),
+                        );
+                        assert!(verdict.accepted(), "{context}: {:?}", verdict.decision);
+                        step += 1;
+                    } else if step == steps / 2 {
+                        let verdict = engine.restore();
+                        assert!(verdict.accepted(), "{context}: {:?}", verdict.decision);
+                        step += 1;
+                    } else if step % 5 == 0 && active.len() > 3 {
+                        // Revoke an early-registered flow: every flow after
+                        // it moves up one place in registration order.
+                        engine.revoke(active[step % 3]);
+                        step += 1;
+                    } else if step % 7 == 0 && !active.is_empty() {
+                        // Reroute a flow: same spec, another destination.
+                        let id = active[step % active.len()];
+                        let mut spec = engine.flow_spec(id).expect("active").clone();
+                        spec.destination = (spec.destination + stations / 2) % stations;
+                        if spec.destination == spec.source {
+                            spec.destination = (spec.destination + 1) % stations;
+                        }
+                        engine.modify(id, spec);
+                        step += 1;
+                    } else {
+                        match resolve(&ops[step], &active) {
+                            AdmissionQuery::Admit { flow } => engine.admit(flow),
+                            AdmissionQuery::Revoke { flow } => engine.revoke(flow),
+                            AdmissionQuery::Modify { flow, spec } => engine.modify(flow, spec),
+                        };
+                        step += 1;
+                    }
+                    assert_matches_scratch(&engine, &context);
+                    assert_registration_order(&engine, &context);
+                }
+                assert!(!engine.is_degraded(), "the trace restored its fault set");
+                assert!(engine.stats().revoked > 0 && engine.stats().modified > 0);
+            }
+        }
+    }
+}

@@ -335,7 +335,7 @@ pub(crate) fn convolution_exact_until(
 mod tests {
     use super::*;
     use crate::analysis::multi_hop::{
-        analyze_multi_hop_with, flow_ports, walk_ports, FabricPort, PortResults,
+        analyze_multi_hop_with, flow_ports, walk_ports, FabricPort, PortResults, WalkFlow,
     };
     use crate::analysis::Approach;
     use crate::config::NetworkConfig;
@@ -393,13 +393,19 @@ mod tests {
                 .iter()
                 .map(|m| flow_ports(&fabric, m.source.0, m.destination.0))
                 .collect();
-            let flows: Vec<(usize, &[FabricPort])> =
-                paths.iter().map(Vec::as_slice).enumerate().collect();
-            let walk = |recompute: &dyn Fn(FabricPort) -> bool,
+            let flow = |i: usize| WalkFlow {
+                key: i,
+                index: i,
+                path: &paths[i],
+                spec: Cow::Borrowed(&workload.messages[i]),
+            };
+            let walk = |flows: &[usize],
+                        recompute: &dyn Fn(FabricPort) -> bool,
                         cache: &BTreeMap<FabricPort, PortResults<usize>>| {
+                let flows: Vec<WalkFlow<'_, usize>> = flows.iter().map(|&i| flow(i)).collect();
                 walk_ports(
                     &flows,
-                    |i| Cow::Borrowed(&workload.messages[i]),
+                    flow,
                     recompute,
                     cache,
                     &policy,
@@ -407,7 +413,8 @@ mod tests {
                     EnvelopeModel::Staircase,
                 )
             };
-            let cut = walk(&|_| true, &BTreeMap::new());
+            let all: Vec<usize> = (0..paths.len()).collect();
+            let cut = walk(&all, &|_| true, &BTreeMap::new());
             let uncut = without_cut(|| {
                 analyze_multi_hop_with(
                     &workload,
@@ -429,14 +436,23 @@ mod tests {
             assert_eq!(messages, uncut.messages, "case {case}");
 
             // The later half of the walk's topological port order is closed
-            // downstream, so the earlier half can come from the cache.
+            // downstream, so the earlier half can come from the cache.  The
+            // re-walk is given only the flows those ports list, as the
+            // admission engine gives it its dirty closure's.
             let late: BTreeSet<FabricPort> = cut.ports[cut.ports.len() / 2..]
                 .iter()
                 .map(|(port, _)| *port)
                 .collect();
             let cache: BTreeMap<FabricPort, PortResults<usize>> = cut.ports.into_iter().collect();
+            let touched: Vec<usize> = late
+                .iter()
+                .flat_map(|port| cache[port].flows().iter().copied())
+                .collect::<BTreeSet<usize>>()
+                .into_iter()
+                .collect();
             let fallbacks = HorizonCounters::snapshot().path_fallbacks;
-            let partial = walk(&|port| late.contains(&port), &cache).expect("the full walk passed");
+            let partial =
+                walk(&touched, &|port| late.contains(&port), &cache).expect("the full walk passed");
             partial_fallbacks += HorizonCounters::snapshot().path_fallbacks - fallbacks;
             assert_eq!(partial.ports.len(), late.len(), "case {case}");
             let mut rewalked = messages.clone();

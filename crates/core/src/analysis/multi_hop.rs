@@ -306,7 +306,8 @@ pub fn analyze_multi_hop(
 /// counterpart, and the PBOO invariant `convolved ≤ per-hop sum` is
 /// preserved within each model.
 ///
-/// This is [`walk_ports`] with every port recomputed and nothing cached.
+/// This is [`walk_ports`] over every flow, with every port recomputed and
+/// nothing cached.
 ///
 /// # Panics
 /// Panics if the fabric's station count differs from the workload's — a
@@ -328,10 +329,16 @@ pub fn analyze_multi_hop_with(
         .iter()
         .map(|spec| flow_ports(fabric, spec.source.0, spec.destination.0))
         .collect();
-    let flows: Vec<(usize, &[FabricPort])> = paths.iter().map(Vec::as_slice).enumerate().collect();
+    let flow = |i: usize| WalkFlow {
+        key: i,
+        index: i,
+        path: &paths[i],
+        spec: Cow::Borrowed(&workload.messages[i]),
+    };
+    let flows: Vec<WalkFlow<'_, usize>> = (0..paths.len()).map(flow).collect();
     let walk = walk_ports(
         &flows,
-        |i| Cow::Borrowed(&workload.messages[i]),
+        flow,
         |_| true,
         &BTreeMap::new(),
         &approach.scheduling_policy(config.priority_levels),
@@ -415,49 +422,70 @@ pub struct WalkResults<K> {
     pub bounds: Vec<(K, MultiHopMessageBound)>,
 }
 
+/// One flow as the analysis walk sees it.
+#[derive(Debug, Clone)]
+pub struct WalkFlow<'w, K> {
+    /// The key port results list the flow by.
+    pub key: K,
+    /// The flow's place in registration order: the message index of the
+    /// equivalent workload, which its error labels carry.
+    pub index: usize,
+    /// The ports the flow crosses, in order.
+    pub path: &'w [FabricPort],
+    /// The flow's message spec.
+    pub spec: Cow<'w, MessageSpec>,
+}
+
 /// The analysis walk: analyses the ports `recompute` selects in a
 /// deterministic topological order, reads every other port's results from
 /// `cache`, and composes the end-to-end bounds of every flow that crosses a
 /// recomputed port.
 ///
-/// `flows` holds every flow in registration order: the key port results
-/// list it by, and its path.  `spec(i)` materialises flow `i`'s message
-/// spec; the walk asks only for the flows it composes or whose inputs it
-/// rebuilds.  The recomputed ports must be closed downstream — every later
-/// port on the path of a flow crossing one is recomputed too — so a flow's
-/// recomputed hops are a suffix of its path, and every port before them
-/// must be in `cache` with the flows it has now.
+/// `flows` holds exactly the flows crossing a recomputed port, in
+/// registration order.  They include every occupant of a recomputed port,
+/// so the schedule of their paths lists each such port's whole flow set in
+/// registration order, and every ordering edge between two recomputed
+/// ports.  The walk reads any other flow only through `lookup`, which gives
+/// a flow's place, path and spec by its key; only the pay-bursts-only-once
+/// fallback calls it, when it rebuilds a port's inputs.  The recomputed
+/// ports must be closed downstream — every later port on the path of a
+/// flow crossing one is recomputed too — so a flow's recomputed hops are a
+/// suffix of its path, and every port before them must be in `cache` with
+/// the flows it has now.
 ///
-/// [`analyze_multi_hop_with`] recomputes every port with an empty cache;
-/// the admission engine recomputes a mutation's dirty closure and reads the
-/// rest from its cache.  Both therefore run one code path, and the engine's
-/// bounds equal a from-scratch analysis bit for bit.
+/// [`analyze_multi_hop_with`] passes every flow and recomputes every port
+/// with an empty cache; the admission engine passes the flows its dirty
+/// closure's ports list, recomputes the closure and reads the rest from its
+/// cache.  Both therefore run one code path, and the engine's bounds equal
+/// a from-scratch analysis bit for bit.
 ///
 /// # Panics
 /// Panics when a port before a recomputed one is not cached, or a cached
 /// port follows a recomputed one on a flow's path.
-pub fn walk_ports<'s, K: Copy + PartialEq>(
-    flows: &[(K, &[FabricPort])],
-    spec: impl Fn(usize) -> Cow<'s, MessageSpec>,
+pub fn walk_ports<'w, K: Copy + PartialEq>(
+    flows: &[WalkFlow<'w, K>],
+    lookup: impl Fn(K) -> WalkFlow<'w, K>,
     recompute: impl Fn(FabricPort) -> bool,
     cache: &BTreeMap<FabricPort, PortResults<K>>,
     policy: &SchedulingPolicy,
     config: &NetworkConfig,
     model: EnvelopeModel,
 ) -> Result<WalkResults<K>, AnalysisError> {
-    // The flows crossing a recomputed port.  They include every occupant
-    // of a recomputed port, so the schedule of their paths lists each such
-    // port's whole flow set in registration order, and every ordering edge
-    // between two recomputed ports.
-    let touched: Vec<usize> = (0..flows.len())
-        .filter(|&i| flows[i].1.iter().any(|&port| recompute(port)))
-        .collect();
-    let paths: Vec<&[FabricPort]> = touched.iter().map(|&i| flows[i].1).collect();
+    debug_assert!(
+        flows.windows(2).all(|pair| pair[0].index < pair[1].index),
+        "a walk's flows come in registration order"
+    );
+    debug_assert!(
+        flows
+            .iter()
+            .all(|flow| flow.path.iter().any(|&port| recompute(port))),
+        "every flow a walk is given crosses a recomputed port"
+    );
+    let paths: Vec<&[FabricPort]> = flows.iter().map(|flow| flow.path).collect();
     let mut schedule = port_schedule(&paths);
-    let specs: Vec<Cow<'s, MessageSpec>> = touched.iter().map(|&i| spec(i)).collect();
-    let sources: Vec<Envelope> = specs
+    let sources: Vec<Envelope> = flows
         .iter()
-        .map(|spec| spec.arrival_envelope(model, config.link_rate))
+        .map(|flow| flow.spec.arrival_envelope(model, config.link_rate))
         .collect();
 
     // Every port before a flow's recomputed suffix is read from the cache,
@@ -476,7 +504,7 @@ pub fn walk_ports<'s, K: Copy + PartialEq>(
         })
         .collect();
     for (j, hops) in schedule.hops.iter_mut().enumerate() {
-        let key = flows[touched[j]].0;
+        let key = flows[j].key;
         let mut recomputed = false;
         for (port, slot) in hops {
             match &results[*port] {
@@ -510,10 +538,10 @@ pub fn walk_ports<'s, K: Copy + PartialEq>(
                         }
                     };
                     let flow = StageFlow {
-                        message: MessageId(touched[j]),
+                        message: MessageId(flows[j].index),
                         envelope: Cow::Borrowed(envelope),
-                        priority: specs[j].priority(),
-                        frame: specs[j].frame_size(),
+                        priority: flows[j].spec.priority(),
+                        frame: flows[j].spec.frame_size(),
                     };
                     (flow, k + 1 == paths[j].len())
                 })
@@ -528,10 +556,7 @@ pub fn walk_ports<'s, K: Copy + PartialEq>(
                 &port.to_string(),
             )?
         };
-        let keys = crossings
-            .iter()
-            .map(|&(j, _)| flows[touched[j]].0)
-            .collect();
+        let keys = crossings.iter().map(|&(j, _)| flows[j].key).collect();
         results[id] = Some(Cow::Owned(PortResults { keys, analysis }));
     }
 
@@ -540,24 +565,24 @@ pub fn walk_ports<'s, K: Copy + PartialEq>(
             policy,
             config,
             model,
-            flows,
-            spec: &spec,
+            lookup: &lookup,
             index: &schedule.index,
             results: &results,
             cache,
             uncut: RefCell::new(BTreeMap::new()),
         };
-        touched
+        flows
             .iter()
+            .zip(&sources)
             .enumerate()
-            .map(|(j, &i)| {
+            .map(|(j, (flow, source))| {
                 let per_hop: Vec<&PortFlowAnalysis> = schedule.hops[j]
                     .iter()
                     .map(|&(port, slot)| &at(&results, port).analysis.flows[slot])
                     .collect();
                 let bound =
-                    compose_end_to_end(&specs[j], i, paths[j], &per_hop, &sources[j], &walk)?;
-                Ok((flows[i].0, bound))
+                    compose_end_to_end(&flow.spec, flow.index, flow.path, &per_hop, source, &walk)?;
+                Ok((flow.key, bound))
             })
             .collect::<Result<Vec<_>, AnalysisError>>()?
     };
@@ -674,8 +699,8 @@ struct Walk<'w, 's, K: Clone> {
     policy: &'w SchedulingPolicy,
     config: &'w NetworkConfig,
     model: EnvelopeModel,
-    flows: &'w [(K, &'w [FabricPort])],
-    spec: &'w dyn Fn(usize) -> Cow<'s, MessageSpec>,
+    /// Any flow by its key.
+    lookup: &'w dyn Fn(K) -> WalkFlow<'s, K>,
     /// The scheduled ports' numbers and results.
     index: &'w BTreeMap<FabricPort, usize>,
     results: &'w [Option<Cow<'w, PortResults<K>>>],
@@ -728,31 +753,29 @@ impl<'w, K: Copy + PartialEq> Walk<'w, '_, K> {
             .keys
             .iter()
             .map(|&key| {
-                let i = self
-                    .flows
-                    .iter()
-                    .position(|f| f.0 == key)
-                    .expect("a port's flows are the walk's");
-                let path = self.flows[i].1;
-                let k = path
+                let flow = (self.lookup)(key);
+                let k = flow
+                    .path
                     .iter()
                     .position(|&p| p == port)
                     .expect("a flow crosses only the ports of its path");
-                let spec = (self.spec)(i);
                 let envelope = match k.checked_sub(1) {
-                    None => Cow::Owned(spec.arrival_envelope(self.model, self.config.link_rate)),
+                    None => Cow::Owned(
+                        flow.spec
+                            .arrival_envelope(self.model, self.config.link_rate),
+                    ),
                     Some(before) => {
-                        let results = self.results(path[before]);
+                        let results = self.results(flow.path[before]);
                         Cow::Borrowed(output(results, results.slot(key)))
                     }
                 };
-                let flow = StageFlow {
-                    message: MessageId(i),
+                let input = StageFlow {
+                    message: MessageId(flow.index),
                     envelope,
-                    priority: spec.priority(),
-                    frame: spec.frame_size(),
+                    priority: flow.spec.priority(),
+                    frame: flow.spec.frame_size(),
                 };
-                (flow, k + 1 == path.len())
+                (input, k + 1 == flow.path.len())
             })
             .unzip()
     }

@@ -61,7 +61,7 @@ pub use analysis::horizon::HorizonCounters;
 pub use analysis::jitter::{jitter_bounds, JitterBound};
 pub use analysis::multi_hop::{
     analyze_multi_hop, analyze_multi_hop_with, flow_ports, walk_ports, FabricPort, HopBound,
-    MultiHopMessageBound, MultiHopReport, PortResults, WalkResults,
+    MultiHopMessageBound, MultiHopReport, PortResults, WalkFlow, WalkResults,
 };
 pub use analysis::{Approach, PolicyArm};
 pub use compare1553::{
